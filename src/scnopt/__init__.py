@@ -33,6 +33,7 @@ from .model import (
     eval_delay,
     eval_total_cost,
     evaluate,
+    evaluate_batch,
     genotype_length,
     simulate_schedule,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "eval_delay",
     "eval_total_cost",
     "evaluate",
+    "evaluate_batch",
     "genotype_length",
     "simulate_schedule",
     # instances

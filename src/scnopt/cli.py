@@ -134,7 +134,7 @@ def resolve_engine_config(args: argparse.Namespace) -> EngineConfig:
     """Engine configuration for a ``run`` invocation.
 
     ``--paper-params`` overrides the four search parameters with the published
-    set; seed and worker count always come from their own flags.
+    set; the seed always comes from its own flag.
     """
     pop_size = args.pop_size
     generations = args.generations
@@ -151,7 +151,6 @@ def resolve_engine_config(args: argparse.Namespace) -> EngineConfig:
         crossover_prob=crossover_prob,
         mutation_prob=mutation_prob,
         seed=args.seed,
-        eval_workers=args.eval_workers,
     )
 
 
@@ -180,7 +179,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         "sbx_eta": config.sbx_eta,
         "pm_eta": config.pm_eta,
         "seed": config.seed,
-        "eval_workers": config.eval_workers,
         "holding_on_backorder": args.holding_on_backorder,
         "paper_params": bool(args.paper_params),
     }
@@ -190,8 +188,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         result = evolve(problem, config)
         out_dir.mkdir(parents=True, exist_ok=True)
         rows = front_rows(result.archive, instance)
-        front_path = out_dir / "front.csv"
-        save_front(result.archive, front_path, instance)
+        save_front(rows, out_dir / "front.csv")
         _write_plot_data(rows, out_dir / "front.dat")
     except (EvaluationError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -238,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--crossover-prob", type=float, default=0.6, dest="crossover_prob")
     run.add_argument("--mutation-prob", type=float, default=0.01, dest="mutation_prob")
     run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--eval-workers", type=int, default=1, dest="eval_workers",
-                     help="threads for concurrent evaluation (deterministic either way)")
     run.add_argument("--paper-params", action="store_true", dest="paper_params",
                      help="use the published parameter set: population 1290, 500 generations, "
                           "crossover 0.6, mutation 0.01")

@@ -103,15 +103,23 @@ def load_instance(path: str | Path) -> Instance:
     missing_dims = [k for k in _DIMENSION_KEYS if k not in dims]
     if missing_dims:
         raise ValidationError(f"instance file {path} is missing dimensions", missing_dims)
+    # int() would truncate 7.9 to 7 (and bool is an int), so accept only JSON integers.
+    non_integer = [
+        f"{k}: {dims[k]!r}"
+        for k in _DIMENSION_KEYS
+        if isinstance(dims[k], bool) or not isinstance(dims[k], int)
+    ]
+    if non_integer:
+        raise ValidationError(f"instance file {path} has non-integer dimensions", non_integer)
 
     try:
         instance = Instance(
-            n_suppliers=int(dims["suppliers"]),
-            n_plants=int(dims["plants"]),
-            n_dcs=int(dims["dcs"]),
-            n_retailers=int(dims["retailers"]),
-            n_products=int(dims["products"]),
-            n_periods=int(dims["periods"]),
+            n_suppliers=dims["suppliers"],
+            n_plants=dims["plants"],
+            n_dcs=dims["dcs"],
+            n_retailers=dims["retailers"],
+            n_products=dims["products"],
+            n_periods=dims["periods"],
             utilization=float(raw["utilization"]),
             currency=str(raw.get("currency", "TZS/week")),
             time_unit=str(raw.get("time_unit", "day")),
@@ -355,13 +363,12 @@ def front_rows(archive: ParetoArchive, instance: Instance) -> list[tuple[float, 
     return collapsed
 
 
-def save_front(archive: ParetoArchive, path: str | Path, instance: Instance) -> Path:
-    """Write the archive front as CSV: ``total_cost,f2_raw,mean_delay_days``.
+def save_front(rows: list[tuple[float, float, float]], path: str | Path) -> Path:
+    """Write :func:`front_rows` output as CSV: ``total_cost,f2_raw,mean_delay_days``.
 
     Costs are displayed as whole currency units, delay-days with two decimals,
     and the raw delay objective at full precision; rows ascend by cost.
     """
-    rows = front_rows(archive, instance)
     path = Path(path)
     lines = [FRONT_CSV_HEADER]
     for cost, delay, days in rows:

@@ -34,6 +34,7 @@ __all__ = [
     "eval_delay",
     "check_constraints",
     "evaluate",
+    "evaluate_batch",
     "SupplyChainProblem",
     "CONSTRAINT_FAMILIES",
 ]
@@ -53,6 +54,10 @@ CONSTRAINT_FAMILIES = (
 # Excess smaller than this (relative to the family scale) is treated as zero;
 # proportional repair leaves float residue on the order of 1e-16 of the flows.
 _EXCESS_RTOL = 1e-9
+
+# Rows per block in evaluate_batch.  It bounds the working set; rows are
+# independent, so the block size never changes a result.
+_BATCH_BLOCK = 256
 
 
 @dataclass
@@ -145,8 +150,8 @@ class Instance:
         problems: list[str] = []
         if min(self.dimensions) < 1:
             problems.append("all dimensions must be >= 1")
-        if self.utilization <= 0:
-            problems.append("utilization must be > 0")
+        if not (np.isfinite(self.utilization) and self.utilization > 0):
+            problems.append(f"utilization must be finite and > 0, got {self.utilization!r}")
         nonnegative = (
             "supplier_capacity",
             "plant_capacity",
@@ -455,6 +460,23 @@ def eval_delay(network: DecodedNetwork) -> float:
     return float((network.backlog + network.on_hand).sum())
 
 
+def _constraint_scales(instance: Instance) -> np.ndarray:
+    """Positive per-family scales that normalize :func:`check_constraints` excess."""
+    scales = np.array(
+        [
+            instance.dc_capacity.mean(),
+            instance.backorder_limit.mean(),
+            instance.total_demand / instance.n_dcs,
+            instance.supplier_capacity.mean(),
+            instance.plant_capacity.mean(),
+            instance.plant_capacity.mean(),
+            1.0,
+            max(1.0, instance.total_demand / instance.n_retailers),
+        ]
+    )
+    return np.where(scales > 0.0, scales, 1.0)
+
+
 def check_constraints(
     network: DecodedNetwork,
     instance: Instance,
@@ -490,19 +512,7 @@ def check_constraints(
     # from the stored demand tensor, so the balance holds by construction.
     excess[7] = 0.0
 
-    scales = np.array(
-        [
-            instance.dc_capacity.mean(),
-            instance.backorder_limit.mean(),
-            instance.total_demand / instance.n_dcs,
-            instance.supplier_capacity.mean(),
-            instance.plant_capacity.mean(),
-            instance.plant_capacity.mean(),
-            1.0,
-            max(1.0, instance.total_demand / instance.n_retailers),
-        ]
-    )
-    scales = np.where(scales > 0.0, scales, 1.0)
+    scales = _constraint_scales(instance)
     excess = np.where(excess > _EXCESS_RTOL * scales, excess, 0.0)
     total = float((excess / scales).sum())
     return excess, total
@@ -521,6 +531,204 @@ def evaluate(
     return np.array([total_cost, delay]), violation
 
 
+# Batched evaluation.  Every function below repeats its scalar counterpart
+# operation by operation over a leading row axis, reducing the same axes of
+# the same memory layout, so each row is bit-identical to the scalar result.
+
+
+def _allocate_rows(total: np.ndarray, weights: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`allocate_with_caps` of ``total (N,)`` over ``(N, B)`` bins.
+
+    Rows with ``total <= 0`` get nothing.  Each pass settles a row or pins at
+    least one of its bins, so B + 1 passes settle every row.
+    """
+    allocation = np.zeros_like(caps)
+    remaining = total.copy()
+    tolerance = 1e-12 * np.maximum(1.0, total)
+    active = caps > 0.0
+    running = total > 0.0
+    for _ in range(caps.shape[1] + 1):
+        running &= (remaining > tolerance) & active.any(axis=1)
+        if not running.any():
+            break
+        w = np.where(active, weights, 0.0)
+        w_sum = w.sum(axis=1)
+        fallback = running & (w_sum <= 0.0)
+        if fallback.any():
+            w = np.where(fallback[:, None], np.where(active, caps - allocation, 0.0), w)
+            w_sum = w.sum(axis=1)
+        shares = remaining[:, None] * w / np.where(running, w_sum, 1.0)[:, None]
+        overflow = running[:, None] & active & (shares > caps - allocation)
+        pinned = overflow.any(axis=1)
+        settled = running & ~pinned
+        allocation = np.where(settled[:, None], allocation + shares, allocation)
+        allocation = np.where(overflow, caps, allocation)
+        active &= ~overflow
+        remaining = np.where(pinned, total - allocation.sum(axis=1), remaining)
+        running &= pinned
+    return allocation
+
+
+def _open_rows(keys: np.ndarray) -> np.ndarray:
+    """Row-wise facility keys >= 0.5, forcing the largest key open in all-closed rows."""
+    is_open = keys >= 0.5
+    closed = np.flatnonzero(~is_open.any(axis=1))
+    is_open[closed, np.argmax(keys[closed], axis=1)] = True
+    return is_open
+
+
+def _decode_rows(
+    g: np.ndarray,
+    instance: Instance,
+    layout: GenotypeLayout,
+    retailer_demand: np.ndarray,
+) -> DecodedNetwork:
+    """:func:`decode` of every row of ``g``; each array gains a leading row axis.
+
+    ``retailer_demand`` is the C-contiguous ``(P, I)`` horizon demand, so that
+    ``retail_flow`` has the scalar memory layout and sums in the scalar order.
+    """
+    n = g.shape[0]
+    s, k, j, i, p, t = instance.dimensions
+    supplier_weights = g[:, layout.supplier_weights].reshape(n, s, k)
+    plant_dc_weights = g[:, layout.plant_dc_weights].reshape(n, k, j)
+    assignment_keys = g[:, layout.assignment_keys].reshape(n, j, i)
+    timing_weights = g[:, layout.timing_weights].reshape(n, j, t)
+
+    plant_open = _open_rows(g[:, layout.plant_keys])
+    dc_open = _open_rows(g[:, layout.dc_keys])
+
+    masked_keys = np.where(dc_open[:, :, None], assignment_keys, -1.0)
+    dc_of_retailer = np.argmax(masked_keys, axis=1)  # (N, I)
+    assignment = dc_of_retailer[:, None, :] == np.arange(j)[None, :, None]  # (N, J, I)
+
+    retail_flow = assignment[:, None, :, :] * retailer_demand[None, :, None, :]
+    dc_demand = retail_flow.sum(axis=3)  # (N, P, J)
+    assigned_demand = np.einsum("nji,ipt->npjt", assignment.astype(float), instance.demand)
+
+    product_flow = np.zeros((n, p, k, j))
+    open_plant_weights = np.where(plant_open[:, :, None], plant_dc_weights, 0.0)
+    product_budget = np.where(plant_open, instance.plant_capacity / instance.utilization, 0.0)
+    for product in range(p):
+        for dc in range(j):
+            share = _allocate_rows(
+                dc_demand[:, product, dc], open_plant_weights[:, :, dc], product_budget
+            )
+            product_flow[:, product, :, dc] = share
+            product_budget = product_budget - share
+
+    raw_flow = np.zeros((n, s, k))
+    supplier_budget = np.tile(instance.supplier_capacity, (n, 1))
+    production = product_flow.sum(axis=(1, 3))  # (N, K)
+    for plant in range(k):
+        share = _allocate_rows(
+            instance.utilization * production[:, plant],
+            supplier_weights[:, :, plant],
+            supplier_budget,
+        )
+        raw_flow[:, :, plant] = share
+        supplier_budget = supplier_budget - share
+
+    row_sums = timing_weights.sum(axis=2, keepdims=True)
+    period_share = np.where(
+        row_sums > 0.0,
+        timing_weights / np.where(row_sums > 0.0, row_sums, 1.0),
+        1.0 / t,
+    )
+    dc_inflow_total = product_flow.sum(axis=2)  # (N, P, J)
+    inflow = dc_inflow_total[:, :, :, None] * period_share[:, None, :, :]
+    on_hand, backlog = _schedule_recursion(inflow, assigned_demand)
+
+    return DecodedNetwork(
+        plant_open=plant_open,
+        dc_open=dc_open,
+        assignment=assignment,
+        raw_flow=raw_flow,
+        product_flow=product_flow,
+        retail_flow=retail_flow,
+        assigned_demand=assigned_demand,
+        inflow=inflow,
+        on_hand=on_hand,
+        backlog=backlog,
+    )
+
+
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """Sum of each row's cells, in the order ``.sum()`` takes over one row."""
+    return values.reshape(values.shape[0], -1).sum(axis=1)
+
+
+def _score_rows(
+    network: DecodedNetwork,
+    instance: Instance,
+    scales: np.ndarray,
+    holding_on_backorder: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eval_total_cost`, :func:`eval_delay` and the :func:`check_constraints`
+    total of every row of a row-stacked network."""
+    fixed = (instance.plant_fixed_cost * network.plant_open).sum(axis=1) + (
+        instance.dc_fixed_cost * network.dc_open
+    ).sum(axis=1)
+    raw_unit_cost = instance.raw_material_unit_cost[:, None] + instance.raw_transport_cost
+    raw = _row_sums(raw_unit_cost * network.raw_flow)
+    plant_to_dc = _row_sums(instance.product_transport_plant_dc[None, :, :] * network.product_flow)
+    held = network.backlog if holding_on_backorder else network.on_hand
+    holding = _row_sums(instance.holding_cost[None, :, None] * held)
+    dc_to_retail = _row_sums(
+        instance.product_transport_dc_retailer[None, :, :] * network.retail_flow
+    )
+    total_cost = fixed + raw + plant_to_dc + holding + dc_to_retail
+    delay = _row_sums(network.backlog + network.on_hand)
+
+    u = instance.utilization
+    excess = np.zeros((network.plant_open.shape[0], len(CONSTRAINT_FAMILIES)))
+    excess[:, 0] = _row_sums(
+        np.maximum(network.on_hand - instance.dc_capacity[None, :, None], 0.0)
+    )
+    excess[:, 1] = _row_sums(np.maximum(network.backlog - instance.backorder_limit, 0.0))
+    dc_in = network.product_flow.sum(axis=2)
+    dc_out = network.retail_flow.sum(axis=3)
+    excess[:, 2] = _row_sums(np.maximum(dc_out - dc_in, 0.0))
+    excess[:, 3] = np.maximum(
+        network.raw_flow.sum(axis=2) - instance.supplier_capacity, 0.0
+    ).sum(axis=1)
+    production = network.product_flow.sum(axis=(1, 3))
+    raw_in = network.raw_flow.sum(axis=1)
+    excess[:, 4] = np.maximum(u * production - raw_in, 0.0).sum(axis=1)
+    excess[:, 5] = np.maximum(u * production - instance.plant_capacity, 0.0).sum(axis=1)
+    excess[:, 6] = np.abs(network.assignment.sum(axis=1) - 1).sum(axis=1)
+    excess = np.where(excess > _EXCESS_RTOL * scales, excess, 0.0)
+    return np.stack([total_cost, delay], axis=1), (excess / scales).sum(axis=1)
+
+
+def evaluate_batch(
+    genotypes: np.ndarray,
+    instance: Instance,
+    holding_on_backorder: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score every row of an ``(N, L)`` genotype matrix at once.
+
+    Returns ``(objectives (N, 2), violations (N,))``; row ``n`` equals
+    ``evaluate(genotypes[n], instance, holding_on_backorder)`` bit for bit.
+    Rows are evaluated in fixed blocks, which bounds memory use.
+    """
+    g = np.asarray(genotypes, dtype=float)
+    layout = GenotypeLayout.for_instance(instance)
+    if g.ndim != 2 or g.shape[1] != layout.length:
+        raise ValueError(f"genotypes must have shape (N, {layout.length}), got {g.shape}")
+    retailer_demand = instance.demand.sum(axis=2).T.copy()  # (P, I)
+    scales = _constraint_scales(instance)
+    objectives = np.empty((g.shape[0], 2))
+    violations = np.empty(g.shape[0])
+    for start in range(0, g.shape[0], _BATCH_BLOCK):
+        block = slice(start, start + _BATCH_BLOCK)
+        network = _decode_rows(g[block], instance, layout, retailer_demand)
+        objectives[block], violations[block] = _score_rows(
+            network, instance, scales, holding_on_backorder
+        )
+    return objectives, violations
+
+
 @dataclass
 class SupplyChainProblem:
     """Adapter exposing an :class:`Instance` through the engine's evaluator interface."""
@@ -535,3 +743,6 @@ class SupplyChainProblem:
 
     def evaluate(self, genotype: np.ndarray) -> tuple[np.ndarray, float]:
         return evaluate(genotype, self.instance, self.holding_on_backorder)
+
+    def evaluate_batch(self, genotypes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return evaluate_batch(genotypes, self.instance, self.holding_on_backorder)

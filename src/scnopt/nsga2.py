@@ -2,16 +2,15 @@
 minimization over real-coded genotypes in the unit box [0, 1]^L.
 
 The engine is problem-agnostic: anything exposing ``genotype_length`` and
-``evaluate(genotype) -> (objectives, violation)`` can be plugged in.  All
+``evaluate(genotype) -> (objectives, violation)`` can be plugged in; a problem
+that also has ``evaluate_batch`` gets each generation as one matrix.  All
 randomness flows through a single seeded generator consumed only by
-initialization, selection, and variation; evaluation is pure, so it may run
-concurrently without perturbing results.
+initialization, selection, and variation.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -46,7 +45,14 @@ class EvaluationError(RuntimeError):
 
 
 class Problem(Protocol):
-    """Minimal evaluator interface the engine optimizes against."""
+    """Minimal evaluator interface the engine optimizes against.
+
+    A problem may also define ``evaluate_batch(genotypes)``, taking an
+    ``(N, L)`` matrix and returning ``(objectives (N, M), violations (N,))``
+    whose row ``n`` is what ``evaluate(genotypes[n])`` returns.  Rows must be
+    independent of each other.  The engine then calls it once per generation
+    in place of ``evaluate``; ``evaluate`` stays required as its reference.
+    """
 
     genotype_length: int
 
@@ -98,8 +104,6 @@ class EngineConfig:
     """Run parameters for :func:`evolve`.
 
     ``population_size`` must be even (pairwise variation) and at least 4.
-    ``eval_workers`` > 1 evaluates each batch in a thread pool; results are
-    written back by index, so the run stays deterministic.
     """
 
     population_size: int = 100
@@ -109,7 +113,6 @@ class EngineConfig:
     sbx_eta: float = 15.0
     pm_eta: float = 20.0
     seed: int = 42
-    eval_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.population_size < 4 or self.population_size % 2 != 0:
@@ -124,8 +127,6 @@ class EngineConfig:
             raise ValueError("distribution indices must be positive")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.eval_workers < 1:
-            raise ValueError("eval_workers must be >= 1")
 
 
 @dataclass
@@ -466,23 +467,29 @@ class EvolutionResult:
 def _evaluate_batch(
     genotypes: Sequence[np.ndarray],
     problem: Problem,
-    workers: int,
     expected_m: int | None,
 ) -> tuple[list[Individual], int]:
-    """Evaluate genotypes (optionally in threads) into Individuals, by index."""
-    def evaluate_one(k: int) -> tuple[np.ndarray, float]:
-        objectives, violation = problem.evaluate(genotypes[k])
-        return np.asarray(objectives, dtype=float), float(violation)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(evaluate_one, range(len(genotypes))))
+    """Evaluate genotypes into Individuals, through ``problem.evaluate_batch``
+    when the problem has one and one ``evaluate`` call per genotype otherwise."""
+    batch = getattr(problem, "evaluate_batch", None)
+    if batch is None:
+        raw = [problem.evaluate(g) for g in genotypes]
     else:
-        raw = [evaluate_one(k) for k in range(len(genotypes))]
+        n = len(genotypes)
+        objectives, violations = batch(np.array(genotypes))
+        objectives = np.asarray(objectives, dtype=float)
+        violations = np.asarray(violations, dtype=float)
+        if objectives.ndim != 2 or objectives.shape[0] != n or violations.shape != (n,):
+            raise EvaluationError(
+                f"evaluate_batch returned objectives of shape {objectives.shape} and "
+                f"violations of shape {violations.shape} for {n} genotypes"
+            )
+        raw = zip(objectives, violations)
 
     individuals: list[Individual] = []
     m = expected_m
     for k, (objectives, violation) in enumerate(raw):
+        objectives, violation = np.asarray(objectives, dtype=float), float(violation)
         if objectives.ndim != 1 or objectives.size < 2:
             raise EvaluationError(f"genotype index {k}: expected >= 2 objectives, got shape {objectives.shape}")
         if m is None:
@@ -540,7 +547,7 @@ def evolve(problem: Problem, config: EngineConfig) -> EvolutionResult:
         raise ValueError("problem.genotype_length must be >= 1")
     rng = np.random.default_rng(config.seed)
     initial = rng.random((config.population_size, length))
-    population, m = _evaluate_batch(list(initial), problem, config.eval_workers, None)
+    population, m = _evaluate_batch(list(initial), problem, None)
     assign_ranks_and_crowding(population)
     archive = update_archive(ParetoArchive(), population)
     evaluations = config.population_size
@@ -548,7 +555,7 @@ def evolve(problem: Problem, config: EngineConfig) -> EvolutionResult:
 
     for generation in range(1, config.generations + 1):
         child_genotypes = _make_offspring(population, config, rng)
-        offspring, m = _evaluate_batch(child_genotypes, problem, config.eval_workers, m)
+        offspring, m = _evaluate_batch(child_genotypes, problem, m)
         population = environmental_select(population, offspring, config.population_size)
         archive = update_archive(archive, offspring)
         evaluations += config.population_size

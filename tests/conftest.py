@@ -32,6 +32,17 @@ class RecordingProblem:
         return objectives, violation
 
 
+class ScalarOnlyProblem:
+    """Exposes only ``evaluate`` of a problem, so the engine scores genotypes one by one."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.genotype_length = inner.genotype_length
+
+    def evaluate(self, genotype):
+        return self.inner.evaluate(genotype)
+
+
 @pytest.fixture
 def line_problem():
     return LineFrontProblem()

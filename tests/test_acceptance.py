@@ -27,7 +27,13 @@ from scnopt import (
 )
 from scnopt.cli import EXIT_OK, main
 
-from conftest import LineFrontProblem, build_duo_network, make_duo_instance, random_population
+from conftest import (
+    LineFrontProblem,
+    ScalarOnlyProblem,
+    build_duo_network,
+    make_duo_instance,
+    random_population,
+)
 from oracles import enumerate_reference_front, oracle_crowding, oracle_sort
 
 
@@ -275,18 +281,17 @@ def test_criterion_7_report_hypervolume_monotone(capsys, tmp_path):
     verdict(capsys, 7, "report-hypervolume-monotone", ok, detail)
 
 
-def test_criterion_8_byte_identical_artifacts(capsys, tmp_path):
+def test_criterion_8_byte_identical_artifacts(capsys, tmp_path, monkeypatch):
     """Identical flags produce byte-identical front.csv, report.json, and
-    front.dat - serially and with concurrent evaluation - and the search
-    result does not depend on the worker count."""
+    front.dat, and the artifacts do not depend on the evaluation path: batched
+    evaluation writes the same bytes as one scalar evaluation per genotype."""
     instance_path = tmp_path / "desk.json"
     assert main(["generate", "--preset", "desk", "--out", str(instance_path)]) == EXIT_OK
 
-    def run(out_dir, workers):
+    def run(out_dir):
         code = main(
             ["run", "--instance", str(instance_path), "--out", str(out_dir),
-             "--pop-size", "24", "--generations", "15", "--seed", "9",
-             "--eval-workers", str(workers)]
+             "--pop-size", "24", "--generations", "15", "--seed", "9"]
         )
         assert code == EXIT_OK
         return {
@@ -294,16 +299,18 @@ def test_criterion_8_byte_identical_artifacts(capsys, tmp_path):
             for name in ("front.csv", "report.json", "front.dat")
         }
 
-    serial_a = run(tmp_path / "s1", 1)
-    serial_b = run(tmp_path / "s2", 1)
-    threaded_a = run(tmp_path / "t1", 4)
-    threaded_b = run(tmp_path / "t2", 4)
+    serial_a = run(tmp_path / "s1")
+    serial_b = run(tmp_path / "s2")
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            "scnopt.cli.SupplyChainProblem",
+            lambda *args, **kwargs: ScalarOnlyProblem(SupplyChainProblem(*args, **kwargs)),
+        )
+        scalar = run(tmp_path / "scalar")
 
     checks = {
         "serial reruns identical": serial_a == serial_b,
-        "threaded reruns identical": threaded_a == threaded_b,
-        "front independent of workers": serial_a["front.csv"] == threaded_a["front.csv"]
-        and serial_a["front.dat"] == threaded_a["front.dat"],
+        "artifacts independent of the evaluation path": serial_a == scalar,
     }
     ok = all(checks.values())
     detail = ", ".join(name for name, passed in checks.items() if not passed)

@@ -114,26 +114,11 @@ class TestRun:
         for name in ("front.csv", "report.json", "front.dat"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
-    def test_concurrent_evaluation_matches_serial(self, tiny_path, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run_tiny(tiny_path, out_a)
-        run_tiny(tiny_path, out_b, "--eval-workers", "2")
-        # search artifacts are identical; the report differs only in the
-        # echoed worker count
-        for name in ("front.csv", "front.dat"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
-        report_a = json.loads((out_a / "report.json").read_text())
-        report_b = json.loads((out_b / "report.json").read_text())
-        assert report_a["records"] == report_b["records"]
-        assert report_a["front"] == report_b["front"]
-        assert report_b["config"]["eval_workers"] == 2
-
-    def test_concurrent_reruns_are_byte_identical(self, tiny_path, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run_tiny(tiny_path, out_a, "--eval-workers", "4")
-        run_tiny(tiny_path, out_b, "--eval-workers", "4")
-        for name in ("front.csv", "report.json", "front.dat"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+    def test_eval_workers_flag_is_gone(self, tiny_path, tmp_path):
+        assert run_tiny(tiny_path, tmp_path / "a", "--eval-workers", "2") == EXIT_USAGE
+        assert run_tiny(tiny_path, tmp_path / "b") == EXIT_OK
+        report = json.loads((tmp_path / "b" / "report.json").read_text())
+        assert "eval_workers" not in report["config"]
 
     def test_seed_changes_report(self, tiny_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -166,6 +151,22 @@ class TestExitCodes:
         code = main(["run", "--instance", str(bad), "--out", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, reported",
+        [
+            ('"utilization": 1.0', '"utilization": NaN', "utilization must be finite"),
+            ('"periods": 2', '"periods": 2.9', "periods: 2.9"),
+        ],
+    )
+    def test_impossible_instance_values_are_validation(
+        self, tiny_path, tmp_path, capsys, old, new, reported
+    ):
+        tiny_path.write_text(tiny_path.read_text().replace(old, new))
+        code = main(["run", "--instance", str(tiny_path), "--out", str(tmp_path / "o"),
+                     "--pop-size", "12", "--generations", "2"])
+        assert code == EXIT_VALIDATION
+        assert reported in capsys.readouterr().err
 
     def test_missing_instance_file_is_validation(self, tmp_path, capsys):
         code = main(

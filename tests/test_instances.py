@@ -121,6 +121,24 @@ class TestLoadErrors:
         assert "demand" in text and "utilization" in text
 
 
+    def test_nan_utilization_is_an_invariant_violation(self, tmp_path):
+        path = save_instance(tiny_instance(), tmp_path / "t.json")
+        path.write_text(path.read_text().replace('"utilization": 1.0', '"utilization": NaN'))
+        with pytest.raises(ValidationError, match="violates invariants") as err:
+            load_instance(path)
+        assert any("utilization" in problem for problem in err.value.problems)
+
+    @pytest.mark.parametrize("value", [7.9, 2.0, True, "2"])
+    def test_non_integer_dimension_rejected(self, tmp_path, value):
+        path = save_instance(tiny_instance(), tmp_path / "t.json")
+        raw = json.loads(path.read_text())
+        raw["dimensions"]["periods"] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError, match="non-integer dimensions") as err:
+            load_instance(path)
+        assert err.value.problems == [f"periods: {value!r}"]
+
+
 class TestGenerator:
     def test_same_seed_same_instance(self):
         assert instances_equal(generate_instance(DESK), generate_instance(DESK))
@@ -207,7 +225,7 @@ class TestFrontExport:
         assert rows == [(2000.4, 7.0, 0.0), (2101.6, 3.0, 0.0)]
 
     def test_csv_bytes(self, tmp_path, tiny):
-        path = save_front(self._archive(), tmp_path / "front.csv", tiny)
+        path = save_front(front_rows(self._archive(), tiny), tmp_path / "front.csv")
         assert path.read_text() == (
             "total_cost,f2_raw,mean_delay_days\n2000,7.0,0.00\n2102,3.0,0.00\n"
         )
