@@ -11,6 +11,7 @@ initialization, selection, and variation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -87,8 +88,10 @@ class Individual:
             raise ValueError("genotype coordinates must lie in [0, 1]")
         if self.objectives is not None:
             self.objectives = np.asarray(self.objectives, dtype=float)
-        if self.violation < 0.0:
-            raise ValueError("constraint violation must be nonnegative")
+            if not np.all(np.isfinite(self.objectives)):
+                raise ValueError("objectives must be finite")
+        if not (math.isfinite(self.violation) and self.violation >= 0.0):
+            raise ValueError("constraint violation must be finite and nonnegative")
 
     @property
     def evaluated(self) -> bool:
@@ -134,7 +137,9 @@ class FrontPartition:
     """Result of non-dominated sorting: fronts as index arrays plus a rank map.
 
     ``fronts[0]`` is the non-dominated set; ``ranks[i]`` is 1-based and equals
-    ``k+1`` when individual ``i`` sits in ``fronts[k]``.
+    ``k+1`` when individual ``i`` sits in ``fronts[k]``.  Each front lists its
+    indices in ascending population order; crowding ties and the cut of the
+    last admitted front in :func:`environmental_select` depend on that order.
     """
 
     fronts: list[np.ndarray]
@@ -165,27 +170,52 @@ def constrained_dominates(a: Individual, b: Individual) -> bool:
     return dominates(a.objectives, b.objectives)
 
 
-def _domination_matrix(objectives: np.ndarray, violations: np.ndarray) -> np.ndarray:
-    """Pairwise constraint-domination, ``D[i, j]`` true iff ``i`` dominates ``j``."""
-    feasible = violations == 0.0
-    le = np.all(objectives[:, None, :] <= objectives[None, :, :], axis=2)
-    lt = np.any(objectives[:, None, :] < objectives[None, :, :], axis=2)
-    both_feasible = feasible[:, None] & feasible[None, :]
-    both_infeasible = ~feasible[:, None] & ~feasible[None, :]
-    dom = (
-        (both_feasible & le & lt)
-        | (feasible[:, None] & ~feasible[None, :])
-        | (both_infeasible & (violations[:, None] < violations[None, :]))
-    )
-    np.fill_diagonal(dom, False)
-    return dom
+def _pareto_fronts(points: np.ndarray) -> list[np.ndarray]:
+    """Pareto fronts of the rows of ``points``, each front in ascending row order.
+
+    Two objectives take one sweep in (f1, f2)-lexicographic order, where every
+    dominator of a point comes before it and each front's latest member has
+    the least f2 in that front.  A point joins the first front whose latest
+    member does not dominate it: the first whose ``(f2, f1)`` key is not below
+    the point's.  Those keys increase from front to front, so a bisection
+    finds it.  More objectives peel fronts by domination counts over the
+    pairwise dominance matrix.
+    """
+    if points.shape[1] != 2:
+        le = np.all(points[:, None, :] <= points[None, :, :], axis=2)
+        dom = le & np.any(points[:, None, :] < points[None, :, :], axis=2)
+        counts = dom.sum(axis=0)
+        fronts: list[np.ndarray] = []
+        current = np.flatnonzero(counts == 0)
+        while current.size:
+            fronts.append(current)
+            counts -= dom[current].sum(axis=0)
+            counts[current] = -1  # peeled: never counted as undominated again
+            current = np.flatnonzero(counts == 0)
+        return fronts
+    values = points.tolist()
+    keys: list[tuple[float, float]] = []
+    members: list[list[int]] = []
+    for i in np.lexsort((points[:, 1], points[:, 0])).tolist():
+        key = (values[i][1], values[i][0])
+        k = bisect_left(keys, key)
+        if k == len(keys):
+            keys.append(key)
+            members.append([i])
+        else:
+            keys[k] = key
+            members[k].append(i)
+    return [np.sort(np.array(front)) for front in members]
 
 
 def fast_nondominated_sort(population: Sequence[Individual]) -> FrontPartition:
     """Partition a population into ranked fronts under constraint-domination.
 
-    Builds the pairwise domination relation, then repeatedly peels the set of
-    individuals with no remaining dominators (domination-count bookkeeping).
+    Every feasible point dominates every infeasible one, and two infeasible
+    points compare by violation alone.  So feasible points take the first
+    fronts, the Pareto fronts of the feasible rows only (:func:`_pareto_fronts`);
+    infeasible points follow with one front per distinct violation value, in
+    ascending order (a stable sort of their violations).
     """
     n = len(population)
     if n == 0:
@@ -195,21 +225,18 @@ def fast_nondominated_sort(population: Sequence[Individual]) -> FrontPartition:
             raise ValueError(f"individual {k} is not evaluated")
     objectives = np.array([ind.objectives for ind in population], dtype=float)
     violations = np.array([ind.violation for ind in population], dtype=float)
+    feasible = violations == 0.0
 
-    dom = _domination_matrix(objectives, violations)
-    counts = dom.sum(axis=0).astype(np.int64)
-    unassigned = np.ones(n, dtype=bool)
+    rows = np.flatnonzero(feasible)
+    fronts = [rows[front] for front in _pareto_fronts(objectives[rows])]
+
+    rows = np.flatnonzero(~feasible)
+    rows = rows[np.argsort(violations[rows], kind="stable")]  # stable: equal violations keep index order
+    if rows.size:
+        fronts.extend(np.split(rows, np.flatnonzero(np.diff(violations[rows])) + 1))
     ranks = np.zeros(n, dtype=int)
-    fronts: list[np.ndarray] = []
-    current = np.flatnonzero(counts == 0)
-    rank = 1
-    while current.size:
-        fronts.append(current)
-        ranks[current] = rank
-        unassigned[current] = False
-        counts = counts - dom[current].sum(axis=0)
-        current = np.flatnonzero(unassigned & (counts == 0))
-        rank += 1
+    for rank, front in enumerate(fronts, start=1):
+        ranks[front] = rank
     return FrontPartition(fronts=fronts, ranks=ranks)
 
 
@@ -345,27 +372,29 @@ def environmental_select(
 
     Whole fronts are admitted in rank order; the front that overflows is cut
     by descending crowding distance, ties resolved toward the lower combined
-    index.  Survivors are re-ranked among themselves so the returned
-    population carries fresh rank/crowding values.
+    index.  Survivors keep their combined ranks: every dominator of a kept
+    member lies in an earlier front, and earlier fronts are kept whole, so
+    sorting the survivors alone would give the same ranks.  Crowding is taken
+    over each admitted front, for the cut front over its kept members in kept
+    order.
     """
     if len(parents) != n_survivors or len(offspring) != n_survivors:
         raise ValueError("parents and offspring must each have exactly n_survivors members")
     combined: list[Individual] = list(parents) + list(offspring)
     partition = fast_nondominated_sort(combined)
-    chosen: list[int] = []
-    for front in partition.fronts:
-        if len(chosen) + front.size <= n_survivors:
-            chosen.extend(front.tolist())
-            if len(chosen) == n_survivors:
-                break
-        else:
-            room = n_survivors - len(chosen)
+    survivors: list[Individual] = []
+    for rank, front in enumerate(partition.fronts, start=1):
+        room = n_survivors - len(survivors)
+        distances = crowding_distance([combined[i].objectives for i in front])
+        if front.size > room:
+            front = front[np.argsort(-distances, kind="stable")[:room]]  # stable: ties keep lower index
             distances = crowding_distance([combined[i].objectives for i in front])
-            order = np.argsort(-distances, kind="stable")  # stable: ties keep lower index
-            chosen.extend(front[order[:room]].tolist())
+        for i, distance in zip(front, distances):
+            combined[i].rank = rank
+            combined[i].crowding = float(distance)
+            survivors.append(combined[i])
+        if len(survivors) == n_survivors:
             break
-    survivors = [combined[i] for i in chosen]
-    assign_ranks_and_crowding(survivors)
     return survivors
 
 
@@ -391,37 +420,6 @@ class ParetoArchive:
         return np.array([m.objectives for m in self.members], dtype=float)
 
 
-def _nondominated_bi(objectives: np.ndarray) -> list[int]:
-    """Indices of the non-dominated, deduplicated subset of bi-objective points.
-
-    Sweep in (f1, f2)-lexicographic order keeping points that strictly improve
-    the running best f2; this is exact for two objectives.
-    """
-    order = np.lexsort((objectives[:, 1], objectives[:, 0]))
-    keep: list[int] = []
-    best = np.inf
-    for i in order:
-        if objectives[i, 1] < best:
-            keep.append(int(i))
-            best = objectives[i, 1]
-    return keep
-
-
-def _nondominated_general(objectives: np.ndarray) -> list[int]:
-    """Non-dominated, deduplicated indices for any objective count (pairwise test)."""
-    order = np.lexsort(objectives.T[::-1])
-    unique: list[int] = []
-    for i in order:
-        if unique and np.array_equal(objectives[unique[-1]], objectives[i]):
-            continue
-        unique.append(int(i))
-    pts = objectives[unique]
-    le = np.all(pts[:, None, :] <= pts[None, :, :], axis=2)
-    lt = np.any(pts[:, None, :] < pts[None, :, :], axis=2)
-    dominated = (le & lt).any(axis=0)
-    return [unique[k] for k in range(len(unique)) if not dominated[k]]
-
-
 def update_archive(archive: ParetoArchive, candidates: Sequence[Individual]) -> ParetoArchive:
     """Fold feasible candidates into the archive, keeping the non-dominated set.
 
@@ -438,11 +436,10 @@ def update_archive(archive: ParetoArchive, candidates: Sequence[Individual]) -> 
     if not pool:
         return ParetoArchive([])
     objectives = np.array([p.objectives for p in pool], dtype=float)
-    if objectives.shape[1] == 2:
-        keep = _nondominated_bi(objectives)
-    else:
-        keep = _nondominated_general(objectives)
-    keep.sort(key=lambda i: tuple(objectives[i]))
+    first: dict[tuple[float, ...], int] = {}
+    for i in _pareto_fronts(objectives)[0].tolist():
+        first.setdefault(tuple(objectives[i].tolist()), i)  # equal vectors: the earliest pool member stays
+    keep = sorted(first.values(), key=lambda i: tuple(objectives[i]))
     return ParetoArchive([pool[i] for i in keep])
 
 

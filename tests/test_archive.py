@@ -34,6 +34,14 @@ def test_new_point_evicts_dominated_members():
 def test_duplicates_are_deduplicated():
     archive = update_archive(ParetoArchive(), [ind([1, 2]), ind([1, 2]), ind([2, 1])])
     assert len(archive) == 2
+    for row in ([1, 2], [1, 2, 3]):
+        # of equal objective vectors the earliest stays: an archive member
+        # before any candidate, then candidates in the order given
+        first, second = ind(row), ind(row)
+        archive = update_archive(ParetoArchive(), [first, second])
+        assert [m is first for m in archive] == [True]
+        archive = update_archive(archive, [ind(row), ind(row)])
+        assert [m is first for m in archive] == [True]
 
 
 def test_members_sorted_by_objectives():

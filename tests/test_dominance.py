@@ -82,3 +82,22 @@ class TestConstrainedDominates:
             got = constrained_dominates(ind(obj_a, viol_a), ind(obj_b, viol_b))
             want = oracle_constrained_dominates(obj_a, viol_a, obj_b, viol_b)
             assert got == want
+
+
+class TestIndividualValues:
+    @pytest.mark.parametrize(
+        "objectives, violation",
+        [
+            ([0.0, 0.0], float("nan")),
+            ([0.0, 0.0], float("inf")),
+            ([float("nan"), 0.0], 0.0),
+            ([0.0, float("inf")], 0.5),
+            ([0.0, -float("inf")], 0.0),
+            ([0.0, 0.0], -0.1),
+        ],
+    )
+    def test_non_finite_or_negative_values_rejected(self, objectives, violation):
+        # A NaN violation compares false both ways and would tie with any
+        # infeasible member; ranking assumes violations are totally ordered.
+        with pytest.raises(ValueError):
+            Individual(np.zeros(1), objectives=objectives, violation=violation)

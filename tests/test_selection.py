@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
 from scnopt import (
     Individual,
+    assign_ranks_and_crowding,
     binary_tournament_select,
     crowded_compare,
     environmental_select,
@@ -152,19 +155,36 @@ class TestEnvironmentalSelect:
             want_idx = oracle_environmental_select(
                 [m.objectives for m in combined], [m.violation for m in combined], n
             )
-            want = sorted(id(combined[i]) for i in want_idx)
-            got = sorted(id(s) for s in survivors)
-            assert got == want
+            # in order: tournaments index the population by position
+            assert [id(s) for s in survivors] == [id(combined[i]) for i in want_idx]
 
     def test_survivors_carry_fresh_ranks(self):
+        # Survivors carry exactly what sorting them alone would write: the
+        # ranks of the combined sort, and crowding over their own fronts.
         rng = np.random.default_rng(41)
-        parents = random_population(rng, 8, 2)
-        offspring = random_population(rng, 8, 2)
-        survivors = environmental_select(parents, offspring, 8)
-        partition = fast_nondominated_sort(survivors)
-        for k, member in enumerate(survivors):
-            assert member.rank == partition.ranks[k]
-            assert member.crowding is not None
+        cut_fronts = {"feasible": 0, "infeasible": 0}
+        for trial in range(240):
+            n = int(rng.integers(2, 16)) * 2
+            m = int(rng.integers(2, 4))
+            infeasible_fraction = (0.0, 0.4, 0.8, 1.0)[trial % 4]
+            parents = random_population(rng, n, m, infeasible_fraction, tie_grid=2)
+            offspring = random_population(rng, n, m, infeasible_fraction, tie_grid=2)
+            for k in rng.choice(n, size=n // 2, replace=False):  # duplicate rows
+                twin = parents[int(rng.integers(n))]
+                offspring[k] = Individual(np.zeros(1), objectives=twin.objectives, violation=twin.violation)
+            combined = parents + offspring
+            filled = 0
+            for front in fast_nondominated_sort(combined).fronts:
+                if filled + front.size > n:
+                    cut_fronts["feasible" if combined[front[0]].feasible else "infeasible"] += 1
+                    break
+                filled += front.size
+            survivors = environmental_select(parents, offspring, n)
+            got = [(s.rank, s.crowding) for s in survivors]
+            fresh = [copy.copy(s) for s in survivors]
+            assign_ranks_and_crowding(fresh)
+            assert got == [(s.rank, s.crowding) for s in fresh]
+        assert min(cut_fronts.values()) >= 20
 
     def test_size_mismatch_raises(self):
         rng = np.random.default_rng(43)

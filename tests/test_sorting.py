@@ -88,13 +88,47 @@ def test_partition_invariants_on_random_populations():
                     assert any(constrained_dominates(pop[j], pop[i]) for j in previous)
 
 
+def assert_matches_oracle(pop):
+    """Fronts equal the oracle's as ordered lists (ascending indices), ranks agree."""
+    partition = fast_nondominated_sort(pop)
+    want = oracle_sort([ind.objectives for ind in pop], [ind.violation for ind in pop])
+    assert [f.tolist() for f in partition.fronts] == want
+    for rank0, front in enumerate(want):
+        assert all(partition.ranks[i] == rank0 + 1 for i in front)
+
+
 def test_matches_peeling_oracle_on_random_populations():
     rng = np.random.default_rng(31)
-    for _ in range(60):
-        pop = random_population(rng, int(rng.integers(2, 40)), int(rng.integers(2, 4)))
-        partition = fast_nondominated_sort(pop)
-        got = [sorted(f.tolist()) for f in partition.fronts]
-        want = oracle_sort(
-            [ind.objectives for ind in pop], [ind.violation for ind in pop]
-        )
-        assert got == [sorted(f) for f in want]
+    for infeasible_fraction in (0.4, 0.0, 1.0):  # mixed, all feasible, all infeasible
+        for _ in range(60):
+            pop = random_population(
+                rng, int(rng.integers(2, 40)), int(rng.integers(2, 4)), infeasible_fraction
+            )
+            assert_matches_oracle(pop)
+
+
+def test_bi_objective_fronts_match_oracle_with_ties_and_duplicates():
+    rng = np.random.default_rng(41)
+    for trial in range(60):
+        n = int(rng.integers(2, 80))
+        rows = rng.random((n, 2))
+        if trial % 2:
+            grid = int(rng.integers(1, 6))
+            rows = np.round(rows * grid) / grid  # coarse grid: many equal coordinates
+        if trial % 3 == 0:
+            rows = rows[rng.integers(0, n, n)]  # repeated objective vectors
+        violations = [0.0 if rng.random() < 0.8 else float(rng.choice([0.2, 0.5])) for _ in range(n)]
+        assert_matches_oracle(from_objectives(rows, violations=violations))
+
+
+def test_shared_violation_fronts_keep_index_order():
+    rng = np.random.default_rng(37)
+    for _ in range(30):
+        n = int(rng.integers(2, 30))
+        rows = rng.random((n, 2))
+        # every member infeasible with one violation value: a single front
+        pop = from_objectives(rows, violations=[0.7] * n)
+        assert [f.tolist() for f in fast_nondominated_sort(pop).fronts] == [list(range(n))]
+        # a feasible minority ahead of infeasible members drawn from two values
+        violations = [0.0 if rng.random() < 0.3 else float(rng.choice([0.2, 0.5])) for _ in range(n)]
+        assert_matches_oracle(from_objectives(rows, violations=violations))
