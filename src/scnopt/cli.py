@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -170,8 +171,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     problem = SupplyChainProblem(instance, holding_on_backorder=args.holding_on_backorder)
     out_dir = Path(args.out)
 
+    # The instance is recorded by content, so runs of one file reached by two paths report alike.
     config_echo = {
-        "instance": str(args.instance),
+        "instance_sha256": hashlib.sha256(Path(args.instance).read_bytes()).hexdigest(),
         "population_size": config.population_size,
         "generations": config.generations,
         "crossover_prob": config.crossover_prob,
@@ -199,7 +201,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     (out_dir / "report.json").write_text(report.to_json())
 
     echo = ", ".join(f"{k}={v}" for k, v in config_echo.items())
-    print(f"run config: {echo}")
+    print(f"run config: instance={args.instance}, {echo}")
     print(f"archive: {len(result.archive)} points, exported front: {len(rows)} rows")
     print(f"wrote {out_dir / 'front.csv'}, {out_dir / 'report.json'}, {out_dir / 'front.dat'}")
     print(f"wall time: {wall:.2f}s")

@@ -178,6 +178,16 @@ class Instance:
                     "total demand exceeds total DC holding capacity "
                     f"({self.demand.sum():g} > {self.dc_capacity.sum():g})"
                 )
+        # Upstream capacity is in raw-material units; below utilization x demand
+        # no design can be feasible.  The tolerance lets exact-slack instances load.
+        need = self.utilization * self.demand.sum()
+        if np.isfinite(need):
+            for name in ("plant_capacity", "supplier_capacity"):
+                total = getattr(self, name).sum()
+                if total < need * (1.0 - 1e-9):
+                    problems.append(
+                        f"total {name.replace('_', ' ')} is below utilization x total demand ({total:g} < {need:g})"
+                    )
         return problems
 
 

@@ -93,6 +93,14 @@ class Individual:
         if not (math.isfinite(self.violation) and self.violation >= 0.0):
             raise ValueError("constraint violation must be finite and nonnegative")
 
+    @classmethod
+    def _checked(cls, genotype: np.ndarray, objectives: np.ndarray, violation: float) -> Individual:
+        """An unranked Individual from values whose checks have already passed."""
+        ind = cls.__new__(cls)
+        ind.genotype, ind.objectives, ind.violation = genotype, objectives, violation
+        ind.rank = ind.crowding = None
+        return ind
+
     @property
     def evaluated(self) -> bool:
         return self.objectives is not None
@@ -315,8 +323,12 @@ def sbx_crossover(
         raise ValueError("parents must have equal genotype length")
     if rng.random() >= config.crossover_prob:
         return p1.copy(), p2.copy()
-    exponent = 1.0 / (config.sbx_eta + 1.0)
-    u = rng.random(p1.shape[0])
+    return _sbx_children(p1, p2, rng.random(p1.shape[0]), config.sbx_eta)
+
+
+def _sbx_children(p1: np.ndarray, p2: np.ndarray, u: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """SBX children of parents ``p1`` and ``p2`` (any equal shape) for uniform draws ``u``."""
+    exponent = 1.0 / (eta + 1.0)
     beta = np.where(
         u <= 0.5,
         (2.0 * u) ** exponent,
@@ -342,14 +354,20 @@ def polynomial_mutation(
     length = g.shape[0]
     mask = rng.random(length) < config.mutation_prob
     u = rng.random(length)
-    exponent = 1.0 / (config.pm_eta + 1.0)
+    mutated = g.copy()
+    mutated[mask] = _perturb(g[mask], u[mask], config.pm_eta)
+    return np.clip(mutated, 0.0, 1.0)
+
+
+def _perturb(g: np.ndarray, u: np.ndarray, eta: float) -> np.ndarray:
+    """Polynomially mutated genes ``g`` for uniform draws ``u``, clamped to [0, 1]."""
+    exponent = 1.0 / (eta + 1.0)
     to_lower = g          # distance to the lower bound (box is [0, 1])
     to_upper = 1.0 - g
-    delta_low = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - to_lower) ** (config.pm_eta + 1.0)) ** exponent - 1.0
-    delta_high = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - to_upper) ** (config.pm_eta + 1.0)) ** exponent
+    delta_low = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - to_lower) ** (eta + 1.0)) ** exponent - 1.0
+    delta_high = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - to_upper) ** (eta + 1.0)) ** exponent
     delta = np.where(u <= 0.5, delta_low, delta_high)
-    mutated = np.where(mask, g + delta, g)
-    return np.clip(mutated, 0.0, 1.0)
+    return np.clip(g + delta, 0.0, 1.0)
 
 
 def assign_ranks_and_crowding(population: Sequence[Individual]) -> FrontPartition:
@@ -461,59 +479,146 @@ class EvolutionResult:
     history: list[GenerationRecord]
 
 
+def _row_faults(genotypes: np.ndarray, objectives: np.ndarray, violations: np.ndarray) -> np.ndarray:
+    """Per-row faults of an evaluated block, the checks :class:`Individual` makes:
+    non-finite objectives, a non-finite or negative violation, and a gene
+    outside [0, 1], as a ``(3, N)`` boolean array in that order."""
+    return np.stack([
+        ~np.isfinite(objectives).all(axis=1),
+        ~(np.isfinite(violations) & (violations >= 0.0)),
+        ((genotypes < 0.0) | (genotypes > 1.0)).any(axis=1),
+    ])
+
+
+def _check_rows(genotypes: np.ndarray, objectives: np.ndarray, violations: np.ndarray) -> None:
+    """Raise for the first faulty row, its objectives checked before its violation."""
+    faults = _row_faults(genotypes, objectives, violations)
+    bad = np.flatnonzero(faults.any(axis=0))
+    if not bad.size:
+        return
+    k = int(bad[0])
+    if faults[0, k]:
+        raise EvaluationError(f"non-finite objective at genotype index {k}: {objectives[k].tolist()}")
+    if faults[1, k]:
+        raise EvaluationError(f"invalid constraint violation at genotype index {k}: {float(violations[k])}")
+    raise ValueError("genotype coordinates must lie in [0, 1]")
+
+
+def _objective_count_fault(k: int, shape: tuple[int, ...], m: int | None) -> str | None:
+    """What is wrong with row ``k``'s objective shape, given the count ``m`` seen so far."""
+    if len(shape) != 1 or shape[0] < 2:
+        return f"genotype index {k}: expected >= 2 objectives, got shape {shape}"
+    if m is not None and shape[0] != m:
+        return f"genotype index {k}: objective count changed from {m} to {shape[0]}"
+    return None
+
+
 def _evaluate_batch(
-    genotypes: Sequence[np.ndarray],
+    genotypes: np.ndarray,
     problem: Problem,
     expected_m: int | None,
 ) -> tuple[list[Individual], int]:
-    """Evaluate genotypes into Individuals, through ``problem.evaluate_batch``
-    when the problem has one and one ``evaluate`` call per genotype otherwise."""
+    """Evaluate the rows of an ``(N, L)`` matrix into Individuals, through
+    ``problem.evaluate_batch`` when the problem has one and one ``evaluate``
+    call per row otherwise.  The whole block is checked at once; each
+    Individual gets its own copy of its row."""
+    m = expected_m
     batch = getattr(problem, "evaluate_batch", None)
     if batch is None:
-        raw = [problem.evaluate(g) for g in genotypes]
+        objective_rows: list[np.ndarray] = []
+        violation_list: list[float] = []
+        for k, g in enumerate(genotypes):
+            objectives, violation = problem.evaluate(g)
+            objectives, violation = np.asarray(objectives, dtype=float), float(violation)
+            fault = _objective_count_fault(k, objectives.shape, m)
+            if fault:
+                if k:  # an earlier row's fault is reported first
+                    _check_rows(genotypes[:k], np.array(objective_rows), np.array(violation_list))
+                raise EvaluationError(fault)
+            m = objectives.size
+            objective_rows.append(objectives)
+            violation_list.append(violation)
+        objective_matrix = np.array(objective_rows)
+        violations = np.array(violation_list)
     else:
         n = len(genotypes)
-        objectives, violations = batch(np.array(genotypes))
-        objectives = np.asarray(objectives, dtype=float)
+        objective_matrix, violations = batch(genotypes)
+        objective_matrix = np.asarray(objective_matrix, dtype=float)
         violations = np.asarray(violations, dtype=float)
-        if objectives.ndim != 2 or objectives.shape[0] != n or violations.shape != (n,):
+        if objective_matrix.ndim != 2 or objective_matrix.shape[0] != n or violations.shape != (n,):
             raise EvaluationError(
-                f"evaluate_batch returned objectives of shape {objectives.shape} and "
+                f"evaluate_batch returned objectives of shape {objective_matrix.shape} and "
                 f"violations of shape {violations.shape} for {n} genotypes"
             )
-        raw = zip(objectives, violations)
-
-    individuals: list[Individual] = []
-    m = expected_m
-    for k, (objectives, violation) in enumerate(raw):
-        objectives, violation = np.asarray(objectives, dtype=float), float(violation)
-        if objectives.ndim != 1 or objectives.size < 2:
-            raise EvaluationError(f"genotype index {k}: expected >= 2 objectives, got shape {objectives.shape}")
-        if m is None:
-            m = objectives.size
-        elif objectives.size != m:
-            raise EvaluationError(f"genotype index {k}: objective count changed from {m} to {objectives.size}")
-        if not np.all(np.isfinite(objectives)):
-            raise EvaluationError(f"non-finite objective at genotype index {k}: {objectives.tolist()}")
-        if not math.isfinite(violation) or violation < 0.0:
-            raise EvaluationError(f"invalid constraint violation at genotype index {k}: {violation}")
-        individuals.append(Individual(genotypes[k], objectives=objectives, violation=violation))
+        fault = _objective_count_fault(0, objective_matrix.shape[1:], m)
+        if fault:
+            raise EvaluationError(fault)
+        m = objective_matrix.shape[1]
+        objective_rows = list(objective_matrix)
+    _check_rows(genotypes, objective_matrix, violations)
+    individuals = [
+        Individual._checked(g.copy(), objectives, violation)
+        for g, objectives, violation in zip(genotypes, objective_rows, violations.tolist())
+    ]
     return individuals, int(m)  # type: ignore[arg-type]
+
+
+# Pairs varied together in one block of array operations.
+_VARIATION_BLOCK = 32
 
 
 def _make_offspring(
     population: list[Individual],
     config: EngineConfig,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
-    genotypes: list[np.ndarray] = []
-    for _ in range(config.population_size // 2):
-        i = binary_tournament_select(population, rng)
-        j = binary_tournament_select(population, rng)
-        child1, child2 = sbx_crossover(population[i].genotype, population[j].genotype, config, rng)
-        genotypes.append(polynomial_mutation(child1, config, rng))
-        genotypes.append(polynomial_mutation(child2, config, rng))
-    return genotypes
+) -> np.ndarray:
+    """``population_size`` children as an ``(N, L)`` matrix, two per mating pair.
+
+    Each pair draws what :func:`binary_tournament_select` (twice),
+    :func:`sbx_crossover` and :func:`polynomial_mutation` (once per child)
+    would draw, in the same order: four contestant indices, the crossover
+    coin, then one call for the uniforms (SBX's when the pair crosses, then
+    each child's mutation mask and perturbation draws).  Successive
+    ``random(L)`` calls give the same doubles as one ``random(kL)`` call, so
+    the children equal those of the per-pair functions called in turn.
+    Tournaments, crossover and mutation then run over blocks of pairs.
+    """
+    n = len(population)
+    length = population[0].genotype.shape[0]
+    ranks = np.array([ind.rank for ind in population])
+    crowding = np.array([ind.crowding for ind in population], dtype=float)
+    pairs = config.population_size // 2
+    children = np.empty((2 * pairs, length))
+    for start in range(0, pairs, _VARIATION_BLOCK):
+        size = min(_VARIATION_BLOCK, pairs - start)
+        contestants = np.empty((size, 4), dtype=np.int64)
+        crosses = np.empty(size, dtype=bool)
+        # per pair: SBX uniforms, then child 1's mask and perturbation draws, then child 2's
+        draws = np.empty((size, 5 * length))
+        for p in range(size):
+            contestants[p] = (rng.integers(n), rng.integers(n - 1), rng.integers(n), rng.integers(n - 1))
+            crosses[p] = cross = rng.random() < config.crossover_prob
+            draws[p, 0 if cross else length:] = rng.random((5 if cross else 4) * length)
+
+        first, second = contestants[:, 0::2], contestants[:, 1::2]
+        second = second + (second >= first)  # drawn among the other n - 1
+        # crowded comparison: lower rank wins, then larger crowding; ties go to the first drawn
+        first_wins = (ranks[first] < ranks[second]) | (
+            (ranks[first] == ranks[second]) & (crowding[first] >= crowding[second])
+        )
+        winners = np.where(first_wins, first, second)
+
+        block = np.array([population[k].genotype for k in winners.ravel()]).reshape(size, 2, length)
+        crossing = np.flatnonzero(crosses)
+        if crossing.size:
+            block[crossing, 0], block[crossing, 1] = _sbx_children(
+                block[crossing, 0], block[crossing, 1], draws[crossing, :length], config.sbx_eta
+            )
+        mutation = draws[:, length:].reshape(size, 2, 2, length)
+        mask = mutation[:, :, 0] < config.mutation_prob
+        block[mask] = _perturb(block[mask], mutation[:, :, 1][mask], config.pm_eta)
+        children[2 * start: 2 * (start + size)] = block.reshape(2 * size, length)
+    return children
 
 
 def _record(generation: int, evaluations: int, archive: ParetoArchive) -> GenerationRecord:
@@ -543,16 +648,14 @@ def evolve(problem: Problem, config: EngineConfig) -> EvolutionResult:
     if length < 1:
         raise ValueError("problem.genotype_length must be >= 1")
     rng = np.random.default_rng(config.seed)
-    initial = rng.random((config.population_size, length))
-    population, m = _evaluate_batch(list(initial), problem, None)
+    population, m = _evaluate_batch(rng.random((config.population_size, length)), problem, None)
     assign_ranks_and_crowding(population)
     archive = update_archive(ParetoArchive(), population)
     evaluations = config.population_size
     history = [_record(0, evaluations, archive)]
 
     for generation in range(1, config.generations + 1):
-        child_genotypes = _make_offspring(population, config, rng)
-        offspring, m = _evaluate_batch(child_genotypes, problem, m)
+        offspring, m = _evaluate_batch(_make_offspring(population, config, rng), problem, m)
         population = environmental_select(population, offspring, config.population_size)
         archive = update_archive(archive, offspring)
         evaluations += config.population_size

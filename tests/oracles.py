@@ -4,13 +4,31 @@ Everything here is deliberately written as plain-Python loops over scalars,
 with different algorithms than the library where possible (layer peeling via
 explicit dominated-by scans rather than domination-count bookkeeping, direct
 formula evaluation for crowding, brute-force filters for archives), so that a
-shared bug between library and test is unlikely.
+shared bug between library and test is unlikely.  The reference engine at
+the end is the generational loop as it ran one mating pair and one evaluated
+row at a time, before variation and validation worked on whole blocks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
+
+from scnopt import (
+    EvaluationError,
+    EvolutionResult,
+    GenerationRecord,
+    Individual,
+    ParetoArchive,
+    assign_ranks_and_crowding,
+    binary_tournament_select,
+    environmental_select,
+    polynomial_mutation,
+    sbx_crossover,
+    update_archive,
+)
 
 
 def oracle_dominates(a, b) -> bool:
@@ -170,3 +188,108 @@ def enumerate_reference_front(instance, build_network, eval_cost, eval_delay, ch
                         points.append((eval_cost(network, instance), eval_delay(network)))
     keep = oracle_nondominated(points)
     return sorted({points[i] for i in keep})
+
+
+# ---------------------------------------------------------------------------
+# Per-pair variation formulas and the reference engine
+
+
+def reference_sbx_crossover(parent1, parent2, config, rng):
+    """SBX with its draws and formulas written out once more, for one pair."""
+    p1 = np.asarray(parent1, dtype=float)
+    p2 = np.asarray(parent2, dtype=float)
+    if rng.random() >= config.crossover_prob:
+        return p1.copy(), p2.copy()
+    exponent = 1.0 / (config.sbx_eta + 1.0)
+    u = rng.random(p1.shape[0])
+    beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent)
+    child1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
+    child2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
+    return np.clip(child1, 0.0, 1.0), np.clip(child2, 0.0, 1.0)
+
+
+def reference_polynomial_mutation(genotype, config, rng):
+    """Polynomial mutation computed on every gene, then kept on the masked ones."""
+    g = np.asarray(genotype, dtype=float)
+    mask = rng.random(g.shape[0]) < config.mutation_prob
+    u = rng.random(g.shape[0])
+    exponent = 1.0 / (config.pm_eta + 1.0)
+    to_upper = 1.0 - g
+    delta_low = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - g) ** (config.pm_eta + 1.0)) ** exponent - 1.0
+    delta_high = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - to_upper) ** (config.pm_eta + 1.0)) ** exponent
+    delta = np.where(u <= 0.5, delta_low, delta_high)
+    return np.clip(np.where(mask, g + delta, g), 0.0, 1.0)
+
+
+def reference_offspring(population, config, rng) -> list[np.ndarray]:
+    """Children pair by pair: two tournaments, SBX, then mutation of each child."""
+    children = []
+    for _ in range(config.population_size // 2):
+        i = binary_tournament_select(population, rng)
+        j = binary_tournament_select(population, rng)
+        child1, child2 = sbx_crossover(population[i].genotype, population[j].genotype, config, rng)
+        children.append(polynomial_mutation(child1, config, rng))
+        children.append(polynomial_mutation(child2, config, rng))
+    return children
+
+
+def reference_evaluate(genotypes, problem, expected_m):
+    """Evaluate genotypes and check each result row by row, in row order."""
+    batch = getattr(problem, "evaluate_batch", None)
+    if batch is None:
+        raw = [problem.evaluate(g) for g in genotypes]
+    else:
+        n = len(genotypes)
+        objectives, violations = batch(np.array(genotypes))
+        objectives = np.asarray(objectives, dtype=float)
+        violations = np.asarray(violations, dtype=float)
+        if objectives.ndim != 2 or objectives.shape[0] != n or violations.shape != (n,):
+            raise EvaluationError(
+                f"evaluate_batch returned objectives of shape {objectives.shape} and "
+                f"violations of shape {violations.shape} for {n} genotypes"
+            )
+        raw = zip(objectives, violations)
+    individuals = []
+    m = expected_m
+    for k, (objectives, violation) in enumerate(raw):
+        objectives, violation = np.asarray(objectives, dtype=float), float(violation)
+        if objectives.ndim != 1 or objectives.size < 2:
+            raise EvaluationError(f"genotype index {k}: expected >= 2 objectives, got shape {objectives.shape}")
+        if m is None:
+            m = objectives.size
+        elif objectives.size != m:
+            raise EvaluationError(f"genotype index {k}: objective count changed from {m} to {objectives.size}")
+        if not np.all(np.isfinite(objectives)):
+            raise EvaluationError(f"non-finite objective at genotype index {k}: {objectives.tolist()}")
+        if not math.isfinite(violation) or violation < 0.0:
+            raise EvaluationError(f"invalid constraint violation at genotype index {k}: {violation}")
+        individuals.append(Individual(genotypes[k], objectives=objectives, violation=violation))
+    return individuals, m
+
+
+def reference_evolve(problem, config) -> EvolutionResult:
+    """The generational loop with per-pair variation and per-row checks."""
+    rng = np.random.default_rng(config.seed)
+    initial = rng.random((config.population_size, int(problem.genotype_length)))
+    population, m = reference_evaluate(list(initial), problem, None)
+    assign_ranks_and_crowding(population)
+    archive = update_archive(ParetoArchive(), population)
+    history = []
+
+    def record(generation):
+        objectives = archive.objectives_array()
+        history.append(GenerationRecord(
+            generation=generation,
+            evaluations=config.population_size * (generation + 1),
+            archive_size=len(archive),
+            best_objectives=objectives.min(axis=0) if len(archive) else None,
+            archive_objectives=objectives.copy(),
+        ))
+
+    record(0)
+    for generation in range(1, config.generations + 1):
+        offspring, m = reference_evaluate(reference_offspring(population, config, rng), problem, m)
+        population = environmental_select(population, offspring, config.population_size)
+        archive = update_archive(archive, offspring)
+        record(generation)
+    return EvolutionResult(population=population, archive=archive, history=history)

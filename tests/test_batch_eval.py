@@ -1,4 +1,5 @@
-"""Batched evaluation against the scalar evaluator, row by row, bit for bit."""
+"""Batched evaluation against the scalar evaluator, row by row, bit for bit, and the
+engine's checks of each evaluated block."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from scnopt import (
     EngineConfig,
     EvaluationError,
     GenotypeLayout,
+    Individual,
     SupplyChainProblem,
     decode,
     evaluate,
@@ -21,8 +23,10 @@ from scnopt import (
 )
 from scnopt.instances import PRESETS
 from scnopt.model import _BATCH_BLOCK
+from scnopt.nsga2 import _row_faults
 
 from conftest import ScalarOnlyProblem
+from oracles import reference_evolve
 
 PRESET_NAMES = ("tiny", "desk", "sbc-scale")
 
@@ -197,3 +201,88 @@ def test_malformed_batch_output_raises(corrupt, message):
 def test_well_formed_batch_problem_runs():
     result = evolve(BatchProblem(), EngineConfig(population_size=8, generations=2, seed=1))
     assert result.history[-1].evaluations == 24
+
+
+def _bad_violation_then_nan_objective(objectives, violations):
+    violations[1] = -0.5
+    objectives[3, 0] = np.nan
+    return objectives, violations
+
+
+def _nan_objective_and_violation(objectives, violations):
+    objectives[2, 0] = np.inf
+    violations[2] = np.nan
+    return objectives, violations
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_bad_violation_then_nan_objective, "invalid constraint violation at genotype index 1: -0.5"),
+        (_nan_objective_and_violation, r"non-finite objective at genotype index 2: \[inf, "),
+    ],
+)
+def test_first_faulty_row_is_named(corrupt, message):
+    config = EngineConfig(population_size=8, generations=1, seed=1)
+    with pytest.raises(EvaluationError, match=message):
+        evolve(BatchProblem(corrupt), config)
+    with pytest.raises(EvaluationError, match=message):
+        reference_evolve(BatchProblem(corrupt), config)
+
+
+class ScalarFaultProblem:
+    """Scalar-only problem whose ``k``-th call returns ``faults[k]`` when given."""
+
+    genotype_length = 2
+
+    def __init__(self, faults):
+        self.faults = faults
+        self.calls = 0
+
+    def evaluate(self, genotype):
+        fault = self.faults.get(self.calls)
+        self.calls += 1
+        return fault if fault is not None else (np.array([genotype[0], 1.0 - genotype[0]]), 0.0)
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({1: (np.array([np.nan, 1.0]), 0.0), 3: (np.array([1.0]), 0.0)}, "non-finite objective at genotype index 1"),
+        ({2: (np.array([1.0, 2.0]), -1.0), 3: (np.array([1.0, 2.0, 3.0]), 0.0)},
+         "invalid constraint violation at genotype index 2"),
+        ({0: (np.array([1.0, 2.0]), np.inf), 1: (np.array([[1.0, 2.0]]), 0.0)},
+         "invalid constraint violation at genotype index 0"),
+        ({2: (np.array([1.0]), np.nan)}, r"genotype index 2: expected >= 2 objectives, got shape \(1,\)"),
+        ({9: (np.array([1.0, 2.0, 3.0]), 0.0)}, "genotype index 1: objective count changed from 2 to 3"),
+    ],
+)
+def test_scalar_faults_named_in_row_order(faults, message):
+    config = EngineConfig(population_size=8, generations=1, seed=1)
+    with pytest.raises(EvaluationError, match=message):
+        evolve(ScalarFaultProblem(faults), config)
+    with pytest.raises(EvaluationError, match=message):
+        reference_evolve(ScalarFaultProblem(faults), config)
+
+
+def test_block_check_rejects_exactly_what_individual_rejects():
+    rng = np.random.default_rng(21)
+    specials = np.array([np.nan, np.inf, -np.inf, -1e-300, -0.0, 0.0, 1.0, 1.0 + 1e-16, 1.5, -2.0])
+    rejected_rows = 0
+    for trial in range(200):
+        n, length, m = int(rng.integers(1, 12)), int(rng.integers(1, 5)), int(rng.integers(2, 4))
+        genotypes, objectives, violations = rng.random((n, length)), rng.random((n, m)), rng.random(n)
+        violations[rng.random(n) < 0.3] = 0.0
+        for values in (genotypes, objectives, violations):
+            spots = rng.random(values.shape) < 0.08
+            values[spots] = rng.choice(specials, size=int(spots.sum()))
+        rejected = _row_faults(genotypes, objectives, violations).any(axis=0)
+        for k in range(n):
+            try:
+                Individual(genotypes[k], objectives=objectives[k], violation=float(violations[k]))
+            except ValueError:
+                assert rejected[k], (trial, k)
+                rejected_rows += 1
+            else:
+                assert not rejected[k], (trial, k)
+    assert rejected_rows > 100

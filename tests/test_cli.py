@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from scnopt import FRONT_CSV_HEADER, load_instance, tiny_instance
+from scnopt import FRONT_CSV_HEADER, generate_preset, load_instance, save_instance, tiny_instance
 from scnopt.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -114,6 +116,18 @@ class TestRun:
         for name in ("front.csv", "report.json", "front.dat"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    def test_report_records_the_instance_by_content(self, tiny_path, tmp_path):
+        copies = [tmp_path / "a" / "tiny.json", tmp_path / "b" / "c" / "tiny.json"]
+        for k, copy in enumerate(copies):
+            copy.parent.mkdir(parents=True)
+            copy.write_bytes(tiny_path.read_bytes())
+            assert run_tiny(copy, tmp_path / f"out{k}") == EXIT_OK
+        first, second = ((tmp_path / f"out{k}" / "report.json").read_bytes() for k in range(2))
+        assert first == second
+        config = json.loads(first)["config"]
+        assert config["instance_sha256"] == hashlib.sha256(tiny_path.read_bytes()).hexdigest()
+        assert "instance" not in config
+
     def test_eval_workers_flag_is_gone(self, tiny_path, tmp_path):
         assert run_tiny(tiny_path, tmp_path / "a", "--eval-workers", "2") == EXIT_USAGE
         assert run_tiny(tiny_path, tmp_path / "b") == EXIT_OK
@@ -167,6 +181,15 @@ class TestExitCodes:
                      "--pop-size", "12", "--generations", "2"])
         assert code == EXIT_VALIDATION
         assert reported in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["plant_capacity", "supplier_capacity"])
+    def test_short_upstream_capacity_is_validation(self, tmp_path, capsys, name):
+        desk = generate_preset("desk")
+        path = save_instance(replace(desk, **{name: 0.5 * getattr(desk, name)}), tmp_path / "cut.json")
+        code = main(["run", "--instance", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        assert "is below utilization x total demand" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_instance_file_is_validation(self, tmp_path, capsys):
         code = main(

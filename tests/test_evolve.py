@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from scnopt import EngineConfig, EvaluationError, evolve
+from scnopt import EngineConfig, EvaluationError, SupplyChainProblem, evolve, generate_preset
 
-from conftest import LineFrontProblem, RecordingProblem
+from conftest import LineFrontProblem, RecordingProblem, ScalarOnlyProblem
+from oracles import reference_evolve
 
 
 class TwoBasinProblem:
@@ -128,3 +129,41 @@ def test_invalid_config_rejected():
         EngineConfig(population_size=10, generations=1, crossover_prob=1.5)
     with pytest.raises(ValueError):
         EngineConfig(population_size=10, generations=1, mutation_prob=-0.1)
+
+
+def assert_same_run(result, expected):
+    assert len(result.population) == len(expected.population)
+    for a, b in zip(result.population, expected.population):
+        assert np.array_equal(a.genotype, b.genotype)
+        assert np.array_equal(a.objectives, b.objectives)
+        assert (a.violation, a.rank, a.crowding) == (b.violation, b.rank, b.crowding)
+    assert len(result.archive) == len(expected.archive)
+    for a, b in zip(result.archive, expected.archive):
+        assert np.array_equal(a.genotype, b.genotype) and np.array_equal(a.objectives, b.objectives)
+    assert len(result.history) == len(expected.history)
+    for a, b in zip(result.history, expected.history):
+        assert (a.generation, a.evaluations, a.archive_size) == (b.generation, b.evaluations, b.archive_size)
+        assert np.array_equal(a.best_objectives, b.best_objectives)
+        assert np.array_equal(a.archive_objectives, b.archive_objectives)
+
+
+@pytest.mark.parametrize(
+    "problem, config",
+    [
+        (LineFrontProblem(), EngineConfig(population_size=20, generations=30, seed=42)),
+        (TwoBasinProblem(), EngineConfig(population_size=14, generations=25, seed=13, mutation_prob=0.3)),
+        (SometimesInfeasibleProblem(), EngineConfig(population_size=20, generations=30, seed=17, crossover_prob=1.0)),
+    ],
+    ids=["line", "two-basin", "sometimes-infeasible"],
+)
+def test_toy_runs_match_the_reference_engine(problem, config):
+    assert_same_run(evolve(problem, config), reference_evolve(problem, config))
+
+
+@pytest.mark.parametrize("scalar_only", [False, True], ids=["batched", "scalar-only"])
+def test_desk_run_matches_the_reference_engine(scalar_only):
+    problem = SupplyChainProblem(generate_preset("desk"))
+    if scalar_only:
+        problem = ScalarOnlyProblem(problem)
+    config = EngineConfig(population_size=24, generations=15, seed=9)
+    assert_same_run(evolve(problem, config), reference_evolve(problem, config))

@@ -14,6 +14,7 @@ from scnopt import (
     Individual,
     ParetoArchive,
     ValidationError,
+    evaluate_batch,
     front_rows,
     generate_instance,
     generate_preset,
@@ -249,3 +250,29 @@ class TestFrontExport:
     def test_empty_archive_raises(self, tiny):
         with pytest.raises(ValueError, match="empty"):
             front_rows(ParetoArchive(), tiny)
+
+
+class TestUpstreamCapacity:
+    @pytest.mark.parametrize("name", ["plant_capacity", "supplier_capacity"])
+    def test_half_capacity_rejected_at_load(self, tmp_path, name):
+        desk = generate_preset("desk")
+        path = save_instance(replace(desk, **{name: 0.5 * getattr(desk, name)}), tmp_path / "cut.json")
+        with pytest.raises(ValidationError, match="violates invariants") as err:
+            load_instance(path)
+        assert len(err.value.problems) == 1
+        assert err.value.problems[0].startswith(f"total {name.replace('_', ' ')} is below utilization x total demand")
+
+    @pytest.mark.parametrize("name", ["plant_capacity", "supplier_capacity"])
+    def test_half_capacity_is_never_feasible(self, name):
+        desk = generate_preset("desk")
+        cut = replace(desk, **{name: 0.5 * getattr(desk, name)})
+        genotypes = np.random.default_rng(5).random((500, genotype_length(cut)))
+        _, violations = evaluate_batch(genotypes, cut)
+        assert np.all(violations > 0.0)
+
+    @pytest.mark.parametrize("utilization", [1.0, 1.7, 3.0])
+    def test_exact_slack_instances_load(self, tmp_path, utilization):
+        for seed in range(8):
+            params = replace(DESK, capacity_slack=1.0, utilization=utilization, seed=seed)
+            path = save_instance(generate_instance(params), tmp_path / f"exact{seed}.json")
+            assert load_instance(path).invariant_problems() == []

@@ -1,11 +1,16 @@
-"""Simulated binary crossover and polynomial mutation contracts."""
+"""Simulated binary crossover and polynomial mutation contracts, per pair and over the mating pool."""
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from scnopt import EngineConfig, polynomial_mutation, sbx_crossover
+from scnopt import EngineConfig, Individual, polynomial_mutation, sbx_crossover
+from scnopt.nsga2 import _make_offspring
+
+from oracles import reference_offspring, reference_polynomial_mutation, reference_sbx_crossover
 
 
 def config(**overrides):
@@ -100,3 +105,57 @@ class TestPolynomialMutation:
         a = polynomial_mutation(g, cfg, np.random.default_rng(123))
         b = polynomial_mutation(g, cfg, np.random.default_rng(123))
         assert np.array_equal(a, b)
+
+
+@lru_cache(maxsize=None)
+def _population(n: int, length: int) -> list[Individual]:
+    """Ranked individuals with rank ties, crowding ties and infinite crowding,
+    and genes that sit exactly on the box's bounds."""
+    rng = np.random.default_rng(n * 1000 + length)
+    genotypes = rng.random((n, length))
+    genotypes[rng.random((n, length)) < 0.05] = 0.0
+    genotypes[rng.random((n, length)) < 0.05] = 1.0
+    population = []
+    for k in range(n):
+        ind = Individual(genotypes[k], objectives=np.zeros(2))
+        ind.rank = int(rng.integers(1, 4))
+        ind.crowding = float(rng.choice([0.25, 0.5, np.inf, rng.random()]))
+        population.append(ind)
+    return population
+
+
+class TestPerPairFormulas:
+    @pytest.mark.parametrize("length", [1, 30, 195])
+    def test_match_the_reference_formulas(self, length):
+        rng = np.random.default_rng(length)
+        for crossover_prob, mutation_prob in [(0.0, 0.0), (0.6, 0.01), (1.0, 1.0), (1.0, 0.3)]:
+            cfg = config(crossover_prob=crossover_prob, mutation_prob=mutation_prob)
+            for trial in range(40):
+                p1, p2 = rng.random(length), rng.random(length)
+                p1[rng.random(length) < 0.1] = 0.0
+                p2[rng.random(length) < 0.1] = 1.0
+                if trial % 10 == 0:
+                    p2 = p1.copy()
+                a, b = np.random.default_rng(trial), np.random.default_rng(trial)
+                children = sbx_crossover(p1, p2, cfg, a)
+                expected = reference_sbx_crossover(p1, p2, cfg, b)
+                assert all(np.array_equal(c, e) for c, e in zip(children, expected))
+                for child in children:
+                    assert np.array_equal(polynomial_mutation(child, cfg, a), reference_polynomial_mutation(child, cfg, b))
+                assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestPooledVariation:
+    @pytest.mark.parametrize("mutation_prob", [0.0, 0.01, 1.0])
+    @pytest.mark.parametrize("crossover_prob", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("length", [1, 30, 195])
+    @pytest.mark.parametrize("n", [4, 100, 1290])
+    def test_matches_the_per_pair_functions(self, n, length, crossover_prob, mutation_prob):
+        population = _population(n, length)
+        cfg = EngineConfig(population_size=n, crossover_prob=crossover_prob, mutation_prob=mutation_prob)
+        pooled_rng, pair_rng = np.random.default_rng(n + length), np.random.default_rng(n + length)
+        pooled = _make_offspring(population, cfg, pooled_rng)
+        expected = np.array(reference_offspring(population, cfg, pair_rng))
+        assert pooled.shape == (n, length)
+        assert np.array_equal(pooled, expected)
+        assert pooled_rng.bit_generator.state == pair_rng.bit_generator.state
