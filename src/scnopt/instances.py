@@ -100,6 +100,8 @@ def load_instance(path: str | Path) -> Instance:
     if missing:
         raise ValidationError(f"instance file {path} is missing fields", missing)
     dims = raw["dimensions"]
+    if not isinstance(dims, dict):
+        raise ValidationError(f"instance file {path}: dimensions must be a JSON object, got {dims!r}")
     missing_dims = [k for k in _DIMENSION_KEYS if k not in dims]
     if missing_dims:
         raise ValidationError(f"instance file {path} is missing dimensions", missing_dims)
@@ -111,6 +113,12 @@ def load_instance(path: str | Path) -> Instance:
     ]
     if non_integer:
         raise ValidationError(f"instance file {path} has non-integer dimensions", non_integer)
+    # float() would read true as 1.0 and "2" as 2.0, so accept only JSON numbers.
+    utilization = raw["utilization"]
+    if isinstance(utilization, bool) or not isinstance(utilization, (int, float)):
+        raise ValidationError(
+            f"instance file {path}: utilization must be a JSON number, got {utilization!r}"
+        )
 
     try:
         instance = Instance(
@@ -120,7 +128,7 @@ def load_instance(path: str | Path) -> Instance:
             n_retailers=dims["retailers"],
             n_products=dims["products"],
             n_periods=dims["periods"],
-            utilization=float(raw["utilization"]),
+            utilization=utilization,
             currency=str(raw.get("currency", "TZS/week")),
             time_unit=str(raw.get("time_unit", "day")),
             **{name: np.asarray(raw[name], dtype=float) for name in SCHEMA_FIELDS},

@@ -17,7 +17,7 @@ Genotype layout (segment sizes, in order):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +48,6 @@ CONSTRAINT_FAMILIES = (
     "plant_raw_balance",        # raw material into each plant covers its production
     "plant_capacity",           # production within plant capacity
     "single_assignment",        # every retailer served by exactly one DC
-    "demand_balance",           # per-period demand sums to horizon demand
 )
 
 # Excess smaller than this (relative to the family scale) is treated as zero;
@@ -481,7 +480,6 @@ def _constraint_scales(instance: Instance) -> np.ndarray:
             instance.plant_capacity.mean(),
             instance.plant_capacity.mean(),
             1.0,
-            max(1.0, instance.total_demand / instance.n_retailers),
         ]
     )
     return np.where(scales > 0.0, scales, 1.0)
@@ -491,7 +489,7 @@ def check_constraints(
     network: DecodedNetwork,
     instance: Instance,
 ) -> tuple[np.ndarray, float]:
-    """Score the eight constraint families of a decoded network.
+    """Score the seven constraint families of a decoded network.
 
     Returns ``(excess, total)``: ``excess[f]`` is the summed magnitude of
     violation in family ``f`` (see :data:`CONSTRAINT_FAMILIES`), and ``total``
@@ -517,10 +515,6 @@ def check_constraints(
     excess[5] = np.maximum(u * production - instance.plant_capacity, 0.0).sum()
 
     excess[6] = np.abs(network.assignment.sum(axis=0) - 1).sum()
-
-    # Horizon demand balance: per-period demand and horizon totals both derive
-    # from the stored demand tensor, so the balance holds by construction.
-    excess[7] = 0.0
 
     scales = _constraint_scales(instance)
     excess = np.where(excess > _EXCESS_RTOL * scales, excess, 0.0)
@@ -690,23 +684,24 @@ def _score_rows(
     total_cost = fixed + raw + plant_to_dc + holding + dc_to_retail
     delay = _row_sums(network.backlog + network.on_hand)
 
-    u = instance.utilization
-    excess = np.zeros((network.plant_open.shape[0], len(CONSTRAINT_FAMILIES)))
-    excess[:, 0] = _row_sums(
-        np.maximum(network.on_hand - instance.dc_capacity[None, :, None], 0.0)
-    )
-    excess[:, 1] = _row_sums(np.maximum(network.backlog - instance.backorder_limit, 0.0))
+    # supplier_capacity, plant_capacity and single_assignment are zero on every
+    # decoded network: allocation is capped at the supplier and plant budgets,
+    # and each retailer goes to its argmax DC, a one-hot assignment
+    # (tests/test_decode_properties.py::test_unscored_families_are_zero).
+    # Dropping exact zeros from the family sum leaves the total's bits unchanged.
     dc_in = network.product_flow.sum(axis=2)
     dc_out = network.retail_flow.sum(axis=3)
-    excess[:, 2] = _row_sums(np.maximum(dc_out - dc_in, 0.0))
-    excess[:, 3] = np.maximum(
-        network.raw_flow.sum(axis=2) - instance.supplier_capacity, 0.0
-    ).sum(axis=1)
     production = network.product_flow.sum(axis=(1, 3))
     raw_in = network.raw_flow.sum(axis=1)
-    excess[:, 4] = np.maximum(u * production - raw_in, 0.0).sum(axis=1)
-    excess[:, 5] = np.maximum(u * production - instance.plant_capacity, 0.0).sum(axis=1)
-    excess[:, 6] = np.abs(network.assignment.sum(axis=1) - 1).sum(axis=1)
+    excess = np.stack(
+        [
+            _row_sums(np.maximum(network.on_hand - instance.dc_capacity[None, :, None], 0.0)),
+            _row_sums(np.maximum(network.backlog - instance.backorder_limit, 0.0)),
+            _row_sums(np.maximum(dc_out - dc_in, 0.0)),
+            np.maximum(instance.utilization * production - raw_in, 0.0).sum(axis=1),
+        ],
+        axis=1,
+    )
     excess = np.where(excess > _EXCESS_RTOL * scales, excess, 0.0)
     return np.stack([total_cost, delay], axis=1), (excess / scales).sum(axis=1)
 
@@ -727,7 +722,8 @@ def evaluate_batch(
     if g.ndim != 2 or g.shape[1] != layout.length:
         raise ValueError(f"genotypes must have shape (N, {layout.length}), got {g.shape}")
     retailer_demand = instance.demand.sum(axis=2).T.copy()  # (P, I)
-    scales = _constraint_scales(instance)
+    # dc_holding_capacity, backorder_limit, dc_flow_balance, plant_raw_balance
+    scales = _constraint_scales(instance)[[0, 1, 2, 4]]
     objectives = np.empty((g.shape[0], 2))
     violations = np.empty(g.shape[0])
     for start in range(0, g.shape[0], _BATCH_BLOCK):
@@ -745,7 +741,6 @@ class SupplyChainProblem:
 
     instance: Instance
     holding_on_backorder: bool = False
-    n_objectives: int = field(default=2, init=False)
 
     @property
     def genotype_length(self) -> int:

@@ -629,7 +629,7 @@ def _record(generation: int, evaluations: int, archive: ParetoArchive) -> Genera
         evaluations=evaluations,
         archive_size=len(archive),
         best_objectives=best,
-        archive_objectives=objectives.copy(),
+        archive_objectives=objectives,
     )
 
 

@@ -171,6 +171,8 @@ class TestExitCodes:
         [
             ('"utilization": 1.0', '"utilization": NaN', "utilization must be finite"),
             ('"periods": 2', '"periods": 2.9', "periods: 2.9"),
+            ('"utilization": 1.0', '"utilization": true', "utilization must be a JSON number"),
+            ('"dimensions": {', '"dimensions": 5, "unused": {', "dimensions must be a JSON object"),
         ],
     )
     def test_impossible_instance_values_are_validation(

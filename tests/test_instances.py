@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -138,6 +139,22 @@ class TestLoadErrors:
         with pytest.raises(ValidationError, match="non-integer dimensions") as err:
             load_instance(path)
         assert err.value.problems == [f"periods: {value!r}"]
+
+    @pytest.mark.parametrize("value", [5, None, "periods", [1, 1, 1, 1, 1, 2]])
+    def test_non_object_dimensions_rejected(self, tmp_path, value):
+        path = save_instance(tiny_instance(), tmp_path / "t.json")
+        raw = json.loads(path.read_text())
+        raw["dimensions"] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError, match=re.escape(f"dimensions must be a JSON object, got {value!r}")):
+            load_instance(path)
+
+    @pytest.mark.parametrize("value", ["true", '"1.0"'])
+    def test_non_number_utilization_rejected(self, tmp_path, value):
+        path = save_instance(tiny_instance(), tmp_path / "t.json")
+        path.write_text(path.read_text().replace('"utilization": 1.0', f'"utilization": {value}'))
+        with pytest.raises(ValidationError, match="utilization must be a JSON number"):
+            load_instance(path)
 
 
 class TestGenerator:

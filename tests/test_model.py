@@ -206,7 +206,6 @@ class TestDecode:
             "plant_raw_balance",
             "plant_capacity",
             "single_assignment",
-            "demand_balance",
         )]
         balance = CONSTRAINT_FAMILIES.index("dc_flow_balance")
         starved = 0
