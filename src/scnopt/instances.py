@@ -120,6 +120,15 @@ def load_instance(path: str | Path) -> Instance:
             f"instance file {path}: utilization must be a JSON number, got {utilization!r}"
         )
 
+    # np.asarray(..., dtype=float) would do the same to array entries.
+    non_numbers = []
+    for name in SCHEMA_FIELDS:
+        entries = _non_numbers(raw[name])
+        if entries:
+            non_numbers.append(f"{name}: {entries[0]!r}")
+    if non_numbers:
+        raise ValidationError(f"instance file {path} has array entries that are not JSON numbers", non_numbers)
+
     try:
         instance = Instance(
             n_suppliers=dims["suppliers"],
@@ -140,6 +149,13 @@ def load_instance(path: str | Path) -> Instance:
     if problems:
         raise ValidationError(f"instance file {path} violates invariants", problems)
     return instance
+
+
+def _non_numbers(value) -> list:
+    """Entries of a nested JSON array that are not numbers, in document order."""
+    if isinstance(value, list):
+        return [entry for item in value for entry in _non_numbers(item)]
+    return [value] if isinstance(value, bool) or not isinstance(value, (int, float)) else []
 
 
 def save_instance(instance: Instance, path: str | Path) -> Path:
@@ -165,7 +181,7 @@ class GeneratorParams:
     ``capacity_slack`` >= 1 scales every echelon's total capacity relative to
     total demand (in raw-material-equivalent units upstream), so generated
     instances always pass the demand/capacity precheck; at exactly 1.0 the DC
-    capacities sum to total demand exactly.  ``cost_scale`` sets the order of
+    capacities sum to total demand up to rounding.  ``cost_scale`` sets the order of
     magnitude of per-unit costs, ``demand_scale`` the per-cell mean demand.
     """
 

@@ -17,7 +17,7 @@ Genotype layout (segment sizes, in order):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +53,8 @@ CONSTRAINT_FAMILIES = (
 # Excess smaller than this (relative to the family scale) is treated as zero;
 # proportional repair leaves float residue on the order of 1e-16 of the flows.
 _EXCESS_RTOL = 1e-9
+
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 # Rows per block in evaluate_batch.  It bounds the working set; rows are
 # independent, so the block size never changes a result.
@@ -151,34 +153,24 @@ class Instance:
             problems.append("all dimensions must be >= 1")
         if not (np.isfinite(self.utilization) and self.utilization > 0):
             problems.append(f"utilization must be finite and > 0, got {self.utilization!r}")
-        nonnegative = (
-            "supplier_capacity",
-            "plant_capacity",
-            "dc_capacity",
-            "demand",
-            "plant_fixed_cost",
-            "dc_fixed_cost",
-            "raw_material_unit_cost",
-            "raw_transport_cost",
-            "product_transport_plant_dc",
-            "product_transport_dc_retailer",
-            "holding_cost",
-            "backorder_limit",
-        )
-        for name in nonnegative:
-            value = getattr(self, name)
+        for f in fields(self):  # every array field holds nonnegative quantities
+            value = getattr(self, f.name)
+            if not isinstance(value, np.ndarray):
+                continue
             if not np.all(np.isfinite(value)):
-                problems.append(f"{name} contains non-finite entries")
+                problems.append(f"{f.name} contains non-finite entries")
             elif np.any(value < 0):
-                problems.append(f"{name} contains negative entries")
+                problems.append(f"{f.name} contains negative entries")
+        # Capacity checks tolerate a relative 1e-9: capacities generated with
+        # exact slack sum to the demand only up to rounding.
         if np.all(np.isfinite(self.demand)) and np.all(np.isfinite(self.dc_capacity)):
-            if self.demand.sum() > self.dc_capacity.sum():
+            if self.dc_capacity.sum() < self.demand.sum() * (1.0 - 1e-9):
                 problems.append(
                     "total demand exceeds total DC holding capacity "
                     f"({self.demand.sum():g} > {self.dc_capacity.sum():g})"
                 )
         # Upstream capacity is in raw-material units; below utilization x demand
-        # no design can be feasible.  The tolerance lets exact-slack instances load.
+        # no design can be feasible.
         need = self.utilization * self.demand.sum()
         if np.isfinite(need):
             for name in ("plant_capacity", "supplier_capacity"):
@@ -248,7 +240,7 @@ def allocate_with_caps(
     remainder is re-spread over the rest; when every positively weighted bin
     is pinned, leftover spreads over remaining capacity.  Returns the
     allocation and the amount that could not be placed (positive only when
-    ``total`` exceeds total capacity).
+    ``total`` exceeds total capacity).  One row of the decoder's allocator.
     """
     weights = np.asarray(weights, dtype=float)
     caps = np.asarray(caps, dtype=float)
@@ -256,33 +248,24 @@ def allocate_with_caps(
         raise ValueError("weights and caps must be 1-D arrays of equal length")
     if np.any(weights < 0) or np.any(caps < 0):
         raise ValueError("weights and caps must be nonnegative")
-    allocation = np.zeros_like(caps)
-    remaining = float(total)
-    if remaining <= 0.0:
-        return allocation, 0.0
-    tolerance = 1e-12 * max(1.0, remaining)
-    active = caps > 0.0
-    while remaining > tolerance and active.any():
-        w = np.where(active, weights, 0.0)
-        if w.sum() <= 0.0:
-            w = np.where(active, caps - allocation, 0.0)
-        shares = remaining * w / w.sum()
-        headroom = caps - allocation
-        overflow = active & (shares > headroom)
-        if not overflow.any():
-            allocation = allocation + shares
-            remaining = 0.0
-            break
-        allocation[overflow] = caps[overflow]
-        active &= ~overflow
-        remaining = float(total - allocation.sum())
-    return allocation, max(remaining, 0.0)
+    total = float(total)
+    allocation = _allocate_rows(np.array([total]), weights[None], caps[None])[0]
+    shortfall = total - float(allocation.sum())
+    return allocation, shortfall if shortfall > 1e-12 * max(1.0, total) else 0.0
 
 
-def _one_hot(index: int, size: int) -> np.ndarray:
-    out = np.zeros(size, dtype=bool)
-    out[index] = True
-    return out
+def _genotype_row(genotype: np.ndarray, instance: Instance) -> np.ndarray:
+    """One genotype as a ``(1, L)`` matrix, after checking its length."""
+    g = np.asarray(genotype, dtype=float)
+    length = genotype_length(instance)
+    if g.shape != (length,):
+        raise ValueError(f"genotype must have shape ({length},), got {g.shape}")
+    return g[None]
+
+
+def _network_row(network: DecodedNetwork, row: int | None) -> DecodedNetwork:
+    """Row ``row`` of a row-stacked network, or with ``row=None`` the network stacked as one row."""
+    return DecodedNetwork(**{f.name: getattr(network, f.name)[row] for f in fields(DecodedNetwork)})
 
 
 def decode(genotype: np.ndarray, instance: Instance) -> DecodedNetwork:
@@ -298,87 +281,7 @@ def decode(genotype: np.ndarray, instance: Instance) -> DecodedNetwork:
     is scheduled across periods by its normalized timing weights and the
     stock/backlog recursion is simulated against assigned per-period demand.
     """
-    g = np.asarray(genotype, dtype=float)
-    layout = GenotypeLayout.for_instance(instance)
-    if g.shape != (layout.length,):
-        raise ValueError(f"genotype must have shape ({layout.length},), got {g.shape}")
-    s, k, j, i, p, t = instance.dimensions
-
-    plant_keys = g[layout.plant_keys]
-    dc_keys = g[layout.dc_keys]
-    supplier_weights = g[layout.supplier_weights].reshape(s, k)
-    plant_dc_weights = g[layout.plant_dc_weights].reshape(k, j)
-    assignment_keys = g[layout.assignment_keys].reshape(j, i)
-    timing_weights = g[layout.timing_weights].reshape(j, t)
-
-    plant_open = plant_keys >= 0.5
-    if not plant_open.any():
-        plant_open = _one_hot(int(np.argmax(plant_keys)), k)
-    dc_open = dc_keys >= 0.5
-    if not dc_open.any():
-        dc_open = _one_hot(int(np.argmax(dc_keys)), j)
-
-    # Retailer assignment: argmax key among open DCs (keys are >= 0, so -1 masks).
-    masked_keys = np.where(dc_open[:, None], assignment_keys, -1.0)
-    dc_of_retailer = np.argmax(masked_keys, axis=0)
-    assignment = np.zeros((j, i), dtype=bool)
-    assignment[dc_of_retailer, np.arange(i)] = True
-
-    horizon_demand = instance.demand.sum(axis=2)  # (I, P)
-    retail_flow = np.zeros((p, j, i))
-    retail_flow[:, dc_of_retailer, np.arange(i)] = horizon_demand.T
-    dc_demand = retail_flow.sum(axis=2)  # (P, J)
-    assigned_demand = np.einsum("ji,ipt->pjt", assignment.astype(float), instance.demand)
-
-    # Plant -> DC flows; plant capacity is stated in raw-material-equivalent
-    # units, so the per-plant product budget is capacity / utilization.
-    product_flow = np.zeros((p, k, j))
-    open_plant_weights = np.where(plant_open[:, None], plant_dc_weights, 0.0)
-    product_budget = np.where(plant_open, instance.plant_capacity / instance.utilization, 0.0)
-    for product in range(p):
-        for dc in range(j):
-            need = dc_demand[product, dc]
-            if need <= 0.0:
-                continue
-            share, _short = allocate_with_caps(need, open_plant_weights[:, dc], product_budget)
-            product_flow[product, :, dc] = share
-            product_budget = product_budget - share
-
-    # Supplier -> plant raw-material flows covering production.
-    raw_flow = np.zeros((s, k))
-    supplier_budget = instance.supplier_capacity.copy()
-    production = product_flow.sum(axis=(0, 2))  # (K,)
-    for plant in range(k):
-        need = instance.utilization * production[plant]
-        if need <= 0.0:
-            continue
-        share, _short = allocate_with_caps(need, supplier_weights[:, plant], supplier_budget)
-        raw_flow[:, plant] = share
-        supplier_budget = supplier_budget - share
-
-    # Inbound timing: normalize each DC's weights into a period distribution.
-    row_sums = timing_weights.sum(axis=1, keepdims=True)
-    period_share = np.where(
-        row_sums > 0.0,
-        timing_weights / np.where(row_sums > 0.0, row_sums, 1.0),
-        1.0 / t,
-    )
-    dc_inflow_total = product_flow.sum(axis=1)  # (P, J)
-    inflow = dc_inflow_total[:, :, None] * period_share[None, :, :]
-    on_hand, backlog = _schedule_recursion(inflow, assigned_demand)
-
-    return DecodedNetwork(
-        plant_open=plant_open,
-        dc_open=dc_open,
-        assignment=assignment,
-        raw_flow=raw_flow,
-        product_flow=product_flow,
-        retail_flow=retail_flow,
-        assigned_demand=assigned_demand,
-        inflow=inflow,
-        on_hand=on_hand,
-        backlog=backlog,
-    )
+    return _network_row(_decode_rows(_genotype_row(genotype, instance), instance), 0)
 
 
 def _schedule_recursion(inflow: np.ndarray, demand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -443,30 +346,12 @@ def eval_total_cost(
     Holding cost is charged on on-hand stock; ``holding_on_backorder=True``
     charges it on the backlog instead (alternate accounting mode).
     """
-    fixed = float(
-        (instance.plant_fixed_cost * network.plant_open).sum()
-        + (instance.dc_fixed_cost * network.dc_open).sum()
-    )
-    raw = float(
-        (
-            (instance.raw_material_unit_cost[:, None] + instance.raw_transport_cost)
-            * network.raw_flow
-        ).sum()
-    )
-    plant_to_dc = float(
-        (instance.product_transport_plant_dc[None, :, :] * network.product_flow).sum()
-    )
-    held = network.backlog if holding_on_backorder else network.on_hand
-    holding = float((instance.holding_cost[None, :, None] * held).sum())
-    dc_to_retail = float(
-        (instance.product_transport_dc_retailer[None, :, :] * network.retail_flow).sum()
-    )
-    return fixed + raw + plant_to_dc + holding + dc_to_retail
+    return float(_objective_rows(_network_row(network, None), instance, holding_on_backorder)[0, 0])
 
 
 def eval_delay(network: DecodedNetwork) -> float:
     """Total delivery-delay quantity: backlog plus early stock over all cells."""
-    return float((network.backlog + network.on_hand).sum())
+    return float(_delay_rows(_network_row(network, None))[0])
 
 
 def _constraint_scales(instance: Instance) -> np.ndarray:
@@ -528,20 +413,19 @@ def evaluate(
     holding_on_backorder: bool = False,
 ) -> tuple[np.ndarray, float]:
     """Decode and score one genotype: ``([total_cost, delay], violation)``."""
-    network = decode(genotype, instance)
-    total_cost = eval_total_cost(network, instance, holding_on_backorder)
-    delay = eval_delay(network)
-    _, violation = check_constraints(network, instance)
-    return np.array([total_cost, delay]), violation
+    objectives, violations = evaluate_batch(_genotype_row(genotype, instance), instance, holding_on_backorder)
+    return objectives[0], float(violations[0])
 
 
-# Batched evaluation.  Every function below repeats its scalar counterpart
-# operation by operation over a leading row axis, reducing the same axes of
-# the same memory layout, so each row is bit-identical to the scalar result.
+# Batched evaluation: the only decoder and scorer.  Each function works over
+# a leading row axis, and the one-genotype functions above are views of one
+# row.  tests/oracles.py keeps the decoder as it ran one genotype at a time;
+# every row matches it bit for bit, because each function here takes the same
+# operations and reduces the same axes of the same memory layout.
 
 
 def _allocate_rows(total: np.ndarray, weights: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`allocate_with_caps` of ``total (N,)`` over ``(N, B)`` bins.
+    """:func:`allocate_with_caps` of ``total (N,)`` over ``(N, B)`` bins, row by row.
 
     Rows with ``total <= 0`` get nothing.  Each pass settles a row or pins at
     least one of its bins, so B + 1 passes settle every row.
@@ -557,9 +441,14 @@ def _allocate_rows(total: np.ndarray, weights: np.ndarray, caps: np.ndarray) -> 
             break
         w = np.where(active, weights, 0.0)
         w_sum = w.sum(axis=1)
-        fallback = running & (w_sum <= 0.0)
-        if fallback.any():
-            w = np.where(fallback[:, None], np.where(active, caps - allocation, 0.0), w)
+        # Rows whose weights sum to zero split by headroom instead.  Subnormal
+        # weights would round remaining * w to a few bits; a power of two
+        # scales them exactly.  Rows with normal weights keep their bits.
+        small = running & (w_sum < _SMALLEST_NORMAL)
+        if small.any():
+            w = np.where((small & (w_sum <= 0.0))[:, None], np.where(active, caps - allocation, 0.0), w)
+            w_sum = w.sum(axis=1)
+            w[small & (w_sum < _SMALLEST_NORMAL)] *= 2.0**1022
             w_sum = w.sum(axis=1)
         shares = remaining[:, None] * w / np.where(running, w_sum, 1.0)[:, None]
         overflow = running[:, None] & active & (shares > caps - allocation)
@@ -581,19 +470,14 @@ def _open_rows(keys: np.ndarray) -> np.ndarray:
     return is_open
 
 
-def _decode_rows(
-    g: np.ndarray,
-    instance: Instance,
-    layout: GenotypeLayout,
-    retailer_demand: np.ndarray,
-) -> DecodedNetwork:
-    """:func:`decode` of every row of ``g``; each array gains a leading row axis.
-
-    ``retailer_demand`` is the C-contiguous ``(P, I)`` horizon demand, so that
-    ``retail_flow`` has the scalar memory layout and sums in the scalar order.
-    """
+def _decode_rows(g: np.ndarray, instance: Instance) -> DecodedNetwork:
+    """:func:`decode` of every row of ``g``; each array gains a leading row axis."""
     n = g.shape[0]
     s, k, j, i, p, t = instance.dimensions
+    layout = GenotypeLayout.for_instance(instance)
+    # C-contiguous (P, I) horizon demand: retail_flow then has the memory
+    # layout of one decoded genotype, and sums in its order.
+    retailer_demand = instance.demand.sum(axis=2).T.copy()
     supplier_weights = g[:, layout.supplier_weights].reshape(n, s, k)
     plant_dc_weights = g[:, layout.plant_dc_weights].reshape(n, k, j)
     assignment_keys = g[:, layout.assignment_keys].reshape(n, j, i)
@@ -662,14 +546,18 @@ def _row_sums(values: np.ndarray) -> np.ndarray:
     return values.reshape(values.shape[0], -1).sum(axis=1)
 
 
-def _score_rows(
+def _delay_rows(network: DecodedNetwork) -> np.ndarray:
+    """:func:`eval_delay` of every row of a row-stacked network."""
+    return _row_sums(network.backlog + network.on_hand)
+
+
+def _objective_rows(
     network: DecodedNetwork,
     instance: Instance,
-    scales: np.ndarray,
     holding_on_backorder: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`eval_total_cost`, :func:`eval_delay` and the :func:`check_constraints`
-    total of every row of a row-stacked network."""
+) -> np.ndarray:
+    """``(N, 2)`` :func:`eval_total_cost` and :func:`eval_delay` of every row of a
+    row-stacked network."""
     fixed = (instance.plant_fixed_cost * network.plant_open).sum(axis=1) + (
         instance.dc_fixed_cost * network.dc_open
     ).sum(axis=1)
@@ -682,13 +570,18 @@ def _score_rows(
         instance.product_transport_dc_retailer[None, :, :] * network.retail_flow
     )
     total_cost = fixed + raw + plant_to_dc + holding + dc_to_retail
-    delay = _row_sums(network.backlog + network.on_hand)
+    return np.stack([total_cost, _delay_rows(network)], axis=1)
 
-    # supplier_capacity, plant_capacity and single_assignment are zero on every
-    # decoded network: allocation is capped at the supplier and plant budgets,
-    # and each retailer goes to its argmax DC, a one-hot assignment
-    # (tests/test_decode_properties.py::test_unscored_families_are_zero).
-    # Dropping exact zeros from the family sum leaves the total's bits unchanged.
+
+def _violation_rows(network: DecodedNetwork, instance: Instance) -> np.ndarray:
+    """The :func:`check_constraints` total of every row of a row-stacked network.
+
+    supplier_capacity, plant_capacity and single_assignment are zero on every
+    decoded network: allocation is capped at the supplier and plant budgets,
+    and each retailer goes to its argmax DC, a one-hot assignment
+    (tests/test_decode_properties.py::test_unscored_families_are_zero).
+    Dropping exact zeros from the family sum leaves the total's bits unchanged.
+    """
     dc_in = network.product_flow.sum(axis=2)
     dc_out = network.retail_flow.sum(axis=3)
     production = network.product_flow.sum(axis=(1, 3))
@@ -702,8 +595,9 @@ def _score_rows(
         ],
         axis=1,
     )
+    scales = _constraint_scales(instance)[[0, 1, 2, 4]]  # the four families above
     excess = np.where(excess > _EXCESS_RTOL * scales, excess, 0.0)
-    return np.stack([total_cost, delay], axis=1), (excess / scales).sum(axis=1)
+    return (excess / scales).sum(axis=1)
 
 
 def evaluate_batch(
@@ -718,20 +612,16 @@ def evaluate_batch(
     Rows are evaluated in fixed blocks, which bounds memory use.
     """
     g = np.asarray(genotypes, dtype=float)
-    layout = GenotypeLayout.for_instance(instance)
-    if g.ndim != 2 or g.shape[1] != layout.length:
-        raise ValueError(f"genotypes must have shape (N, {layout.length}), got {g.shape}")
-    retailer_demand = instance.demand.sum(axis=2).T.copy()  # (P, I)
-    # dc_holding_capacity, backorder_limit, dc_flow_balance, plant_raw_balance
-    scales = _constraint_scales(instance)[[0, 1, 2, 4]]
+    length = genotype_length(instance)
+    if g.ndim != 2 or g.shape[1] != length:
+        raise ValueError(f"genotypes must have shape (N, {length}), got {g.shape}")
     objectives = np.empty((g.shape[0], 2))
     violations = np.empty(g.shape[0])
     for start in range(0, g.shape[0], _BATCH_BLOCK):
         block = slice(start, start + _BATCH_BLOCK)
-        network = _decode_rows(g[block], instance, layout, retailer_demand)
-        objectives[block], violations[block] = _score_rows(
-            network, instance, scales, holding_on_backorder
-        )
+        network = _decode_rows(g[block], instance)
+        objectives[block] = _objective_rows(network, instance, holding_on_backorder)
+        violations[block] = _violation_rows(network, instance)
     return objectives, violations
 
 

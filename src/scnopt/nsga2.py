@@ -30,10 +30,6 @@ __all__ = [
     "constrained_dominates",
     "fast_nondominated_sort",
     "crowding_distance",
-    "crowded_compare",
-    "binary_tournament_select",
-    "sbx_crossover",
-    "polynomial_mutation",
     "environmental_select",
     "assign_ranks_and_crowding",
     "update_archive",
@@ -275,59 +271,10 @@ def crowding_distance(front_values: Sequence[np.ndarray] | np.ndarray) -> np.nda
     return distance
 
 
-def crowded_compare(a: Individual, b: Individual) -> int:
-    """Total order used by tournaments: lower rank first, then larger crowding.
-
-    Returns -1 if ``a`` precedes ``b``, 1 if ``b`` precedes ``a``, 0 on a tie.
-    """
-    if a.rank is None or b.rank is None or a.crowding is None or b.crowding is None:
-        raise ValueError("rank and crowding must be assigned before comparison")
-    if a.rank != b.rank:
-        return -1 if a.rank < b.rank else 1
-    if a.crowding != b.crowding:
-        return -1 if a.crowding > b.crowding else 1
-    return 0
-
-
-def binary_tournament_select(population: Sequence[Individual], rng: np.random.Generator) -> int:
-    """Index of the winner between two distinct uniformly drawn contestants.
-
-    Ties go to the first contestant drawn.
-    """
-    n = len(population)
-    if n < 2:
-        raise ValueError("tournament selection needs at least two individuals")
-    i = int(rng.integers(n))
-    j = int(rng.integers(n - 1))
-    if j >= i:
-        j += 1
-    return i if crowded_compare(population[i], population[j]) <= 0 else j
-
-
-def sbx_crossover(
-    parent1: np.ndarray,
-    parent2: np.ndarray,
-    config: EngineConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover on the unit box.
-
-    With probability ``crossover_prob`` the parents are blended gene-wise with
-    spread factor ``beta`` drawn from the SBX distribution (index
-    ``sbx_eta``); otherwise the parents are copied through.  Children are
-    clamped to [0, 1].  Identical parents always yield identical children.
-    """
-    p1 = np.asarray(parent1, dtype=float)
-    p2 = np.asarray(parent2, dtype=float)
-    if p1.shape != p2.shape:
-        raise ValueError("parents must have equal genotype length")
-    if rng.random() >= config.crossover_prob:
-        return p1.copy(), p2.copy()
-    return _sbx_children(p1, p2, rng.random(p1.shape[0]), config.sbx_eta)
-
-
 def _sbx_children(p1: np.ndarray, p2: np.ndarray, u: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """SBX children of parents ``p1`` and ``p2`` (any equal shape) for uniform draws ``u``."""
+    """Simulated binary crossover children of parents ``p1`` and ``p2`` (any
+    equal shape) for uniform draws ``u``: genes blended with spread factor
+    ``beta`` from the SBX distribution of index ``eta``, clamped to [0, 1]."""
     exponent = 1.0 / (eta + 1.0)
     beta = np.where(
         u <= 0.5,
@@ -339,28 +286,10 @@ def _sbx_children(p1: np.ndarray, p2: np.ndarray, u: np.ndarray, eta: float) -> 
     return np.clip(child1, 0.0, 1.0), np.clip(child2, 0.0, 1.0)
 
 
-def polynomial_mutation(
-    genotype: np.ndarray,
-    config: EngineConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Bounded polynomial mutation, each gene perturbed with ``mutation_prob``.
-
-    The perturbation magnitude follows the polynomial distribution with index
-    ``pm_eta``; deltas shrink near the box boundary, so results stay in
-    [0, 1] by construction.
-    """
-    g = np.asarray(genotype, dtype=float)
-    length = g.shape[0]
-    mask = rng.random(length) < config.mutation_prob
-    u = rng.random(length)
-    mutated = g.copy()
-    mutated[mask] = _perturb(g[mask], u[mask], config.pm_eta)
-    return np.clip(mutated, 0.0, 1.0)
-
-
 def _perturb(g: np.ndarray, u: np.ndarray, eta: float) -> np.ndarray:
-    """Polynomially mutated genes ``g`` for uniform draws ``u``, clamped to [0, 1]."""
+    """Polynomially mutated genes ``g`` for uniform draws ``u`` (distribution
+    index ``eta``); deltas shrink near the box's bounds, and results are
+    clamped to [0, 1]."""
     exponent = 1.0 / (eta + 1.0)
     to_lower = g          # distance to the lower bound (box is [0, 1])
     to_upper = 1.0 - g
@@ -574,14 +503,16 @@ def _make_offspring(
 ) -> np.ndarray:
     """``population_size`` children as an ``(N, L)`` matrix, two per mating pair.
 
-    Each pair draws what :func:`binary_tournament_select` (twice),
-    :func:`sbx_crossover` and :func:`polynomial_mutation` (once per child)
-    would draw, in the same order: four contestant indices, the crossover
-    coin, then one call for the uniforms (SBX's when the pair crosses, then
-    each child's mutation mask and perturbation draws).  Successive
-    ``random(L)`` calls give the same doubles as one ``random(kL)`` call, so
-    the children equal those of the per-pair functions called in turn.
-    Tournaments, crossover and mutation then run over blocks of pairs.
+    Each pair draws, in order: two binary tournaments (a contestant index,
+    then the other contestant among the remaining n - 1), the crossover coin
+    (crossing when below ``crossover_prob``), then one call for the uniforms:
+    SBX's when the pair crosses, then each child's mutation mask and
+    perturbation draws.  Successive ``random(L)`` calls give the same doubles
+    as one ``random(kL)`` call, so the children equal those of the per-pair
+    tournament, SBX and polynomial mutation in ``tests/oracles.py`` called in
+    turn.  Tournaments (lower rank wins, then larger crowding, ties to the
+    first drawn), crossover and mutation then run over blocks of pairs.
+    Children are clamped to [0, 1].
     """
     n = len(population)
     length = population[0].genotype.shape[0]

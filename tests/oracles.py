@@ -4,9 +4,14 @@ Everything here is deliberately written as plain-Python loops over scalars,
 with different algorithms than the library where possible (layer peeling via
 explicit dominated-by scans rather than domination-count bookkeeping, direct
 formula evaluation for crowding, brute-force filters for archives), so that a
-shared bug between library and test is unlikely.  The reference engine at
-the end is the generational loop as it ran one mating pair and one evaluated
-row at a time, before variation and validation worked on whole blocks.
+shared bug between library and test is unlikely.
+
+Two references keep code the package ran before it worked on whole blocks.
+The reference decoder decodes and scores one genotype at a time, one
+capped allocation per (product, DC) pair and per plant; the package's only
+decoder, ``scnopt.model._decode_rows``, must match it bit for bit.  The
+reference engine is the generational loop as it ran one mating pair and one
+evaluated row at a time, with per-pair tournaments, crossover and mutation.
 """
 
 from __future__ import annotations
@@ -17,18 +22,20 @@ import math
 import numpy as np
 
 from scnopt import (
+    DecodedNetwork,
     EvaluationError,
     EvolutionResult,
     GenerationRecord,
+    GenotypeLayout,
     Individual,
     ParetoArchive,
     assign_ranks_and_crowding,
-    binary_tournament_select,
+    check_constraints,
     environmental_select,
-    polynomial_mutation,
-    sbx_crossover,
+    genotype_length,
     update_archive,
 )
+from scnopt.model import _schedule_recursion
 
 
 def oracle_dominates(a, b) -> bool:
@@ -191,7 +198,248 @@ def enumerate_reference_front(instance, build_network, eval_cost, eval_delay, ch
 
 
 # ---------------------------------------------------------------------------
-# Per-pair variation formulas and the reference engine
+# Reference decoder: one genotype at a time
+
+
+def reference_allocate_with_caps(
+    total: float,
+    weights: np.ndarray,
+    caps: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """Split ``total`` across bins proportionally to ``weights`` without
+    exceeding ``caps``.
+
+    Bins whose proportional share overflows are pinned at their cap and the
+    remainder is re-spread over the rest; when every positively weighted bin
+    is pinned, leftover spreads over remaining capacity.  Returns the
+    allocation and the amount that could not be placed (positive only when
+    ``total`` exceeds total capacity).
+    """
+    weights = np.asarray(weights, dtype=float)
+    caps = np.asarray(caps, dtype=float)
+    if weights.shape != caps.shape or weights.ndim != 1:
+        raise ValueError("weights and caps must be 1-D arrays of equal length")
+    if np.any(weights < 0) or np.any(caps < 0):
+        raise ValueError("weights and caps must be nonnegative")
+    allocation = np.zeros_like(caps)
+    remaining = float(total)
+    if remaining <= 0.0:
+        return allocation, 0.0
+    tolerance = 1e-12 * max(1.0, remaining)
+    active = caps > 0.0
+    while remaining > tolerance and active.any():
+        w = np.where(active, weights, 0.0)
+        if w.sum() <= 0.0:
+            w = np.where(active, caps - allocation, 0.0)
+        shares = remaining * w / w.sum()
+        headroom = caps - allocation
+        overflow = active & (shares > headroom)
+        if not overflow.any():
+            allocation = allocation + shares
+            remaining = 0.0
+            break
+        allocation[overflow] = caps[overflow]
+        active &= ~overflow
+        remaining = float(total - allocation.sum())
+    return allocation, max(remaining, 0.0)
+
+
+def _one_hot(index: int, size: int) -> np.ndarray:
+    out = np.zeros(size, dtype=bool)
+    out[index] = True
+    return out
+
+
+def reference_decode(genotype: np.ndarray, instance) -> DecodedNetwork:
+    """Decode a genotype into a concrete network design.
+
+    Pipeline: (1) facility keys >= 0.5 open a plant/DC, with the largest key
+    forced open when a whole echelon would close; (2) each retailer goes to
+    the open DC with the largest assignment key; (3) retail flows carry each
+    retailer's horizon demand from its DC; (4) each DC's demand is spread over
+    open plants proportionally to the plant->DC weights, repaired to plant
+    capacities; (5) raw-material flows cover production, spread over suppliers
+    by weight and repaired to supplier capacities; (6) each DC's inbound total
+    is scheduled across periods by its normalized timing weights and the
+    stock/backlog recursion is simulated against assigned per-period demand.
+    """
+    g = np.asarray(genotype, dtype=float)
+    layout = GenotypeLayout.for_instance(instance)
+    if g.shape != (layout.length,):
+        raise ValueError(f"genotype must have shape ({layout.length},), got {g.shape}")
+    s, k, j, i, p, t = instance.dimensions
+
+    plant_keys = g[layout.plant_keys]
+    dc_keys = g[layout.dc_keys]
+    supplier_weights = g[layout.supplier_weights].reshape(s, k)
+    plant_dc_weights = g[layout.plant_dc_weights].reshape(k, j)
+    assignment_keys = g[layout.assignment_keys].reshape(j, i)
+    timing_weights = g[layout.timing_weights].reshape(j, t)
+
+    plant_open = plant_keys >= 0.5
+    if not plant_open.any():
+        plant_open = _one_hot(int(np.argmax(plant_keys)), k)
+    dc_open = dc_keys >= 0.5
+    if not dc_open.any():
+        dc_open = _one_hot(int(np.argmax(dc_keys)), j)
+
+    # Retailer assignment: argmax key among open DCs (keys are >= 0, so -1 masks).
+    masked_keys = np.where(dc_open[:, None], assignment_keys, -1.0)
+    dc_of_retailer = np.argmax(masked_keys, axis=0)
+    assignment = np.zeros((j, i), dtype=bool)
+    assignment[dc_of_retailer, np.arange(i)] = True
+
+    horizon_demand = instance.demand.sum(axis=2)  # (I, P)
+    retail_flow = np.zeros((p, j, i))
+    retail_flow[:, dc_of_retailer, np.arange(i)] = horizon_demand.T
+    dc_demand = retail_flow.sum(axis=2)  # (P, J)
+    assigned_demand = np.einsum("ji,ipt->pjt", assignment.astype(float), instance.demand)
+
+    # Plant -> DC flows; plant capacity is stated in raw-material-equivalent
+    # units, so the per-plant product budget is capacity / utilization.
+    product_flow = np.zeros((p, k, j))
+    open_plant_weights = np.where(plant_open[:, None], plant_dc_weights, 0.0)
+    product_budget = np.where(plant_open, instance.plant_capacity / instance.utilization, 0.0)
+    for product in range(p):
+        for dc in range(j):
+            need = dc_demand[product, dc]
+            if need <= 0.0:
+                continue
+            share, _short = reference_allocate_with_caps(need, open_plant_weights[:, dc], product_budget)
+            product_flow[product, :, dc] = share
+            product_budget = product_budget - share
+
+    # Supplier -> plant raw-material flows covering production.
+    raw_flow = np.zeros((s, k))
+    supplier_budget = instance.supplier_capacity.copy()
+    production = product_flow.sum(axis=(0, 2))  # (K,)
+    for plant in range(k):
+        need = instance.utilization * production[plant]
+        if need <= 0.0:
+            continue
+        share, _short = reference_allocate_with_caps(need, supplier_weights[:, plant], supplier_budget)
+        raw_flow[:, plant] = share
+        supplier_budget = supplier_budget - share
+
+    # Inbound timing: normalize each DC's weights into a period distribution.
+    row_sums = timing_weights.sum(axis=1, keepdims=True)
+    period_share = np.where(
+        row_sums > 0.0,
+        timing_weights / np.where(row_sums > 0.0, row_sums, 1.0),
+        1.0 / t,
+    )
+    dc_inflow_total = product_flow.sum(axis=1)  # (P, J)
+    inflow = dc_inflow_total[:, :, None] * period_share[None, :, :]
+    on_hand, backlog = _schedule_recursion(inflow, assigned_demand)
+
+    return DecodedNetwork(
+        plant_open=plant_open,
+        dc_open=dc_open,
+        assignment=assignment,
+        raw_flow=raw_flow,
+        product_flow=product_flow,
+        retail_flow=retail_flow,
+        assigned_demand=assigned_demand,
+        inflow=inflow,
+        on_hand=on_hand,
+        backlog=backlog,
+    )
+
+
+def reference_eval_total_cost(
+    network: DecodedNetwork,
+    instance,
+    holding_on_backorder: bool = False,
+) -> float:
+    """Total network cost: fixed facility costs plus every flow-proportional term.
+
+    Holding cost is charged on on-hand stock; ``holding_on_backorder=True``
+    charges it on the backlog instead (alternate accounting mode).
+    """
+    fixed = float(
+        (instance.plant_fixed_cost * network.plant_open).sum()
+        + (instance.dc_fixed_cost * network.dc_open).sum()
+    )
+    raw = float(
+        (
+            (instance.raw_material_unit_cost[:, None] + instance.raw_transport_cost)
+            * network.raw_flow
+        ).sum()
+    )
+    plant_to_dc = float(
+        (instance.product_transport_plant_dc[None, :, :] * network.product_flow).sum()
+    )
+    held = network.backlog if holding_on_backorder else network.on_hand
+    holding = float((instance.holding_cost[None, :, None] * held).sum())
+    dc_to_retail = float(
+        (instance.product_transport_dc_retailer[None, :, :] * network.retail_flow).sum()
+    )
+    return fixed + raw + plant_to_dc + holding + dc_to_retail
+
+
+def reference_eval_delay(network: DecodedNetwork) -> float:
+    """Total delivery-delay quantity: backlog plus early stock over all cells."""
+    return float((network.backlog + network.on_hand).sum())
+
+
+def reference_evaluate_genotype(
+    genotype: np.ndarray,
+    instance,
+    holding_on_backorder: bool = False,
+) -> tuple[np.ndarray, float]:
+    """Decode and score one genotype: ``([total_cost, delay], violation)``."""
+    network = reference_decode(genotype, instance)
+    total_cost = reference_eval_total_cost(network, instance, holding_on_backorder)
+    delay = reference_eval_delay(network)
+    _, violation = check_constraints(network, instance)
+    return np.array([total_cost, delay]), violation
+
+
+class ReferenceSupplyChainProblem:
+    """A supply chain problem without ``evaluate_batch``, so the engine scores
+    one genotype at a time with :func:`reference_evaluate_genotype`."""
+
+    def __init__(self, instance, holding_on_backorder: bool = False):
+        self.instance = instance
+        self.holding_on_backorder = holding_on_backorder
+        self.genotype_length = genotype_length(instance)
+
+    def evaluate(self, genotype):
+        return reference_evaluate_genotype(genotype, self.instance, self.holding_on_backorder)
+
+
+# ---------------------------------------------------------------------------
+# Per-pair selection and variation, and the reference engine
+
+
+def crowded_compare(a: Individual, b: Individual) -> int:
+    """Total order used by tournaments: lower rank first, then larger crowding.
+
+    Returns -1 if ``a`` precedes ``b``, 1 if ``b`` precedes ``a``, 0 on a tie.
+    """
+    if a.rank is None or b.rank is None or a.crowding is None or b.crowding is None:
+        raise ValueError("rank and crowding must be assigned before comparison")
+    if a.rank != b.rank:
+        return -1 if a.rank < b.rank else 1
+    if a.crowding != b.crowding:
+        return -1 if a.crowding > b.crowding else 1
+    return 0
+
+
+def binary_tournament_select(population, rng: np.random.Generator) -> int:
+    """Index of the winner between two distinct uniformly drawn contestants.
+
+    Ties go to the first contestant drawn.
+    """
+    n = len(population)
+    if n < 2:
+        raise ValueError("tournament selection needs at least two individuals")
+    i = int(rng.integers(n))
+    j = int(rng.integers(n - 1))
+    if j >= i:
+        j += 1
+    return i if crowded_compare(population[i], population[j]) <= 0 else j
+
 
 
 def reference_sbx_crossover(parent1, parent2, config, rng):
@@ -227,9 +475,9 @@ def reference_offspring(population, config, rng) -> list[np.ndarray]:
     for _ in range(config.population_size // 2):
         i = binary_tournament_select(population, rng)
         j = binary_tournament_select(population, rng)
-        child1, child2 = sbx_crossover(population[i].genotype, population[j].genotype, config, rng)
-        children.append(polynomial_mutation(child1, config, rng))
-        children.append(polynomial_mutation(child2, config, rng))
+        child1, child2 = reference_sbx_crossover(population[i].genotype, population[j].genotype, config, rng)
+        children.append(reference_polynomial_mutation(child1, config, rng))
+        children.append(reference_polynomial_mutation(child2, config, rng))
     return children
 
 

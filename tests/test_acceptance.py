@@ -29,12 +29,11 @@ from scnopt.cli import EXIT_OK, main
 
 from conftest import (
     LineFrontProblem,
-    ScalarOnlyProblem,
     build_duo_network,
     make_duo_instance,
     random_population,
 )
-from oracles import enumerate_reference_front, oracle_crowding, oracle_sort
+from oracles import ReferenceSupplyChainProblem, enumerate_reference_front, oracle_crowding, oracle_sort
 
 
 def verdict(capsys, number, name, ok, detail="", elapsed=None, budget=None):
@@ -284,7 +283,8 @@ def test_criterion_7_report_hypervolume_monotone(capsys, tmp_path):
 def test_criterion_8_byte_identical_artifacts(capsys, tmp_path, monkeypatch):
     """Identical flags produce byte-identical front.csv, report.json, and
     front.dat, and the artifacts do not depend on the evaluation path: batched
-    evaluation writes the same bytes as one scalar evaluation per genotype."""
+    evaluation writes the same bytes as the reference decoder scoring one
+    genotype at a time."""
     instance_path = tmp_path / "desk.json"
     assert main(["generate", "--preset", "desk", "--out", str(instance_path)]) == EXIT_OK
 
@@ -302,10 +302,7 @@ def test_criterion_8_byte_identical_artifacts(capsys, tmp_path, monkeypatch):
     serial_a = run(tmp_path / "s1")
     serial_b = run(tmp_path / "s2")
     with monkeypatch.context() as patch:
-        patch.setattr(
-            "scnopt.cli.SupplyChainProblem",
-            lambda *args, **kwargs: ScalarOnlyProblem(SupplyChainProblem(*args, **kwargs)),
-        )
+        patch.setattr("scnopt.cli.SupplyChainProblem", ReferenceSupplyChainProblem)
         scalar = run(tmp_path / "scalar")
 
     checks = {

@@ -1,5 +1,5 @@
-"""Batched evaluation against the scalar evaluator, row by row, bit for bit, and the
-engine's checks of each evaluated block."""
+"""Batched evaluation against the reference decoder in ``oracles.py``, row by row,
+bit for bit, and the engine's checks of each evaluated block."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from scnopt import (
     Individual,
     SupplyChainProblem,
     decode,
-    evaluate,
     evaluate_batch,
     evolve,
     generate_instance,
@@ -25,8 +24,7 @@ from scnopt.instances import PRESETS
 from scnopt.model import _BATCH_BLOCK
 from scnopt.nsga2 import _row_faults
 
-from conftest import ScalarOnlyProblem
-from oracles import reference_evolve
+from oracles import ReferenceSupplyChainProblem, reference_evaluate_genotype, reference_evolve
 
 PRESET_NAMES = ("tiny", "desk", "sbc-scale")
 
@@ -64,19 +62,19 @@ def edge_genotypes(instance, rng: np.random.Generator, n: int) -> np.ndarray:
     return g
 
 
-def scalar_rows(genotypes, instance, holding_on_backorder):
-    rows = [evaluate(g, instance, holding_on_backorder) for g in genotypes]
+def reference_rows(genotypes, instance, holding_on_backorder):
+    rows = [reference_evaluate_genotype(g, instance, holding_on_backorder) for g in genotypes]
     return np.array([o for o, _ in rows]), np.array([v for _, v in rows])
 
 
 def assert_rows_equal(genotypes, instance, holding_on_backorder):
     objectives, violations = evaluate_batch(genotypes, instance, holding_on_backorder)
-    expected_objectives, expected_violations = scalar_rows(genotypes, instance, holding_on_backorder)
+    expected_objectives, expected_violations = reference_rows(genotypes, instance, holding_on_backorder)
     assert objectives.shape == (len(genotypes), 2) and violations.shape == (len(genotypes),)
     mismatched = np.flatnonzero(
         ~((objectives == expected_objectives).all(axis=1) & (violations == expected_violations))
     )
-    assert mismatched.size == 0, f"rows differing from scalar evaluate: {mismatched.tolist()}"
+    assert mismatched.size == 0, f"rows differing from the reference evaluator: {mismatched.tolist()}"
 
 
 @pytest.mark.parametrize("holding_on_backorder", [False, True])
@@ -130,10 +128,10 @@ def test_wrong_shape_rejected():
 
 
 def test_evolve_batched_matches_scalar_only_wrapper():
-    problem = SupplyChainProblem(generate_preset("desk"))
+    instance = generate_preset("desk")
     config = EngineConfig(population_size=20, generations=6, seed=3)
-    batched = evolve(problem, config)
-    scalar = evolve(ScalarOnlyProblem(problem), config)
+    batched = evolve(SupplyChainProblem(instance), config)
+    scalar = evolve(ReferenceSupplyChainProblem(instance), config)
     assert np.array_equal(batched.archive.objectives_array(), scalar.archive.objectives_array())
     for name in ("genotype", "objectives", "violation"):
         a = np.array([getattr(ind, name) for ind in batched.population])

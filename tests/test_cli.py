@@ -173,6 +173,7 @@ class TestExitCodes:
             ('"periods": 2', '"periods": 2.9', "periods: 2.9"),
             ('"utilization": 1.0', '"utilization": true', "utilization must be a JSON number"),
             ('"dimensions": {', '"dimensions": 5, "unused": {', "dimensions must be a JSON object"),
+            ('"demand": [\n    [\n      [\n        5.0', '"demand": [[[true', "demand: True"),
         ],
     )
     def test_impossible_instance_values_are_validation(

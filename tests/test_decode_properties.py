@@ -3,8 +3,14 @@
 Decoding caps every allocation at the plant and supplier budgets and assigns
 each retailer to one DC, so three constraint families can never fire on a
 decoded network and the batch evaluator does not score them.  These tests
-prove that, and check mass balance at each echelon and the cost's sum of
-terms, on the scalar decoder and on the batch decoder's rows alike.
+prove that, check that the batch decoder's rows and the one-genotype views
+equal the reference decoder in ``oracles.py`` bit for bit, and check mass
+balance at each echelon and the cost's sum of terms.
+
+The reference decoder keeps an old underflow: weights near the smallest
+subnormal double lose their precision in proportional allocation.  So the
+exact comparison draws normal genes only, and a separate property checks
+that the batch decoder balances its flows on subnormal genes as well.
 """
 
 from __future__ import annotations
@@ -21,14 +27,24 @@ from scnopt import (
     DecodedNetwork,
     GeneratorParams,
     GenotypeLayout,
+    allocate_with_caps,
     check_constraints,
     decode,
+    eval_delay,
     eval_total_cost,
     evaluate,
     evaluate_batch,
     generate_instance,
 )
-from scnopt.model import _decode_rows
+from scnopt.model import _decode_rows, _network_row
+
+from oracles import (
+    reference_allocate_with_caps,
+    reference_decode,
+    reference_eval_delay,
+    reference_eval_total_cost,
+    reference_evaluate_genotype,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -36,6 +52,8 @@ UNSCORED = [
     CONSTRAINT_FAMILIES.index(name)
     for name in ("supplier_capacity", "plant_capacity", "single_assignment")
 ]
+
+SEGMENTS = ("plant_keys", "dc_keys", "supplier_weights", "plant_dc_weights", "assignment_keys", "timing_weights")
 
 # Edge-case edits of one genotype row: (segment, factor, offset) sets the
 # segment to factor * segment + offset.
@@ -53,12 +71,17 @@ EDITS = {
 }
 
 
+# The smallest subnormal double; integer multiples of it are exact subnormals.
+SMALLEST_SUBNORMAL = np.nextafter(0.0, 1.0)
+
+
 @st.composite
-def cases(draw):
+def cases(draw, subnormal=False):
     """An instance, some of its genotypes (edge rows included) and a holding mode.
 
     The instance comes from the generator, or has its plant or supplier
-    capacity cut in memory, below what ``load_instance`` would accept.
+    capacity cut in memory, below what ``load_instance`` would accept.  With
+    ``subnormal``, one more row has whole segments of subnormal genes.
     """
     instance = generate_instance(
         GeneratorParams(
@@ -80,10 +103,14 @@ def cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = [rng.random(layout.length) for _ in range(draw(st.integers(1, 4)))]
     # Genes from hypothesis: exact 0, 0.5 and 1, long runs of one value.
-    # Subnormal genes are left out: no genotype the engine makes has one, and
-    # proportional allocation by a subnormal weight loses its precision.
     genes = st.floats(0.0, 1.0, allow_subnormal=False)
     rows.append(draw(arrays(np.float64, layout.length, elements=genes)))
+    if subnormal:
+        row = rng.random(layout.length)
+        for segment in draw(st.sets(st.sampled_from(SEGMENTS), min_size=1)):
+            part = getattr(layout, segment)
+            row[part] = rng.integers(0, 2**20, part.stop - part.start) * SMALLEST_SUBNORMAL
+        rows.append(row)
     for row in rows:
         for edit in draw(st.sets(st.sampled_from(sorted(EDITS)))):
             segment, factor, offset = EDITS[edit]
@@ -92,31 +119,55 @@ def cases(draw):
     return instance, np.array(rows), draw(st.booleans())
 
 
-def decoded_pairs(instance, genotypes):
-    """``(scalar decode, batch decoder row)`` for every genotype row."""
-    retailer_demand = instance.demand.sum(axis=2).T.copy()
-    stacked = _decode_rows(genotypes, instance, GenotypeLayout.for_instance(instance), retailer_demand)
-    for n, g in enumerate(genotypes):
-        row = DecodedNetwork(**{f.name: getattr(stacked, f.name)[n] for f in fields(DecodedNetwork)})
-        yield decode(g, instance), row
+def decoded_rows(instance, genotypes):
+    """The batch decoder's network for every genotype row."""
+    stacked = _decode_rows(genotypes, instance)
+    for n in range(len(genotypes)):
+        yield _network_row(stacked, n)
+
+
+def assert_same_network(a, b):
+    for f in fields(DecodedNetwork):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
 @PROPERTY
 @given(cases())
 def test_unscored_families_are_zero(case):
     instance, genotypes, holding_on_backorder = case
-    for scalar, row in decoded_pairs(instance, genotypes):
-        for network in (scalar, row):
-            excess, _ = check_constraints(network, instance)
-            assert [excess[f] for f in UNSCORED] == [0.0, 0.0, 0.0]
-        for f in fields(DecodedNetwork):
-            assert np.array_equal(getattr(scalar, f.name), getattr(row, f.name)), f.name
+    for g, row in zip(genotypes, decoded_rows(instance, genotypes)):
+        reference = reference_decode(g, instance)
+        excess, _ = check_constraints(row, instance)
+        assert [excess[f] for f in UNSCORED] == [0.0, 0.0, 0.0]
+        assert_same_network(row, reference)
+        assert_same_network(decode(g, instance), reference)
+        assert eval_total_cost(row, instance, holding_on_backorder) == reference_eval_total_cost(
+            reference, instance, holding_on_backorder
+        )
+        assert eval_delay(row) == reference_eval_delay(reference)
 
     objectives, violations = evaluate_batch(genotypes, instance, holding_on_backorder)
     for n, g in enumerate(genotypes):
-        expected_objectives, expected_violation = evaluate(g, instance, holding_on_backorder)
+        expected_objectives, expected_violation = reference_evaluate_genotype(g, instance, holding_on_backorder)
         assert np.array_equal(objectives[n], expected_objectives)
         assert violations[n] == expected_violation
+        one_objectives, one_violation = evaluate(g, instance, holding_on_backorder)
+        assert np.array_equal(one_objectives, expected_objectives) and one_violation == expected_violation
+
+
+@PROPERTY
+@given(
+    st.floats(-1.0, 300.0, allow_subnormal=False),
+    st.lists(st.tuples(st.floats(0.0, 1.0, allow_subnormal=False), st.floats(0.0, 100.0, allow_subnormal=False)),
+             min_size=1, max_size=6),
+)
+def test_allocation_matches_reference(total, bins):
+    weights, caps = np.array(bins).T
+    allocation, shortfall = allocate_with_caps(total, weights, caps)
+    expected, expected_shortfall = reference_allocate_with_caps(total, weights, caps)
+    assert np.array_equal(allocation, expected)
+    # The reference may report a residue up to its stopping tolerance; the view reports 0.0 there.
+    assert shortfall == (expected_shortfall if expected_shortfall > 1e-12 * max(1.0, total) else 0.0)
 
 
 def cost_terms(network, instance, holding_on_backorder):
@@ -165,9 +216,20 @@ def assert_balanced(network, instance, holding_on_backorder):
 def test_flows_balance_and_cost_adds_up(case):
     instance, genotypes, holding_on_backorder = case
     objectives, _ = evaluate_batch(genotypes, instance, holding_on_backorder)
-    for n, (scalar, row) in enumerate(decoded_pairs(instance, genotypes)):
-        assert_balanced(scalar, instance, holding_on_backorder)
+    for n, row in enumerate(decoded_rows(instance, genotypes)):
         assert_balanced(row, instance, holding_on_backorder)
         assert objectives[n, 0] == pytest.approx(
             sum(cost_terms(row, instance, holding_on_backorder)), rel=1e-9
         )
+
+
+@PROPERTY
+@given(cases(subnormal=True))
+def test_flows_balance_with_subnormal_genes(case):
+    # Weights of a few subnormal units split a DC's demand over plants, and a
+    # plant's raw material over suppliers, as exactly as normal weights do:
+    # each DC's inflow equals its assigned demand whenever the open plants
+    # can carry it.
+    instance, genotypes, holding_on_backorder = case
+    for row in decoded_rows(instance, genotypes):
+        assert_balanced(row, instance, holding_on_backorder)

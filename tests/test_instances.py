@@ -156,6 +156,25 @@ class TestLoadErrors:
         with pytest.raises(ValidationError, match="utilization must be a JSON number"):
             load_instance(path)
 
+    @pytest.mark.parametrize(
+        "name, value, entry",
+        [
+            ("demand", [[[True, 5.0]]], True),
+            ("demand", [[[5.0, False]]], False),
+            ("holding_cost", ["0.0"], "0.0"),
+            ("backorder_limit", [[[10.0, None]]], None),
+            ("raw_transport_cost", [[{"value": 1.0}]], {"value": 1.0}),
+        ],
+    )
+    def test_non_number_array_entry_rejected(self, tmp_path, name, value, entry):
+        path = save_instance(tiny_instance(), tmp_path / "t.json")
+        raw = json.loads(path.read_text())
+        raw[name] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError, match="array entries that are not JSON numbers") as err:
+            load_instance(path)
+        assert err.value.problems == [f"{name}: {entry!r}"]
+
 
 class TestGenerator:
     def test_same_seed_same_instance(self):
@@ -174,6 +193,12 @@ class TestGenerator:
         instance = generate_instance(replace(DESK, capacity_slack=1.0))
         assert instance.dc_capacity.sum() == instance.total_demand
         assert instance.invariant_problems() == []
+
+    def test_slack_one_generates_for_any_dimensions(self):
+        # These capacities sum one rounding step below the demand.
+        params = GeneratorParams(1, 1, 2, 3, 2, n_products=2, capacity_slack=1.0, seed=1)
+        instance = generate_instance(params)
+        assert instance.dc_capacity.sum() == pytest.approx(instance.total_demand, rel=1e-12)
 
     def test_capacity_totals_follow_slack(self):
         instance = generate_instance(replace(DESK, capacity_slack=1.25, utilization=2.0))

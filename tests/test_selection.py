@@ -1,4 +1,8 @@
-"""Comparison operator, tournament selection, and environmental selection."""
+"""Comparison operator, tournament selection, and environmental selection.
+
+The comparison and the tournament are the per-pair references in
+``oracles.py``; ``test_variation.py`` checks that the engine's pooled
+tournaments pick what they pick."""
 
 from __future__ import annotations
 
@@ -7,17 +11,10 @@ import copy
 import numpy as np
 import pytest
 
-from scnopt import (
-    Individual,
-    assign_ranks_and_crowding,
-    binary_tournament_select,
-    crowded_compare,
-    environmental_select,
-    fast_nondominated_sort,
-)
+from scnopt import Individual, assign_ranks_and_crowding, environmental_select, fast_nondominated_sort
 
 from conftest import random_population
-from oracles import oracle_environmental_select
+from oracles import binary_tournament_select, crowded_compare, oracle_environmental_select
 
 
 def ranked(rank, crowding, objectives=(0.0, 0.0)):
