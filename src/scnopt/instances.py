@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Instance, decode
+from .model import ARRAY_SHAPES, Instance, _decode_rows, _row_sums
 from .nsga2 import ParetoArchive
 
 __all__ = [
@@ -38,21 +38,8 @@ FORMAT_NAME = "scn-instance"
 FORMAT_VERSION = 1
 FRONT_CSV_HEADER = "total_cost,f2_raw,mean_delay_days"
 
-# JSON keys holding array payloads, with their Instance shape spec.
-SCHEMA_FIELDS = (
-    "supplier_capacity",
-    "plant_capacity",
-    "dc_capacity",
-    "demand",
-    "plant_fixed_cost",
-    "dc_fixed_cost",
-    "raw_material_unit_cost",
-    "raw_transport_cost",
-    "product_transport_plant_dc",
-    "product_transport_dc_retailer",
-    "holding_cost",
-    "backorder_limit",
-)
+# JSON keys holding array payloads, in Instance field order.
+SCHEMA_FIELDS = tuple(ARRAY_SHAPES)
 
 _DIMENSION_KEYS = ("suppliers", "plants", "dcs", "retailers", "products", "periods")
 
@@ -371,9 +358,10 @@ def front_rows(archive: ParetoArchive, instance: Instance) -> list[tuple[float, 
     if len(archive) == 0:
         raise ValueError("archive is empty; nothing to export")
     mean_period_demand = instance.total_demand / instance.n_periods
+    members = sorted(archive.members, key=lambda m: (float(m.objectives[0]), float(m.objectives[1])))
+    backlog_totals = _row_sums(_decode_rows(np.array([m.genotype for m in members]), instance).backlog)
     rows: list[tuple[float, float, float]] = []
-    for m in sorted(archive.members, key=lambda m: (float(m.objectives[0]), float(m.objectives[1]))):
-        backlog_total = float(decode(m.genotype, instance).backlog.sum())
+    for m, backlog_total in zip(members, backlog_totals.tolist()):
         days = backlog_total / mean_period_demand if mean_period_demand > 0 else 0.0
         rows.append((float(m.objectives[0]), float(m.objectives[1]), days))
     # Archive rows ascend strictly in cost and descend strictly in delay, so

@@ -37,12 +37,10 @@ def hypervolume_2d(front: Sequence[Sequence[float]] | np.ndarray, ref_point: Seq
     if np.any(points > ref):
         raise ValueError("every front point must weakly dominate the reference point")
 
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    area = 0.0
-    best_f2 = ref[1]
-    for i in order:
-        f1, f2 = points[i]
-        if f2 < best_f2:
-            area += (ref[0] - f1) * (best_f2 - f2)
-            best_f2 = f2
-    return float(area)
+    f1, f2 = points[np.lexsort((points[:, 1], points[:, 0]))].T
+    best_before = np.minimum.accumulate(np.concatenate(([ref[1]], f2[:-1])))
+    improves = f2 < best_before
+    if not improves.any():
+        return 0.0
+    # cumsum adds the rectangles one by one in sweep order, as the sweep does.
+    return float(np.cumsum((ref[0] - f1[improves]) * (best_before[improves] - f2[improves]))[-1])

@@ -37,6 +37,7 @@ __all__ = [
     "evaluate_batch",
     "SupplyChainProblem",
     "CONSTRAINT_FAMILIES",
+    "ARRAY_SHAPES",
 ]
 
 # Names of the constraint families scored by check_constraints, in order.
@@ -49,6 +50,24 @@ CONSTRAINT_FAMILIES = (
     "plant_capacity",           # production within plant capacity
     "single_assignment",        # every retailer served by exactly one DC
 )
+
+# Array fields of an Instance, in file order, with their shapes in the letters
+# of Instance.dimensions: S suppliers, K plants, J DCs, I retailers,
+# P products, T periods.
+ARRAY_SHAPES = {
+    "supplier_capacity": "S",               # raw-material units per horizon
+    "plant_capacity": "K",                  # raw-material-equivalent units per horizon
+    "dc_capacity": "J",                     # holding capacity, product units
+    "demand": "IPT",                        # retailer demand per product per period
+    "plant_fixed_cost": "K",                # cost of operating a plant
+    "dc_fixed_cost": "J",                   # cost of operating a DC
+    "raw_material_unit_cost": "S",          # per raw-material unit
+    "raw_transport_cost": "SK",             # per raw-material unit shipped
+    "product_transport_plant_dc": "KJ",     # per product unit shipped
+    "product_transport_dc_retailer": "JI",  # per product unit shipped
+    "holding_cost": "J",                    # per product unit held per period
+    "backorder_limit": "PJT",               # permitted backlog per cell
+}
 
 # Excess smaller than this (relative to the family scale) is treated as zero;
 # proportional repair leaves float residue on the order of 1e-16 of the flows.
@@ -65,22 +84,9 @@ _BATCH_BLOCK = 256
 class Instance:
     """Immutable problem data for one supply chain network design instance.
 
-    Shapes (S suppliers, K plants, J DCs, I retailers, P products, T periods):
-        supplier_capacity (S,)            raw-material units per horizon
-        plant_capacity (K,)               raw-material-equivalent units per horizon
-        dc_capacity (J,)                  holding capacity, product units
-        demand (I, P, T)                  retailer demand per product per period
-        plant_fixed_cost (K,)             cost of operating a plant
-        dc_fixed_cost (J,)                cost of operating a DC
-        raw_material_unit_cost (S,)       per raw-material unit
-        raw_transport_cost (S, K)         per raw-material unit shipped
-        product_transport_plant_dc (K, J) per product unit shipped
-        product_transport_dc_retailer (J, I) per product unit shipped
-        holding_cost (J,)                 per product unit held per period
-        utilization (scalar > 0)          raw-material units consumed per product unit
-        backorder_limit (P, J, T)         permitted backlog per cell
-
-    ``currency`` and ``time_unit`` are display metadata only.
+    The array fields and their shapes are listed in :data:`ARRAY_SHAPES`;
+    ``utilization`` (> 0) is the raw-material units consumed per product
+    unit.  ``currency`` and ``time_unit`` are display metadata only.
     """
 
     n_suppliers: int
@@ -106,21 +112,9 @@ class Instance:
     time_unit: str = "day"
 
     def __post_init__(self) -> None:
-        array_shapes = {
-            "supplier_capacity": (self.n_suppliers,),
-            "plant_capacity": (self.n_plants,),
-            "dc_capacity": (self.n_dcs,),
-            "demand": (self.n_retailers, self.n_products, self.n_periods),
-            "plant_fixed_cost": (self.n_plants,),
-            "dc_fixed_cost": (self.n_dcs,),
-            "raw_material_unit_cost": (self.n_suppliers,),
-            "raw_transport_cost": (self.n_suppliers, self.n_plants),
-            "product_transport_plant_dc": (self.n_plants, self.n_dcs),
-            "product_transport_dc_retailer": (self.n_dcs, self.n_retailers),
-            "holding_cost": (self.n_dcs,),
-            "backorder_limit": (self.n_products, self.n_dcs, self.n_periods),
-        }
-        for name, shape in array_shapes.items():
+        sizes = dict(zip("SKJIPT", self.dimensions))
+        for name, axes in ARRAY_SHAPES.items():
+            shape = tuple(sizes[axis] for axis in axes)
             value = np.asarray(getattr(self, name), dtype=float)
             if value.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
@@ -183,9 +177,8 @@ class Instance:
 
 
 def genotype_length(instance: Instance) -> int:
-    """Number of genes: K + J + S*K + K*J + J*I + J*T."""
-    s, k, j, i, _, t = instance.dimensions
-    return k + j + s * k + k * j + j * i + j * t
+    """Number of genes (see :class:`GenotypeLayout`)."""
+    return GenotypeLayout.for_instance(instance).length
 
 
 @dataclass(frozen=True)
@@ -381,30 +374,20 @@ def check_constraints(
     is the scalar violation used for constraint-domination — each family
     divided by its capacity scale so no family dominates purely by units.
     Excess below float-repair resolution is treated as zero.
+
+    The four families a decoded network can break come from the batch
+    scorer's :func:`_excess_rows`; the other three are scored here, because
+    a hand-built network can overdraw suppliers, overload plants or split a
+    retailer.
     """
-    u = instance.utilization
     excess = np.zeros(len(CONSTRAINT_FAMILIES))
-
-    excess[0] = np.maximum(network.on_hand - instance.dc_capacity[None, :, None], 0.0).sum()
-    excess[1] = np.maximum(network.backlog - instance.backorder_limit, 0.0).sum()
-
-    dc_in = network.product_flow.sum(axis=1)
-    dc_out = network.retail_flow.sum(axis=2)
-    excess[2] = np.maximum(dc_out - dc_in, 0.0).sum()
-
+    excess[_ROW_FAMILIES] = _excess_rows(_network_row(network, None), instance)[0]
     excess[3] = np.maximum(network.raw_flow.sum(axis=1) - instance.supplier_capacity, 0.0).sum()
-
     production = network.product_flow.sum(axis=(0, 2))
-    raw_in = network.raw_flow.sum(axis=0)
-    excess[4] = np.maximum(u * production - raw_in, 0.0).sum()
-    excess[5] = np.maximum(u * production - instance.plant_capacity, 0.0).sum()
-
+    excess[5] = np.maximum(instance.utilization * production - instance.plant_capacity, 0.0).sum()
     excess[6] = np.abs(network.assignment.sum(axis=0) - 1).sum()
-
-    scales = _constraint_scales(instance)
-    excess = np.where(excess > _EXCESS_RTOL * scales, excess, 0.0)
-    total = float((excess / scales).sum())
-    return excess, total
+    excess, total = _scored(excess, _constraint_scales(instance))
+    return excess, float(total)
 
 
 def evaluate(
@@ -417,11 +400,13 @@ def evaluate(
     return objectives[0], float(violations[0])
 
 
-# Batched evaluation: the only decoder and scorer.  Each function works over
-# a leading row axis, and the one-genotype functions above are views of one
-# row.  tests/oracles.py keeps the decoder as it ran one genotype at a time;
-# every row matches it bit for bit, because each function here takes the same
-# operations and reduces the same axes of the same memory layout.
+# Batched evaluation: the only statement of each model formula a run uses.
+# Each function works over a leading row axis; the one-genotype functions
+# above are views of one row, and check_constraints takes four of its seven
+# families from _excess_rows.  tests/oracles.py keeps the decoder and the
+# constraint scorer as they ran one genotype at a time; every row matches
+# them bit for bit, because each function here takes the same operations and
+# reduces the same axes of the same memory layout.
 
 
 def _allocate_rows(total: np.ndarray, weights: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -573,8 +558,13 @@ def _objective_rows(
     return np.stack([total_cost, _delay_rows(network)], axis=1)
 
 
-def _violation_rows(network: DecodedNetwork, instance: Instance) -> np.ndarray:
-    """The :func:`check_constraints` total of every row of a row-stacked network.
+# The families _excess_rows scores, as indices into CONSTRAINT_FAMILIES.
+_ROW_FAMILIES = [0, 1, 2, 4]
+
+
+def _excess_rows(network: DecodedNetwork, instance: Instance) -> np.ndarray:
+    """``(N, 4)`` excess of dc_holding_capacity, backorder_limit,
+    dc_flow_balance and plant_raw_balance for every row of a row-stacked network.
 
     supplier_capacity, plant_capacity and single_assignment are zero on every
     decoded network: allocation is capped at the supplier and plant budgets,
@@ -586,7 +576,7 @@ def _violation_rows(network: DecodedNetwork, instance: Instance) -> np.ndarray:
     dc_out = network.retail_flow.sum(axis=3)
     production = network.product_flow.sum(axis=(1, 3))
     raw_in = network.raw_flow.sum(axis=1)
-    excess = np.stack(
+    return np.stack(
         [
             _row_sums(np.maximum(network.on_hand - instance.dc_capacity[None, :, None], 0.0)),
             _row_sums(np.maximum(network.backlog - instance.backorder_limit, 0.0)),
@@ -595,9 +585,18 @@ def _violation_rows(network: DecodedNetwork, instance: Instance) -> np.ndarray:
         ],
         axis=1,
     )
-    scales = _constraint_scales(instance)[[0, 1, 2, 4]]  # the four families above
+
+
+def _scored(excess: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``excess`` with entries below float-repair resolution set to zero, and
+    its sum over the last axis in units of ``scales``: the violation total."""
     excess = np.where(excess > _EXCESS_RTOL * scales, excess, 0.0)
-    return (excess / scales).sum(axis=1)
+    return excess, (excess / scales).sum(axis=-1)
+
+
+def _violation_rows(network: DecodedNetwork, instance: Instance) -> np.ndarray:
+    """The :func:`check_constraints` total of every row of a row-stacked network."""
+    return _scored(_excess_rows(network, instance), _constraint_scales(instance)[_ROW_FAMILIES])[1]
 
 
 def evaluate_batch(

@@ -48,7 +48,7 @@ class Problem(Protocol):
     ``(N, L)`` matrix and returning ``(objectives (N, M), violations (N,))``
     whose row ``n`` is what ``evaluate(genotypes[n])`` returns.  Rows must be
     independent of each other.  The engine then calls it once per generation
-    in place of ``evaluate``; ``evaluate`` stays required as its reference.
+    in place of ``evaluate``.
     """
 
     genotype_length: int
@@ -64,14 +64,14 @@ class Problem(Protocol):
 
 @dataclass(eq=False)
 class Individual:
-    """One candidate solution: genotype plus (optional) evaluation results.
+    """One candidate solution: genotype plus its evaluation results.
 
     ``rank`` and ``crowding`` are populated by the sorting/selection machinery
     and stay ``None`` until then.
     """
 
     genotype: np.ndarray
-    objectives: np.ndarray | None = None
+    objectives: np.ndarray
     violation: float = 0.0
     rank: int | None = None
     crowding: float | None = None
@@ -82,10 +82,9 @@ class Individual:
             raise ValueError("genotype must be a one-dimensional vector")
         if np.any(self.genotype < 0.0) or np.any(self.genotype > 1.0):
             raise ValueError("genotype coordinates must lie in [0, 1]")
-        if self.objectives is not None:
-            self.objectives = np.asarray(self.objectives, dtype=float)
-            if not np.all(np.isfinite(self.objectives)):
-                raise ValueError("objectives must be finite")
+        self.objectives = np.asarray(self.objectives, dtype=float)
+        if not np.all(np.isfinite(self.objectives)):
+            raise ValueError("objectives must be finite")
         if not (math.isfinite(self.violation) and self.violation >= 0.0):
             raise ValueError("constraint violation must be finite and nonnegative")
 
@@ -96,10 +95,6 @@ class Individual:
         ind.genotype, ind.objectives, ind.violation = genotype, objectives, violation
         ind.rank = ind.crowding = None
         return ind
-
-    @property
-    def evaluated(self) -> bool:
-        return self.objectives is not None
 
     @property
     def feasible(self) -> bool:
@@ -165,8 +160,6 @@ def constrained_dominates(a: Individual, b: Individual) -> bool:
     A feasible individual beats any infeasible one; two infeasible individuals
     compare by total violation; two feasible ones compare by Pareto dominance.
     """
-    if not (a.evaluated and b.evaluated):
-        raise ValueError("both individuals must be evaluated before comparison")
     if a.feasible != b.feasible:
         return a.feasible
     if not a.feasible:
@@ -224,9 +217,6 @@ def fast_nondominated_sort(population: Sequence[Individual]) -> FrontPartition:
     n = len(population)
     if n == 0:
         raise ValueError("cannot sort an empty population")
-    for k, ind in enumerate(population):
-        if not ind.evaluated:
-            raise ValueError(f"individual {k} is not evaluated")
     objectives = np.array([ind.objectives for ind in population], dtype=float)
     violations = np.array([ind.violation for ind in population], dtype=float)
     feasible = violations == 0.0
@@ -374,20 +364,16 @@ def update_archive(archive: ParetoArchive, candidates: Sequence[Individual]) -> 
     members are mutually non-dominated with duplicates (by objective vector)
     removed, sorted by objectives.
     """
-    pool = list(archive.members)
-    for c in candidates:
-        if not c.evaluated:
-            raise ValueError("archive candidates must be evaluated")
-        if c.feasible:
-            pool.append(c)
+    pool = list(archive.members) + [c for c in candidates if c.feasible]
     if not pool:
         return ParetoArchive([])
     objectives = np.array([p.objectives for p in pool], dtype=float)
-    first: dict[tuple[float, ...], int] = {}
-    for i in _pareto_fronts(objectives)[0].tolist():
-        first.setdefault(tuple(objectives[i].tolist()), i)  # equal vectors: the earliest pool member stays
-    keep = sorted(first.values(), key=lambda i: tuple(objectives[i]))
-    return ParetoArchive([pool[i] for i in keep])
+    front = _pareto_fronts(objectives)[0]
+    front = front[np.lexsort(objectives[front].T[::-1])]  # stable: equal vectors keep pool order
+    values = objectives[front]
+    first = np.ones(len(front), dtype=bool)  # equal vectors: the earliest pool member stays
+    first[1:] = (values[1:] != values[:-1]).any(axis=1)
+    return ParetoArchive([pool[i] for i in front[first].tolist()])
 
 
 @dataclass

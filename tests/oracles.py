@@ -8,8 +8,10 @@ shared bug between library and test is unlikely.
 
 Two references keep code the package ran before it worked on whole blocks.
 The reference decoder decodes and scores one genotype at a time, one
-capped allocation per (product, DC) pair and per plant; the package's only
-decoder, ``scnopt.model._decode_rows``, must match it bit for bit.  The
+capped allocation per (product, DC) pair and per plant, with every
+constraint family written out for one network; the package's only decoder,
+``scnopt.model._decode_rows``, and its constraint scorer must match it bit
+for bit.  The
 reference engine is the generational loop as it ran one mating pair and one
 evaluated row at a time, with per-pair tournaments, crossover and mutation.
 """
@@ -22,6 +24,7 @@ import math
 import numpy as np
 
 from scnopt import (
+    CONSTRAINT_FAMILIES,
     DecodedNetwork,
     EvaluationError,
     EvolutionResult,
@@ -30,12 +33,11 @@ from scnopt import (
     Individual,
     ParetoArchive,
     assign_ranks_and_crowding,
-    check_constraints,
     environmental_select,
     genotype_length,
     update_archive,
 )
-from scnopt.model import _schedule_recursion
+from scnopt.model import _EXCESS_RTOL, _constraint_scales, _schedule_recursion
 
 
 def oracle_dominates(a, b) -> bool:
@@ -148,6 +150,22 @@ def oracle_hypervolume_2d(points, ref) -> float:
         if covering:
             area += (right - left) * (float(ref[1]) - min(covering))
     return area
+
+
+def reference_hypervolume_sweep(points, ref) -> float:
+    """Bi-objective hypervolume by the per-point sweep ``hypervolume_2d`` ran
+    before it worked on arrays: its area must equal this one bit for bit."""
+    points = np.asarray(points, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    area = 0.0
+    best_f2 = ref[1]
+    for i in order:
+        f1, f2 = points[i]
+        if f2 < best_f2:
+            area += (ref[0] - f1) * (best_f2 - f2)
+            best_f2 = f2
+    return float(area)
 
 
 def enumerate_reference_front(instance, build_network, eval_cost, eval_delay, check, grid):
@@ -382,6 +400,43 @@ def reference_eval_delay(network: DecodedNetwork) -> float:
     return float((network.backlog + network.on_hand).sum())
 
 
+def reference_check_constraints(
+    network: DecodedNetwork,
+    instance,
+) -> tuple[np.ndarray, float]:
+    """Score the seven constraint families of a decoded network.
+
+    Returns ``(excess, total)``: ``excess[f]`` is the summed magnitude of
+    violation in family ``f`` (see :data:`CONSTRAINT_FAMILIES`), and ``total``
+    is the scalar violation used for constraint-domination — each family
+    divided by its capacity scale so no family dominates purely by units.
+    Excess below float-repair resolution is treated as zero.
+    """
+    u = instance.utilization
+    excess = np.zeros(len(CONSTRAINT_FAMILIES))
+
+    excess[0] = np.maximum(network.on_hand - instance.dc_capacity[None, :, None], 0.0).sum()
+    excess[1] = np.maximum(network.backlog - instance.backorder_limit, 0.0).sum()
+
+    dc_in = network.product_flow.sum(axis=1)
+    dc_out = network.retail_flow.sum(axis=2)
+    excess[2] = np.maximum(dc_out - dc_in, 0.0).sum()
+
+    excess[3] = np.maximum(network.raw_flow.sum(axis=1) - instance.supplier_capacity, 0.0).sum()
+
+    production = network.product_flow.sum(axis=(0, 2))
+    raw_in = network.raw_flow.sum(axis=0)
+    excess[4] = np.maximum(u * production - raw_in, 0.0).sum()
+    excess[5] = np.maximum(u * production - instance.plant_capacity, 0.0).sum()
+
+    excess[6] = np.abs(network.assignment.sum(axis=0) - 1).sum()
+
+    scales = _constraint_scales(instance)
+    excess = np.where(excess > _EXCESS_RTOL * scales, excess, 0.0)
+    total = float((excess / scales).sum())
+    return excess, total
+
+
 def reference_evaluate_genotype(
     genotype: np.ndarray,
     instance,
@@ -391,7 +446,7 @@ def reference_evaluate_genotype(
     network = reference_decode(genotype, instance)
     total_cost = reference_eval_total_cost(network, instance, holding_on_backorder)
     delay = reference_eval_delay(network)
-    _, violation = check_constraints(network, instance)
+    _, violation = reference_check_constraints(network, instance)
     return np.array([total_cost, delay]), violation
 
 

@@ -4,8 +4,10 @@ Decoding caps every allocation at the plant and supplier budgets and assigns
 each retailer to one DC, so three constraint families can never fire on a
 decoded network and the batch evaluator does not score them.  These tests
 prove that, check that the batch decoder's rows and the one-genotype views
-equal the reference decoder in ``oracles.py`` bit for bit, and check mass
-balance at each echelon and the cost's sum of terms.
+equal the reference decoder in ``oracles.py`` bit for bit, check that
+``check_constraints`` equals the reference constraint scorer on decoded and
+hand-edited networks, and check mass balance at each echelon and the cost's
+sum of terms.
 
 The reference decoder keeps an old underflow: weights near the smallest
 subnormal double lose their precision in proportional allocation.  So the
@@ -40,6 +42,7 @@ from scnopt.model import _decode_rows, _network_row
 
 from oracles import (
     reference_allocate_with_caps,
+    reference_check_constraints,
     reference_decode,
     reference_eval_delay,
     reference_eval_total_cost,
@@ -168,6 +171,49 @@ def test_allocation_matches_reference(total, bins):
     assert np.array_equal(allocation, expected)
     # The reference may report a residue up to its stopping tolerance; the view reports 0.0 there.
     assert shortfall == (expected_shortfall if expected_shortfall > 1e-12 * max(1.0, total) else 0.0)
+
+
+# Hand edits of a decoded network that break the constraint families decoding
+# keeps clean, and raise the ones it can break.
+NETWORK_EDITS = (
+    "raise stock", "raise backlog", "scale product flows", "add raw flow", "split or empty assignment"
+)
+
+
+def edit_network(network, instance, edits, rng, factor):
+    def raised(values, top):
+        return values + top * rng.random(values.shape)
+
+    if "raise stock" in edits:
+        network = replace(network, on_hand=raised(network.on_hand, 2 * instance.dc_capacity.max()))
+    if "raise backlog" in edits:
+        network = replace(network, backlog=raised(network.backlog, 2 * instance.backorder_limit.max()))
+    if "scale product flows" in edits:
+        network = replace(network, product_flow=factor * network.product_flow)
+    if "add raw flow" in edits:
+        network = replace(network, raw_flow=raised(network.raw_flow, instance.supplier_capacity.max()))
+    if "split or empty assignment" in edits:
+        assignment = network.assignment.copy()
+        # one retailer goes to a random subset of DCs: several, one, or none
+        assignment[:, rng.integers(instance.n_retailers)] = rng.random(instance.n_dcs) < 0.5
+        network = replace(network, assignment=assignment)
+    return network
+
+
+@PROPERTY
+@given(cases(), st.sets(st.sampled_from(NETWORK_EDITS)), st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
+def test_constraint_scores_match_reference(case, edits, factor, seed):
+    # check_constraints takes four families from the batch scorer and scores
+    # three itself; all seven must equal the scalar reference exactly, on
+    # decoded rows and on hand-edited networks that break any family.
+    instance, genotypes, _ = case
+    rng = np.random.default_rng(seed)
+    for row in decoded_rows(instance, genotypes):
+        for network in (row, edit_network(row, instance, edits, rng, factor)):
+            excess, total = check_constraints(network, instance)
+            expected_excess, expected_total = reference_check_constraints(network, instance)
+            assert np.array_equal(excess, expected_excess)
+            assert total == expected_total
 
 
 def cost_terms(network, instance, holding_on_backorder):

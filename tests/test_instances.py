@@ -11,6 +11,7 @@ import pytest
 
 from scnopt import (
     FRONT_CSV_HEADER,
+    EngineConfig,
     GeneratorParams,
     Individual,
     ParetoArchive,
@@ -23,9 +24,13 @@ from scnopt import (
     load_instance,
     save_front,
     save_instance,
+    SupplyChainProblem,
+    evolve,
     tiny_instance,
 )
 from scnopt.instances import SCHEMA_FIELDS
+
+from oracles import reference_decode
 
 DESK = GeneratorParams(n_suppliers=3, n_plants=2, n_dcs=3, n_retailers=8, n_periods=7)
 
@@ -292,6 +297,53 @@ class TestFrontExport:
     def test_empty_archive_raises(self, tiny):
         with pytest.raises(ValueError, match="empty"):
             front_rows(ParetoArchive(), tiny)
+
+
+def reference_front_rows(members, instance):
+    """Front rows from each member decoded on its own by the reference decoder."""
+    mean_period_demand = instance.total_demand / instance.n_periods
+    rows = sorted(
+        (float(m.objectives[0]), float(m.objectives[1]),
+         float(reference_decode(m.genotype, instance).backlog.sum()) / mean_period_demand)
+        for m in members
+    )
+    # the last row of each rounded-cost group carries its best delay
+    return list({round(row[0]): row for row in rows}.values())
+
+
+@pytest.fixture(scope="module")
+def run_archives():
+    """Archives of short runs on desk (about 35 members) and sbc-scale (about 20)."""
+    archives = {}
+    for name, generations in [("desk", 100), ("sbc-scale", 30)]:
+        instance = generate_preset(name)
+        config = EngineConfig(population_size=100, generations=generations, seed=3)
+        archives[name] = instance, evolve(SupplyChainProblem(instance), config).archive
+    return archives
+
+
+class TestFrontRowsMatchReferenceDecoder:
+    @pytest.mark.parametrize("name", ["desk", "sbc-scale"])
+    def test_run_archive(self, run_archives, name):
+        instance, archive = run_archives[name]
+        assert len(archive) > 10
+        assert front_rows(archive, instance) == reference_front_rows(archive.members, instance)
+
+    @pytest.mark.parametrize("name", ["desk", "sbc-scale"])
+    def test_one_member(self, run_archives, name):
+        instance, archive = run_archives[name]
+        member = archive.members[len(archive) // 2]
+        rows = front_rows(ParetoArchive([member]), instance)
+        assert rows == reference_front_rows([member], instance)
+        assert len(rows) == 1
+
+    @pytest.mark.parametrize("name", ["desk", "sbc-scale"])
+    def test_members_out_of_objective_order(self, run_archives, name):
+        instance, archive = run_archives[name]
+        shuffled = list(archive.members)
+        np.random.default_rng(4).shuffle(shuffled)
+        assert [m.objectives[0] for m in shuffled] != sorted(m.objectives[0] for m in shuffled)
+        assert front_rows(ParetoArchive(shuffled), instance) == reference_front_rows(archive.members, instance)
 
 
 class TestUpstreamCapacity:

@@ -7,7 +7,7 @@ import pytest
 
 from scnopt import hypervolume_2d
 
-from oracles import oracle_hypervolume_2d
+from oracles import oracle_hypervolume_2d, reference_hypervolume_sweep
 
 
 class TestHandValues:
@@ -88,3 +88,15 @@ class TestAgainstOracle:
             points = rng.random((n, 2))
             expected = oracle_hypervolume_2d(points, ref)
             assert hypervolume_2d(points, ref) == pytest.approx(expected, abs=1e-12)
+
+    def test_random_fronts_match_the_sweep_bit_for_bit(self):
+        # report.json's hypervolumes are compared byte for byte, so the area
+        # must add the rectangles in sweep order, as the per-point sweep did.
+        rng = np.random.default_rng(7)
+        ref = (1.25, 1.1)
+        for _ in range(300):
+            n = int(rng.integers(1, 80))
+            front = np.column_stack([np.sort(rng.random(n)), np.sort(rng.random(n))[::-1]])
+            points = np.concatenate([front, front[: n // 4], rng.random((n // 2, 2))])
+            rng.shuffle(points)
+            assert hypervolume_2d(points, ref) == reference_hypervolume_sweep(points, ref)

@@ -61,8 +61,9 @@ def test_empty_population_raises():
 
 
 def test_unevaluated_member_raises():
-    with pytest.raises(ValueError):
-        fast_nondominated_sort([Individual(np.zeros(1))])
+    # an Individual cannot exist without objectives, so no sort ever sees one
+    with pytest.raises(TypeError):
+        Individual(np.zeros(1))
 
 
 def test_partition_invariants_on_random_populations():
