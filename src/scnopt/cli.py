@@ -17,7 +17,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .instances import (
 )
 from .metrics import hypervolume_2d
 from .model import SupplyChainProblem
-from .nsga2 import EngineConfig, EvaluationError, EvolutionResult, evolve
+from .nsga2 import PM_ETA, SBX_ETA, EngineConfig, EvaluationError, EvolutionResult, evolve
 
 __all__ = ["main", "cmd_run", "cmd_generate", "RunReport", "build_parser", "resolve_engine_config"]
 
@@ -43,7 +43,7 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 PAPER_PARAMS = {
-    "pop_size": 1290,
+    "population_size": 1290,
     "generations": 500,
     "crossover_prob": 0.6,
     "mutation_prob": 0.01,
@@ -137,22 +137,8 @@ def resolve_engine_config(args: argparse.Namespace) -> EngineConfig:
     ``--paper-params`` overrides the four search parameters with the published
     set; the seed always comes from its own flag.
     """
-    pop_size = args.pop_size
-    generations = args.generations
-    crossover_prob = args.crossover_prob
-    mutation_prob = args.mutation_prob
-    if args.paper_params:
-        pop_size = PAPER_PARAMS["pop_size"]
-        generations = PAPER_PARAMS["generations"]
-        crossover_prob = PAPER_PARAMS["crossover_prob"]
-        mutation_prob = PAPER_PARAMS["mutation_prob"]
-    return EngineConfig(
-        population_size=pop_size,
-        generations=generations,
-        crossover_prob=crossover_prob,
-        mutation_prob=mutation_prob,
-        seed=args.seed,
-    )
+    search = PAPER_PARAMS if args.paper_params else {name: getattr(args, name) for name in PAPER_PARAMS}
+    return EngineConfig(**search, seed=args.seed)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -174,13 +160,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     # The instance is recorded by content, so runs of one file reached by two paths report alike.
     config_echo = {
         "instance_sha256": hashlib.sha256(Path(args.instance).read_bytes()).hexdigest(),
-        "population_size": config.population_size,
-        "generations": config.generations,
-        "crossover_prob": config.crossover_prob,
-        "mutation_prob": config.mutation_prob,
-        "sbx_eta": config.sbx_eta,
-        "pm_eta": config.pm_eta,
-        "seed": config.seed,
+        **asdict(config),
+        "sbx_eta": SBX_ETA,
+        "pm_eta": PM_ETA,
         "holding_on_backorder": args.holding_on_backorder,
         "paper_params": bool(args.paper_params),
     }
@@ -232,14 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
     run = subparsers.add_parser("run", help="optimize one instance and export the front")
     run.add_argument("--instance", required=True, help="path to an instance JSON file")
     run.add_argument("--out", required=True, help="output directory for front/report/plot files")
-    run.add_argument("--pop-size", type=int, default=100, dest="pop_size")
-    run.add_argument("--generations", type=int, default=200)
-    run.add_argument("--crossover-prob", type=float, default=0.6, dest="crossover_prob")
-    run.add_argument("--mutation-prob", type=float, default=0.01, dest="mutation_prob")
-    run.add_argument("--seed", type=int, default=42)
+    defaults = EngineConfig()
+    run.add_argument("--pop-size", type=int, default=defaults.population_size, dest="population_size")
+    run.add_argument("--generations", type=int, default=defaults.generations)
+    run.add_argument("--crossover-prob", type=float, default=defaults.crossover_prob, dest="crossover_prob")
+    run.add_argument("--mutation-prob", type=float, default=defaults.mutation_prob, dest="mutation_prob")
+    run.add_argument("--seed", type=int, default=defaults.seed)
+    published = ", ".join(f"{name}={value}" for name, value in PAPER_PARAMS.items())
     run.add_argument("--paper-params", action="store_true", dest="paper_params",
-                     help="use the published parameter set: population 1290, 500 generations, "
-                          "crossover 0.6, mutation 0.01")
+                     help=f"use the published parameter set: {published}")
     run.add_argument("--holding-on-backorder", action="store_true", dest="holding_on_backorder",
                      help="charge holding cost on backlog instead of on-hand stock")
     run.set_defaults(func=cmd_run)

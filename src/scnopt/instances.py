@@ -62,8 +62,8 @@ def load_instance(path: str | Path) -> Instance:
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as err:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise ValidationError(f"cannot read instance file {path}: {err}") from err
     try:
         raw = json.loads(text)
@@ -72,6 +72,8 @@ def load_instance(path: str | Path) -> Instance:
             f"instance file {path} is not valid JSON "
             f"(line {err.lineno}, column {err.colno}: {err.msg})"
         ) from err
+    except RecursionError as err:
+        raise ValidationError(f"instance file {path} nests JSON too deeply to parse") from err
     if not isinstance(raw, dict):
         raise ValidationError(f"instance file {path} must hold a JSON object")
     if raw.get("format") != FORMAT_NAME:
@@ -129,7 +131,7 @@ def load_instance(path: str | Path) -> Instance:
             time_unit=str(raw.get("time_unit", "day")),
             **{name: np.asarray(raw[name], dtype=float) for name in SCHEMA_FIELDS},
         )
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ValidationError(f"instance file {path} has malformed content: {err}") from err
 
     problems = instance.invariant_problems()
@@ -139,10 +141,17 @@ def load_instance(path: str | Path) -> Instance:
 
 
 def _non_numbers(value) -> list:
-    """Entries of a nested JSON array that are not numbers, in document order."""
-    if isinstance(value, list):
-        return [entry for item in value for entry in _non_numbers(item)]
-    return [value] if isinstance(value, bool) or not isinstance(value, (int, float)) else []
+    """Entries of a nested JSON array that are not numbers, in document order.
+
+    A stack instead of recursion: a parsed array can nest deeper than Python's call depth."""
+    found, stack = [], [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(reversed(item))
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            found.append(item)
+    return found
 
 
 def save_instance(instance: Instance, path: str | Path) -> Path:
@@ -182,10 +191,7 @@ class GeneratorParams:
     cost_scale: float = 25.0
     utilization: float = 1.0
     capacity_slack: float = 1.3
-    backorder_allowance: float = 1.0
     seed: int = 0
-    currency: str = "TZS/week"
-    time_unit: str = "day"
 
     def __post_init__(self) -> None:
         dims = (
@@ -202,8 +208,6 @@ class GeneratorParams:
             raise ValueError("capacity_slack must be >= 1")
         if self.demand_scale <= 0 or self.cost_scale <= 0 or self.utilization <= 0:
             raise ValueError("demand_scale, cost_scale, and utilization must be positive")
-        if self.backorder_allowance < 0:
-            raise ValueError("backorder_allowance must be nonnegative")
 
 
 PRESETS: dict[str, GeneratorParams] = {
@@ -302,9 +306,7 @@ def generate_instance(params: GeneratorParams) -> Instance:
     dc_fixed_cost = 0.10 * cost * total_demand / j * rng.uniform(0.8, 1.2, j)
 
     mean_period_dc_demand = total_demand / (j * t)
-    backorder_limit = (
-        params.backorder_allowance * mean_period_dc_demand * rng.uniform(0.75, 1.25, (p, j, t))
-    )
+    backorder_limit = mean_period_dc_demand * rng.uniform(0.75, 1.25, (p, j, t))
 
     instance = Instance(
         n_suppliers=s,
@@ -326,8 +328,6 @@ def generate_instance(params: GeneratorParams) -> Instance:
         holding_cost=holding_cost,
         utilization=u,
         backorder_limit=backorder_limit,
-        currency=params.currency,
-        time_unit=params.time_unit,
     )
     problems = instance.invariant_problems()
     if problems:  # defensive: construction above should always be consistent

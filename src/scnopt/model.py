@@ -140,6 +140,7 @@ class Instance:
     def genotype_length(self) -> int:
         return genotype_length(self)
 
+    @np.errstate(over="ignore")  # totals of huge finite entries may overflow to inf; the comparisons handle inf
     def invariant_problems(self) -> list[str]:
         """Every violated instance invariant, empty when the instance is sound."""
         problems: list[str] = []
@@ -166,7 +167,7 @@ class Instance:
         # Upstream capacity is in raw-material units; below utilization x demand
         # no design can be feasible.
         need = self.utilization * self.demand.sum()
-        if np.isfinite(need):
+        if np.isfinite(self.utilization) and np.all(np.isfinite(self.demand)):
             for name in ("plant_capacity", "supplier_capacity"):
                 total = getattr(self, name).sum()
                 if total < need * (1.0 - 1e-9):
@@ -215,7 +216,6 @@ class DecodedNetwork:
     raw_flow: np.ndarray
     product_flow: np.ndarray
     retail_flow: np.ndarray
-    assigned_demand: np.ndarray
     inflow: np.ndarray
     on_hand: np.ndarray
     backlog: np.ndarray
@@ -294,12 +294,7 @@ def _schedule_recursion(inflow: np.ndarray, demand: np.ndarray) -> tuple[np.ndar
     return on_hand, backlog
 
 
-def simulate_schedule(
-    inflow: Sequence[float],
-    demand: Sequence[float],
-    holding_capacity: float,
-    backorder_limit: Sequence[float] | float,
-) -> tuple[np.ndarray, np.ndarray]:
+def simulate_schedule(inflow: Sequence[float], demand: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Simulate one DC's per-period stock and backlog for a single product.
 
     Each period, arriving units plus carried stock ship against current demand
@@ -311,9 +306,8 @@ def simulate_schedule(
         z_t         = available_t - shipped_t
         b_t         = b_{t-1} + demand_t - shipped_t
 
-    ``holding_capacity`` and ``backorder_limit`` describe the cell's bounds;
-    the recursion never clips against them — excess is scored by
-    :func:`check_constraints`, not here.
+    The recursion never clips against the cell's holding or backorder bounds;
+    excess is scored by :func:`check_constraints`, not here.
     """
     inflow_arr = np.asarray(inflow, dtype=float)
     demand_arr = np.asarray(demand, dtype=float)
@@ -321,8 +315,6 @@ def simulate_schedule(
         raise ValueError("inflow and demand must be equal-length 1-D series")
     if np.any(inflow_arr < 0) or np.any(demand_arr < 0):
         raise ValueError("inflow and demand must be nonnegative")
-    if holding_capacity < 0 or np.any(np.asarray(backorder_limit, dtype=float) < 0):
-        raise ValueError("capacities must be nonnegative")
     on_hand, backlog = _schedule_recursion(
         inflow_arr.reshape(1, -1), demand_arr.reshape(1, -1)
     )
@@ -519,7 +511,6 @@ def _decode_rows(g: np.ndarray, instance: Instance) -> DecodedNetwork:
         raw_flow=raw_flow,
         product_flow=product_flow,
         retail_flow=retail_flow,
-        assigned_demand=assigned_demand,
         inflow=inflow,
         on_hand=on_hand,
         backlog=backlog,

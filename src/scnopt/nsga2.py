@@ -21,6 +21,8 @@ __all__ = [
     "EvaluationError",
     "Individual",
     "EngineConfig",
+    "SBX_ETA",
+    "PM_ETA",
     "FrontPartition",
     "ParetoArchive",
     "GenerationRecord",
@@ -101,6 +103,11 @@ class Individual:
         return self.violation == 0.0
 
 
+# Distribution indices of SBX crossover and polynomial mutation.
+SBX_ETA = 15.0
+PM_ETA = 20.0
+
+
 @dataclass
 class EngineConfig:
     """Run parameters for :func:`evolve`.
@@ -112,8 +119,6 @@ class EngineConfig:
     generations: int = 200
     crossover_prob: float = 0.6
     mutation_prob: float = 0.01
-    sbx_eta: float = 15.0
-    pm_eta: float = 20.0
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -125,8 +130,6 @@ class EngineConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.sbx_eta <= 0 or self.pm_eta <= 0:
-            raise ValueError("distribution indices must be positive")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -529,11 +532,11 @@ def _make_offspring(
         crossing = np.flatnonzero(crosses)
         if crossing.size:
             block[crossing, 0], block[crossing, 1] = _sbx_children(
-                block[crossing, 0], block[crossing, 1], draws[crossing, :length], config.sbx_eta
+                block[crossing, 0], block[crossing, 1], draws[crossing, :length], SBX_ETA
             )
         mutation = draws[:, length:].reshape(size, 2, 2, length)
         mask = mutation[:, :, 0] < config.mutation_prob
-        block[mask] = _perturb(block[mask], mutation[:, :, 1][mask], config.pm_eta)
+        block[mask] = _perturb(block[mask], mutation[:, :, 1][mask], PM_ETA)
         children[2 * start: 2 * (start + size)] = block.reshape(2 * size, length)
     return children
 

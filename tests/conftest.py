@@ -149,7 +149,6 @@ def build_duo_network(instance, plants, dcs, assignment, splits, timings) -> Dec
         raw_flow=raw_flow,
         product_flow=product_flow,
         retail_flow=retail_flow,
-        assigned_demand=assigned_demand,
         inflow=inflow,
         on_hand=on_hand,
         backlog=backlog,

@@ -8,8 +8,9 @@ shared bug between library and test is unlikely.
 
 Two references keep code the package ran before it worked on whole blocks.
 The reference decoder decodes and scores one genotype at a time, one
-capped allocation per (product, DC) pair and per plant, with every
-constraint family written out for one network; the package's only decoder,
+capped allocation per (product, DC) pair and per plant, its own
+per-period stock/backlog recursion, and every constraint family written
+out for one network; the package's only decoder,
 ``scnopt.model._decode_rows``, and its constraint scorer must match it bit
 for bit.  The
 reference engine is the generational loop as it ran one mating pair and one
@@ -30,6 +31,8 @@ from scnopt import (
     EvolutionResult,
     GenerationRecord,
     GenotypeLayout,
+    PM_ETA,
+    SBX_ETA,
     Individual,
     ParetoArchive,
     assign_ranks_and_crowding,
@@ -37,7 +40,7 @@ from scnopt import (
     genotype_length,
     update_archive,
 )
-from scnopt.model import _EXCESS_RTOL, _constraint_scales, _schedule_recursion
+from scnopt.model import _EXCESS_RTOL, _constraint_scales
 
 
 def oracle_dominates(a, b) -> bool:
@@ -348,7 +351,19 @@ def reference_decode(genotype: np.ndarray, instance) -> DecodedNetwork:
     )
     dc_inflow_total = product_flow.sum(axis=1)  # (P, J)
     inflow = dc_inflow_total[:, :, None] * period_share[None, :, :]
-    on_hand, backlog = _schedule_recursion(inflow, assigned_demand)
+
+    # Stock/backlog recursion: arrivals plus stock ship against demand plus backlog.
+    on_hand = np.zeros((p, j, t))
+    backlog = np.zeros((p, j, t))
+    stock = np.zeros((p, j))
+    owed = np.zeros((p, j))
+    for period in range(t):
+        available = stock + inflow[:, :, period]
+        shipped = np.minimum(available, assigned_demand[:, :, period] + owed)
+        stock = available - shipped
+        owed = owed + assigned_demand[:, :, period] - shipped
+        on_hand[:, :, period] = stock
+        backlog[:, :, period] = owed
 
     return DecodedNetwork(
         plant_open=plant_open,
@@ -357,7 +372,6 @@ def reference_decode(genotype: np.ndarray, instance) -> DecodedNetwork:
         raw_flow=raw_flow,
         product_flow=product_flow,
         retail_flow=retail_flow,
-        assigned_demand=assigned_demand,
         inflow=inflow,
         on_hand=on_hand,
         backlog=backlog,
@@ -503,7 +517,7 @@ def reference_sbx_crossover(parent1, parent2, config, rng):
     p2 = np.asarray(parent2, dtype=float)
     if rng.random() >= config.crossover_prob:
         return p1.copy(), p2.copy()
-    exponent = 1.0 / (config.sbx_eta + 1.0)
+    exponent = 1.0 / (SBX_ETA + 1.0)
     u = rng.random(p1.shape[0])
     beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent)
     child1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
@@ -516,10 +530,10 @@ def reference_polynomial_mutation(genotype, config, rng):
     g = np.asarray(genotype, dtype=float)
     mask = rng.random(g.shape[0]) < config.mutation_prob
     u = rng.random(g.shape[0])
-    exponent = 1.0 / (config.pm_eta + 1.0)
+    exponent = 1.0 / (PM_ETA + 1.0)
     to_upper = 1.0 - g
-    delta_low = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - g) ** (config.pm_eta + 1.0)) ** exponent - 1.0
-    delta_high = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - to_upper) ** (config.pm_eta + 1.0)) ** exponent
+    delta_low = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - g) ** (PM_ETA + 1.0)) ** exponent - 1.0
+    delta_high = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - to_upper) ** (PM_ETA + 1.0)) ** exponent
     delta = np.where(u <= 0.5, delta_low, delta_high)
     return np.clip(np.where(mask, g + delta, g), 0.0, 1.0)
 

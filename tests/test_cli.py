@@ -174,16 +174,25 @@ class TestExitCodes:
             ('"utilization": 1.0', '"utilization": true', "utilization must be a JSON number"),
             ('"dimensions": {', '"dimensions": 5, "unused": {', "dimensions must be a JSON object"),
             ('"demand": [\n    [\n      [\n        5.0', '"demand": [[[true', "demand: True"),
+            pytest.param("{", "\xff\xfe{", "cannot read instance file", id="not-utf8"),
+            pytest.param('"currency": "TZS/week"', '"currency": ' + "[" * 100_000 + "]" * 100_000,
+                         "nests JSON too deeply", id="deep-nesting"),
+            pytest.param('"demand": [\n    [\n      [\n        5.0', '"demand": [[[' + str(10**400),
+                         "int too large", id="huge-demand-entry"),
+            pytest.param('"utilization": 1.0', '"utilization": ' + str(10**400), "int too large",
+                         id="huge-utilization"),
         ],
     )
     def test_impossible_instance_values_are_validation(
         self, tiny_path, tmp_path, capsys, old, new, reported
     ):
-        tiny_path.write_text(tiny_path.read_text().replace(old, new))
+        # The file is ASCII, so latin-1 changes only the non-UTF-8 case: it writes "\xff" as byte 0xff.
+        tiny_path.write_text(tiny_path.read_text().replace(old, new, 1), encoding="latin-1")
         code = main(["run", "--instance", str(tiny_path), "--out", str(tmp_path / "o"),
                      "--pop-size", "12", "--generations", "2"])
         assert code == EXIT_VALIDATION
         assert reported in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name", ["plant_capacity", "supplier_capacity"])
     def test_short_upstream_capacity_is_validation(self, tmp_path, capsys, name):
@@ -220,7 +229,7 @@ class TestExitCodes:
 class TestPaperParams:
     def test_published_parameter_set(self):
         assert PAPER_PARAMS == {
-            "pop_size": 1290,
+            "population_size": 1290,
             "generations": 500,
             "crossover_prob": 0.6,
             "mutation_prob": 0.01,

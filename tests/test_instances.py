@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import json
 import re
+import tempfile
 from dataclasses import replace
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scnopt import (
     FRONT_CSV_HEADER,
     EngineConfig,
     GeneratorParams,
     Individual,
+    Instance,
     ParetoArchive,
     ValidationError,
     evaluate_batch,
@@ -179,6 +184,139 @@ class TestLoadErrors:
         with pytest.raises(ValidationError, match="array entries that are not JSON numbers") as err:
             load_instance(path)
         assert err.value.problems == [f"{name}: {entry!r}"]
+
+    @pytest.mark.parametrize(
+        "old, new, reported",
+        [
+            ('"utilization": 1.0', '"utilization": 1e308', "total plant capacity is below utilization x total demand"),
+            ('"demand": [\n    [\n      [\n        5.0,\n        5.0\n      ]\n    ]\n  ]',
+             '"demand": [[[1e308, 1e308]]]', "total demand exceeds total DC holding capacity"),
+        ],
+        ids=["utilization", "demand"],
+    )
+    def test_totals_beyond_double_range_rejected(self, tmp_path, old, new, reported):
+        # the totals overflow to inf without a numeric warning (warnings fail the tests)
+        path = save_instance(tiny_instance(), tmp_path / "t.json")
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(ValidationError, match="violates invariants") as err:
+            load_instance(path)
+        assert any(problem.startswith(reported) for problem in err.value.problems)
+
+    def test_non_utf8_bytes_rejected(self, tmp_path):
+        path = save_instance(tiny_instance(), tmp_path / "t.json")
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        with pytest.raises(ValidationError, match=f"cannot read instance file {re.escape(str(path))}"):
+            load_instance(path)
+
+    def test_nesting_beyond_the_parser_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValidationError, match=f"instance file {re.escape(str(path))} nests JSON too deeply"):
+            load_instance(path)
+
+    def test_deeply_nested_array_field_rejected(self, tmp_path):
+        # parses, but nests deeper than a recursive walk of the entries could go
+        path = save_instance(tiny_instance(), tmp_path / "t.json")
+        deep = "[" * 600 + "0.0" + "]" * 600
+        path.write_text(path.read_text().replace('"holding_cost": [\n    0.0\n  ]', f'"holding_cost": {deep}'))
+        with pytest.raises(ValidationError, match="malformed content"):
+            load_instance(path)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"demand": [\n    [\n      [\n        5.0', '"demand": [[[' + str(10**400)),
+            ('"utilization": 1.0', '"utilization": ' + str(10**400)),
+        ],
+        ids=["array-entry", "utilization"],
+    )
+    def test_integer_beyond_double_range_rejected(self, tmp_path, old, new):
+        path = save_instance(tiny_instance(), tmp_path / "t.json")
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(ValidationError, match=f"instance file {re.escape(str(path))} has malformed content"):
+            load_instance(path)
+
+
+class Nested:
+    """A JSON array nested ``depth`` deep around one zero, written out as text."""
+
+    def __init__(self, depth: int) -> None:
+        self.depth = depth
+
+
+def json_text(value) -> str:
+    """``json.dumps`` that also writes :class:`Nested` values (too deep for the encoder)."""
+    if isinstance(value, Nested):
+        return "[" * value.depth + "0" + "]" * value.depth
+    if isinstance(value, list):
+        return "[" + ", ".join(json_text(item) for item in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(key)}: {json_text(item)}" for key, item in value.items()) + "}"
+    return json.dumps(value)
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(),  # NaN and +-inf included; json writes them as NaN and Infinity
+        st.text(max_size=4),
+        st.sampled_from([10**400, -(10**400), 1e308, 0, 1.0]),
+        st.sampled_from([2, 600, 100_000]).map(Nested),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@cache
+def saved_text(preset: str) -> str:
+    with tempfile.TemporaryDirectory() as directory:
+        return save_instance(generate_preset(preset), Path(directory) / "instance.json").read_text()
+
+
+@st.composite
+def damaged_files(draw) -> bytes:
+    """A saved tiny or desk file with one field, dimension or array entry
+    replaced by an arbitrary JSON value, or with its bytes damaged."""
+    raw = json.loads(saved_text(draw(st.sampled_from(["tiny", "desk"]))))
+    edit = draw(st.sampled_from(["field", "dimension", "entry", "truncate", "byte", "not-utf8", "wrap"]))
+    if edit == "field":
+        raw[draw(st.sampled_from(sorted(raw)))] = draw(JSON_VALUES)
+    elif edit == "dimension":
+        raw["dimensions"][draw(st.sampled_from(sorted(raw["dimensions"])))] = draw(JSON_VALUES)
+    elif edit == "entry":
+        cells = raw[draw(st.sampled_from(SCHEMA_FIELDS))]
+        index = draw(st.integers(0, len(cells) - 1))
+        while isinstance(cells[index], list):
+            cells = cells[index]
+            index = draw(st.integers(0, len(cells) - 1))
+        cells[index] = draw(JSON_VALUES)
+    data = json_text(raw).encode()
+    at = draw(st.integers(0, len(data)))
+    if edit == "truncate":
+        data = data[:at]
+    elif edit == "byte":
+        data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+    elif edit == "not-utf8":
+        data = data[:at] + draw(st.sampled_from([b"\xff\xfe", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    elif edit == "wrap":
+        depth = draw(st.integers(1, 100_000))
+        data = b"[" * depth + data + b"]" * depth
+    return data
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(damaged_files())
+def test_loading_raises_only_validation_errors(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "damaged.json"
+    path.write_bytes(data)
+    try:
+        instance = load_instance(path)
+    except ValidationError:
+        return
+    assert isinstance(instance, Instance)
 
 
 class TestGenerator:

@@ -271,17 +271,17 @@ class TestDecode:
 
 class TestSimulateSchedule:
     def test_early_arrival_carries_stock(self):
-        on_hand, backlog = simulate_schedule([10.0, 0.0], [5.0, 5.0], 10.0, [10.0, 10.0])
+        on_hand, backlog = simulate_schedule([10.0, 0.0], [5.0, 5.0])
         assert on_hand.tolist() == [5.0, 0.0]
         assert backlog.tolist() == [0.0, 0.0]
 
     def test_late_arrival_carries_backlog(self):
-        on_hand, backlog = simulate_schedule([0.0, 10.0], [5.0, 5.0], 10.0, [10.0, 10.0])
+        on_hand, backlog = simulate_schedule([0.0, 10.0], [5.0, 5.0])
         assert on_hand.tolist() == [0.0, 0.0]
         assert backlog.tolist() == [5.0, 0.0]
 
     def test_exact_matching_is_flat_zero(self):
-        on_hand, backlog = simulate_schedule([5.0, 5.0], [5.0, 5.0], 10.0, [10.0, 10.0])
+        on_hand, backlog = simulate_schedule([5.0, 5.0], [5.0, 5.0])
         assert on_hand.tolist() == [0.0, 0.0]
         assert backlog.tolist() == [0.0, 0.0]
 
@@ -293,24 +293,24 @@ class TestSimulateSchedule:
             shares = rng.random(t) + 1e-9
             inflow = demand.sum() * shares / shares.sum()
             inflow[-1] = max(demand.sum() - inflow[:-1].sum(), 0.0)
-            on_hand, backlog = simulate_schedule(inflow, demand, 1e9, np.full(t, 1e9))
+            on_hand, backlog = simulate_schedule(inflow, demand)
             assert abs(on_hand[-1]) < 1e-9
             assert abs(backlog[-1]) < 1e-9
             assert np.all(on_hand >= -1e-12) and np.all(backlog >= -1e-12)
 
     def test_shortfall_leaves_terminal_backlog(self):
-        _, backlog = simulate_schedule([3.0, 0.0], [5.0, 5.0], 10.0, [10.0, 10.0])
+        _, backlog = simulate_schedule([3.0, 0.0], [5.0, 5.0])
         assert backlog.tolist() == [2.0, 7.0]
 
     def test_negative_input_raises(self):
         with pytest.raises(ValueError):
-            simulate_schedule([-1.0, 2.0], [1.0, 1.0], 10.0, [10.0, 10.0])
+            simulate_schedule([-1.0, 2.0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            simulate_schedule([1.0, 2.0], [1.0, -1.0], 10.0, [10.0, 10.0])
+            simulate_schedule([1.0, 2.0], [1.0, -1.0])
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
-            simulate_schedule([1.0], [1.0, 2.0], 10.0, [10.0, 10.0])
+            simulate_schedule([1.0], [1.0, 2.0])
 
 
 class TestObjectives:
