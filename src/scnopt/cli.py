@@ -33,7 +33,7 @@ from .instances import (
 )
 from .metrics import hypervolume_2d
 from .model import SupplyChainProblem
-from .nsga2 import PM_ETA, SBX_ETA, EngineConfig, EvaluationError, EvolutionResult, evolve
+from .nsga2 import PM_ETA, SBX_ETA, EngineConfig, EvolutionResult, evolve
 
 __all__ = ["main", "cmd_run", "cmd_generate", "RunReport", "build_parser", "resolve_engine_config"]
 
@@ -168,15 +168,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
 
     started = time.perf_counter()
-    try:
-        result = evolve(problem, config)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        rows = front_rows(result.archive, instance)
-        save_front(rows, out_dir / "front.csv")
-        _write_plot_data(rows, out_dir / "front.dat")
-    except (EvaluationError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+    result = evolve(problem, config)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = front_rows(result.archive, instance)
+    save_front(rows, out_dir / "front.csv")
+    _write_plot_data(rows, out_dir / "front.dat")
     wall = time.perf_counter() - started
 
     report = build_report(result, config_echo, "front.csv", len(rows), wall)

@@ -1,9 +1,9 @@
 """Instance persistence, seeded instance generation, and front export.
 
 Instances are stored as a single JSON document with explicit dimensions and
-dense nested arrays (see :data:`SCHEMA_FIELDS` and the README for the field
-list).  Loading validates shapes and every instance invariant up front and
-reports all problems at once.  The generator is fully deterministic for a
+dense nested arrays, one per entry of :data:`scnopt.model.ARRAY_SHAPES` in
+its order.  Loading validates shapes and every instance invariant up front
+and reports all problems at once.  The generator is fully deterministic for a
 given parameter set: the same seed always yields a byte-identical file.
 """
 
@@ -37,9 +37,6 @@ __all__ = [
 FORMAT_NAME = "scn-instance"
 FORMAT_VERSION = 1
 FRONT_CSV_HEADER = "total_cost,f2_raw,mean_delay_days"
-
-# JSON keys holding array payloads, in Instance field order.
-SCHEMA_FIELDS = tuple(ARRAY_SHAPES)
 
 _DIMENSION_KEYS = ("suppliers", "plants", "dcs", "retailers", "products", "periods")
 
@@ -85,7 +82,7 @@ def load_instance(path: str | Path) -> Instance:
             f"instance file {path}: unsupported version {raw.get('version')!r}"
         )
 
-    missing = [k for k in ("dimensions", "utilization", *SCHEMA_FIELDS) if k not in raw]
+    missing = [k for k in ("dimensions", "utilization", *ARRAY_SHAPES) if k not in raw]
     if missing:
         raise ValidationError(f"instance file {path} is missing fields", missing)
     dims = raw["dimensions"]
@@ -109,9 +106,15 @@ def load_instance(path: str | Path) -> Instance:
             f"instance file {path}: utilization must be a JSON number, got {utilization!r}"
         )
 
+    # str() would write any JSON value as text, so accept only JSON strings.
+    metadata = {key: raw[key] for key in ("currency", "time_unit") if key in raw}
+    non_strings = [f"{key}: {value!r}" for key, value in metadata.items() if not isinstance(value, str)]
+    if non_strings:
+        raise ValidationError(f"instance file {path} has metadata that is not a JSON string", non_strings)
+
     # np.asarray(..., dtype=float) would do the same to array entries.
     non_numbers = []
-    for name in SCHEMA_FIELDS:
+    for name in ARRAY_SHAPES:
         entries = _non_numbers(raw[name])
         if entries:
             non_numbers.append(f"{name}: {entries[0]!r}")
@@ -127,9 +130,8 @@ def load_instance(path: str | Path) -> Instance:
             n_products=dims["products"],
             n_periods=dims["periods"],
             utilization=utilization,
-            currency=str(raw.get("currency", "TZS/week")),
-            time_unit=str(raw.get("time_unit", "day")),
-            **{name: np.asarray(raw[name], dtype=float) for name in SCHEMA_FIELDS},
+            **metadata,
+            **{name: np.asarray(raw[name], dtype=float) for name in ARRAY_SHAPES},
         )
     except (TypeError, ValueError, OverflowError) as err:
         raise ValidationError(f"instance file {path} has malformed content: {err}") from err
@@ -164,7 +166,7 @@ def save_instance(instance: Instance, path: str | Path) -> Path:
         "time_unit": instance.time_unit,
         "dimensions": dict(zip(_DIMENSION_KEYS, instance.dimensions)),
         "utilization": instance.utilization,
-        **{name: getattr(instance, name).tolist() for name in SCHEMA_FIELDS},
+        **{name: getattr(instance, name).tolist() for name in ARRAY_SHAPES},
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path

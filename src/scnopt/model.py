@@ -18,7 +18,6 @@ Genotype layout (segment sizes, in order):
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -26,10 +25,7 @@ __all__ = [
     "Instance",
     "GenotypeLayout",
     "DecodedNetwork",
-    "genotype_length",
-    "allocate_with_caps",
     "decode",
-    "simulate_schedule",
     "eval_total_cost",
     "eval_delay",
     "check_constraints",
@@ -138,7 +134,7 @@ class Instance:
 
     @property
     def genotype_length(self) -> int:
-        return genotype_length(self)
+        return GenotypeLayout.for_instance(self).length
 
     @np.errstate(over="ignore")  # totals of huge finite entries may overflow to inf; the comparisons handle inf
     def invariant_problems(self) -> list[str]:
@@ -156,6 +152,8 @@ class Instance:
                 problems.append(f"{f.name} contains non-finite entries")
             elif np.any(value < 0):
                 problems.append(f"{f.name} contains negative entries")
+            elif not np.isfinite(value.sum()):
+                problems.append(f"{f.name} entries sum beyond the double range")
         # Capacity checks tolerate a relative 1e-9: capacities generated with
         # exact slack sum to the demand only up to rounding.
         if np.all(np.isfinite(self.demand)) and np.all(np.isfinite(self.dc_capacity)):
@@ -175,11 +173,6 @@ class Instance:
                         f"total {name.replace('_', ' ')} is below utilization x total demand ({total:g} < {need:g})"
                     )
         return problems
-
-
-def genotype_length(instance: Instance) -> int:
-    """Number of genes (see :class:`GenotypeLayout`)."""
-    return GenotypeLayout.for_instance(instance).length
 
 
 @dataclass(frozen=True)
@@ -221,36 +214,10 @@ class DecodedNetwork:
     backlog: np.ndarray
 
 
-def allocate_with_caps(
-    total: float,
-    weights: np.ndarray,
-    caps: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Split ``total`` across bins proportionally to ``weights`` without
-    exceeding ``caps``.
-
-    Bins whose proportional share overflows are pinned at their cap and the
-    remainder is re-spread over the rest; when every positively weighted bin
-    is pinned, leftover spreads over remaining capacity.  Returns the
-    allocation and the amount that could not be placed (positive only when
-    ``total`` exceeds total capacity).  One row of the decoder's allocator.
-    """
-    weights = np.asarray(weights, dtype=float)
-    caps = np.asarray(caps, dtype=float)
-    if weights.shape != caps.shape or weights.ndim != 1:
-        raise ValueError("weights and caps must be 1-D arrays of equal length")
-    if np.any(weights < 0) or np.any(caps < 0):
-        raise ValueError("weights and caps must be nonnegative")
-    total = float(total)
-    allocation = _allocate_rows(np.array([total]), weights[None], caps[None])[0]
-    shortfall = total - float(allocation.sum())
-    return allocation, shortfall if shortfall > 1e-12 * max(1.0, total) else 0.0
-
-
 def _genotype_row(genotype: np.ndarray, instance: Instance) -> np.ndarray:
     """One genotype as a ``(1, L)`` matrix, after checking its length."""
     g = np.asarray(genotype, dtype=float)
-    length = genotype_length(instance)
+    length = instance.genotype_length
     if g.shape != (length,):
         raise ValueError(f"genotype must have shape ({length},), got {g.shape}")
     return g[None]
@@ -278,24 +245,7 @@ def decode(genotype: np.ndarray, instance: Instance) -> DecodedNetwork:
 
 
 def _schedule_recursion(inflow: np.ndarray, demand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized stock/backlog recursion over the trailing period axis."""
-    periods = inflow.shape[-1]
-    on_hand = np.zeros_like(inflow)
-    backlog = np.zeros_like(inflow)
-    stock = np.zeros(inflow.shape[:-1])
-    owed = np.zeros(inflow.shape[:-1])
-    for t in range(periods):
-        available = stock + inflow[..., t]
-        shipped = np.minimum(available, demand[..., t] + owed)
-        stock = available - shipped
-        owed = owed + demand[..., t] - shipped
-        on_hand[..., t] = stock
-        backlog[..., t] = owed
-    return on_hand, backlog
-
-
-def simulate_schedule(inflow: Sequence[float], demand: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate one DC's per-period stock and backlog for a single product.
+    """Stock and backlog of every cell, period by period over the trailing axis.
 
     Each period, arriving units plus carried stock ship against current demand
     plus carried backlog; leftovers carry as stock (early delivery), unmet
@@ -309,16 +259,19 @@ def simulate_schedule(inflow: Sequence[float], demand: Sequence[float]) -> tuple
     The recursion never clips against the cell's holding or backorder bounds;
     excess is scored by :func:`check_constraints`, not here.
     """
-    inflow_arr = np.asarray(inflow, dtype=float)
-    demand_arr = np.asarray(demand, dtype=float)
-    if inflow_arr.ndim != 1 or inflow_arr.shape != demand_arr.shape:
-        raise ValueError("inflow and demand must be equal-length 1-D series")
-    if np.any(inflow_arr < 0) or np.any(demand_arr < 0):
-        raise ValueError("inflow and demand must be nonnegative")
-    on_hand, backlog = _schedule_recursion(
-        inflow_arr.reshape(1, -1), demand_arr.reshape(1, -1)
-    )
-    return on_hand[0], backlog[0]
+    periods = inflow.shape[-1]
+    on_hand = np.zeros_like(inflow)
+    backlog = np.zeros_like(inflow)
+    stock = np.zeros(inflow.shape[:-1])
+    owed = np.zeros(inflow.shape[:-1])
+    for t in range(periods):
+        available = stock + inflow[..., t]
+        shipped = np.minimum(available, demand[..., t] + owed)
+        stock = available - shipped
+        owed = owed + demand[..., t] - shipped
+        on_hand[..., t] = stock
+        backlog[..., t] = owed
+    return on_hand, backlog
 
 
 def eval_total_cost(
@@ -402,10 +355,12 @@ def evaluate(
 
 
 def _allocate_rows(total: np.ndarray, weights: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """:func:`allocate_with_caps` of ``total (N,)`` over ``(N, B)`` bins, row by row.
+    """Split ``total (N,)`` over ``(N, B)`` bins in proportion to ``weights``, within ``caps``.
 
-    Rows with ``total <= 0`` get nothing.  Each pass settles a row or pins at
-    least one of its bins, so B + 1 passes settle every row.
+    Overflowing bins pin at their cap and the remainder re-spreads over the
+    rest; rows whose weights sum to zero split by headroom; what does not fit
+    stays unplaced.  Rows with ``total <= 0`` get nothing.  Each pass settles
+    a row or pins at least one of its bins, so B + 1 passes settle every row.
     """
     allocation = np.zeros_like(caps)
     remaining = total.copy()
@@ -602,7 +557,7 @@ def evaluate_batch(
     Rows are evaluated in fixed blocks, which bounds memory use.
     """
     g = np.asarray(genotypes, dtype=float)
-    length = genotype_length(instance)
+    length = instance.genotype_length
     if g.ndim != 2 or g.shape[1] != length:
         raise ValueError(f"genotypes must have shape (N, {length}), got {g.shape}")
     objectives = np.empty((g.shape[0], 2))
@@ -624,7 +579,7 @@ class SupplyChainProblem:
 
     @property
     def genotype_length(self) -> int:
-        return genotype_length(self.instance)
+        return self.instance.genotype_length
 
     def evaluate(self, genotype: np.ndarray) -> tuple[np.ndarray, float]:
         return evaluate(genotype, self.instance, self.holding_on_backorder)

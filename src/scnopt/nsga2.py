@@ -28,8 +28,6 @@ __all__ = [
     "GenerationRecord",
     "EvolutionResult",
     "Problem",
-    "dominates",
-    "constrained_dominates",
     "fast_nondominated_sort",
     "crowding_distance",
     "environmental_select",
@@ -146,28 +144,6 @@ class FrontPartition:
 
     fronts: list[np.ndarray]
     ranks: np.ndarray
-
-
-def dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff ``a`` is no worse than ``b`` everywhere and strictly better somewhere."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"objective length mismatch: {a.shape} vs {b.shape}")
-    return bool(np.all(a <= b) and np.any(a < b))
-
-
-def constrained_dominates(a: Individual, b: Individual) -> bool:
-    """Constraint-domination: feasibility first, then violation, then objectives.
-
-    A feasible individual beats any infeasible one; two infeasible individuals
-    compare by total violation; two feasible ones compare by Pareto dominance.
-    """
-    if a.feasible != b.feasible:
-        return a.feasible
-    if not a.feasible:
-        return a.violation < b.violation
-    return dominates(a.objectives, b.objectives)
 
 
 def _pareto_fronts(points: np.ndarray) -> list[np.ndarray]:

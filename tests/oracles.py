@@ -37,7 +37,6 @@ from scnopt import (
     ParetoArchive,
     assign_ranks_and_crowding,
     environmental_select,
-    genotype_length,
     update_archive,
 )
 from scnopt.model import _EXCESS_RTOL, _constraint_scales
@@ -471,7 +470,7 @@ class ReferenceSupplyChainProblem:
     def __init__(self, instance, holding_on_backorder: bool = False):
         self.instance = instance
         self.holding_on_backorder = holding_on_backorder
-        self.genotype_length = genotype_length(instance)
+        self.genotype_length = instance.genotype_length
 
     def evaluate(self, genotype):
         return reference_evaluate_genotype(genotype, self.instance, self.holding_on_backorder)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from scnopt import FRONT_CSV_HEADER, generate_preset, load_instance, save_instance, tiny_instance
@@ -181,6 +182,8 @@ class TestExitCodes:
                          "int too large", id="huge-demand-entry"),
             pytest.param('"utilization": 1.0', '"utilization": ' + str(10**400), "int too large",
                          id="huge-utilization"),
+            pytest.param('"currency": "TZS/week"', '"currency": [1, {"a": null}]', "currency: [1, {'a': None}]",
+                         id="non-string-currency"),
         ],
     )
     def test_impossible_instance_values_are_validation(
@@ -201,6 +204,16 @@ class TestExitCodes:
         code = main(["run", "--instance", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
         assert "is below utilization x total demand" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["dc_capacity", "dc_fixed_cost"])
+    def test_array_total_beyond_double_range_is_validation(self, tmp_path, capsys, name):
+        # tiny has one DC, so this needs desk's three to overflow the sum
+        desk = generate_preset("desk")
+        path = save_instance(replace(desk, **{name: np.full(desk.n_dcs, 1e308)}), tmp_path / "huge.json")
+        code = main(["run", "--instance", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        assert f"{name} entries sum beyond the double range" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_instance_file_is_validation(self, tmp_path, capsys):

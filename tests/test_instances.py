@@ -25,7 +25,6 @@ from scnopt import (
     front_rows,
     generate_instance,
     generate_preset,
-    genotype_length,
     load_instance,
     save_front,
     save_instance,
@@ -33,7 +32,7 @@ from scnopt import (
     evolve,
     tiny_instance,
 )
-from scnopt.instances import SCHEMA_FIELDS
+from scnopt.model import ARRAY_SHAPES
 
 from oracles import reference_decode
 
@@ -43,7 +42,7 @@ DESK = GeneratorParams(n_suppliers=3, n_plants=2, n_dcs=3, n_retailers=8, n_peri
 def instances_equal(a, b) -> bool:
     if a.dimensions != b.dimensions or a.utilization != b.utilization:
         return False
-    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in SCHEMA_FIELDS)
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ARRAY_SHAPES)
 
 
 class TestRoundTrip:
@@ -202,6 +201,33 @@ class TestLoadErrors:
             load_instance(path)
         assert any(problem.startswith(reported) for problem in err.value.problems)
 
+    @pytest.mark.parametrize("name", ["dc_capacity", "dc_fixed_cost"])
+    def test_array_total_beyond_double_range_rejected(self, tmp_path, name):
+        # each entry is finite, but desk's three DCs sum them to inf
+        desk = generate_preset("desk")
+        path = save_instance(replace(desk, **{name: np.full(desk.n_dcs, 1e308)}), tmp_path / "huge.json")
+        with pytest.raises(ValidationError, match="violates invariants") as err:
+            load_instance(path)
+        assert f"{name} entries sum beyond the double range" in err.value.problems
+
+    @pytest.mark.parametrize("key", ["currency", "time_unit"])
+    def test_non_string_metadata_rejected(self, tmp_path, key):
+        path = save_instance(tiny_instance(), tmp_path / "t.json")
+        raw = json.loads(path.read_text())
+        raw[key] = [1, {"a": None}]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError, match="metadata that is not a JSON string") as err:
+            load_instance(path)
+        assert err.value.problems == [f"{key}: [1, {{'a': None}}]"]
+
+    def test_missing_metadata_takes_instance_defaults(self, tmp_path):
+        path = save_instance(tiny_instance(), tmp_path / "t.json")
+        raw = json.loads(path.read_text())
+        del raw["currency"], raw["time_unit"]
+        path.write_text(json.dumps(raw))
+        loaded = load_instance(path)
+        assert (loaded.currency, loaded.time_unit) == (Instance.currency, Instance.time_unit)
+
     def test_non_utf8_bytes_rejected(self, tmp_path):
         path = save_instance(tiny_instance(), tmp_path / "t.json")
         path.write_bytes(b"\xff\xfe" + path.read_bytes())
@@ -287,7 +313,7 @@ def damaged_files(draw) -> bytes:
     elif edit == "dimension":
         raw["dimensions"][draw(st.sampled_from(sorted(raw["dimensions"])))] = draw(JSON_VALUES)
     elif edit == "entry":
-        cells = raw[draw(st.sampled_from(SCHEMA_FIELDS))]
+        cells = raw[draw(st.sampled_from(tuple(ARRAY_SHAPES)))]
         index = draw(st.integers(0, len(cells) - 1))
         while isinstance(cells[index], list):
             cells = cells[index]
@@ -360,12 +386,12 @@ class TestGenerator:
 class TestPresets:
     def test_tiny_preset_is_the_fixture(self):
         assert instances_equal(generate_preset("tiny"), tiny_instance())
-        assert genotype_length(generate_preset("tiny")) == 7
+        assert generate_preset("tiny").genotype_length == 7
 
     def test_desk_preset_dimensions(self):
         instance = generate_preset("desk")
         assert instance.dimensions == (3, 2, 3, 8, 1, 7)
-        assert genotype_length(instance) == 62
+        assert instance.genotype_length == 62
 
     def test_preset_seed_threads_through(self):
         assert not instances_equal(generate_preset("desk", seed=0), generate_preset("desk", seed=1))
@@ -380,11 +406,11 @@ class TestPresets:
         instance = generate_preset("sbc-scale")
         rng = np.random.default_rng(0)
         costs = []
-        objectives, violation = evaluate(np.ones(genotype_length(instance)), instance)
+        objectives, violation = evaluate(np.ones(instance.genotype_length), instance)
         if violation == 0.0:
             costs.append(objectives[0])
         for _ in range(200):
-            objectives, violation = evaluate(rng.random(genotype_length(instance)), instance)
+            objectives, violation = evaluate(rng.random(instance.genotype_length), instance)
             if violation == 0.0:
                 costs.append(objectives[0])
         assert costs, "no feasible genotype found on sbc-scale"
@@ -498,7 +524,7 @@ class TestUpstreamCapacity:
     def test_half_capacity_is_never_feasible(self, name):
         desk = generate_preset("desk")
         cut = replace(desk, **{name: 0.5 * getattr(desk, name)})
-        genotypes = np.random.default_rng(5).random((500, genotype_length(cut)))
+        genotypes = np.random.default_rng(5).random((500, cut.genotype_length))
         _, violations = evaluate_batch(genotypes, cut)
         assert np.all(violations > 0.0)
 

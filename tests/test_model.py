@@ -11,17 +11,15 @@ from scnopt import (
     CONSTRAINT_FAMILIES,
     GeneratorParams,
     GenotypeLayout,
-    allocate_with_caps,
     check_constraints,
     decode,
     eval_delay,
     eval_total_cost,
     evaluate,
     generate_instance,
-    genotype_length,
-    simulate_schedule,
     tiny_instance,
 )
+from scnopt.model import _allocate_rows, _schedule_recursion
 
 from conftest import make_duo_instance
 
@@ -41,18 +39,18 @@ def duo_genotype(
 
 class TestGenotypeLength:
     def test_tiny_is_seven(self):
-        assert genotype_length(tiny_instance()) == 7
+        assert tiny_instance().genotype_length == 7
 
     def test_desk_is_sixty_two(self):
         desk = generate_instance(
             GeneratorParams(n_suppliers=3, n_plants=2, n_dcs=3, n_retailers=8, n_periods=7)
         )
-        assert genotype_length(desk) == 62
+        assert desk.genotype_length == 62
 
     def test_layout_slices_partition_the_genotype(self):
         instance = make_duo_instance()
         layout = GenotypeLayout.for_instance(instance)
-        assert layout.length == genotype_length(instance) == 20
+        assert layout.length == instance.genotype_length == 20
         stops = []
         for s in (
             layout.plant_keys,
@@ -68,42 +66,42 @@ class TestGenotypeLength:
             assert stop == start
 
 
+def allocate(total, weights, caps):
+    """One row of the decoder's capped allocation, and the amount it left unplaced."""
+    allocation = _allocate_rows(np.array([total]), np.array([weights]), np.array([caps]))[0]
+    return allocation, total - allocation.sum()
+
+
 class TestAllocateWithCaps:
     def test_proportional_when_nothing_binds(self):
-        alloc, short = allocate_with_caps(10.0, np.array([3.0, 1.0]), np.array([100.0, 100.0]))
+        alloc, short = allocate(10.0, [3.0, 1.0], [100.0, 100.0])
         assert np.allclose(alloc, [7.5, 2.5])
         assert short == 0.0
 
     def test_cap_and_spill(self):
-        alloc, short = allocate_with_caps(10.0, np.array([0.5, 0.5]), np.array([3.0, 20.0]))
+        alloc, short = allocate(10.0, [0.5, 0.5], [3.0, 20.0])
         assert np.allclose(alloc, [3.0, 7.0])
         assert short == 0.0
 
     def test_zero_weights_fall_back_to_capacity_share(self):
-        alloc, short = allocate_with_caps(9.0, np.array([0.0, 0.0]), np.array([6.0, 12.0]))
+        alloc, short = allocate(9.0, [0.0, 0.0], [6.0, 12.0])
         assert np.allclose(alloc, [3.0, 6.0])
         assert short == 0.0
 
     def test_spill_past_zero_weight_bins(self):
         # positive-weight bin caps out; remainder must still land somewhere
-        alloc, short = allocate_with_caps(10.0, np.array([1.0, 0.0]), np.array([4.0, 20.0]))
+        alloc, short = allocate(10.0, [1.0, 0.0], [4.0, 20.0])
         assert np.allclose(alloc, [4.0, 6.0])
         assert short == 0.0
 
     def test_shortfall_when_capacity_insufficient(self):
-        alloc, short = allocate_with_caps(10.0, np.array([1.0, 1.0]), np.array([2.0, 3.0]))
+        alloc, short = allocate(10.0, [1.0, 1.0], [2.0, 3.0])
         assert np.allclose(alloc, [2.0, 3.0])
         assert short == pytest.approx(5.0)
 
     def test_zero_total(self):
-        alloc, short = allocate_with_caps(0.0, np.array([1.0]), np.array([5.0]))
+        alloc, short = allocate(0.0, [1.0], [5.0])
         assert alloc.tolist() == [0.0] and short == 0.0
-
-    def test_negative_inputs_raise(self):
-        with pytest.raises(ValueError):
-            allocate_with_caps(1.0, np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            allocate_with_caps(1.0, np.array([1.0, 1.0]), np.array([-1.0, 1.0]))
 
 
 class TestDecode:
@@ -256,7 +254,7 @@ class TestDecode:
             n_suppliers=2, n_plants=2, n_dcs=2, n_retailers=4, n_periods=3, n_products=2, seed=5
         )
         instance = generate_instance(params)
-        g = np.random.default_rng(11).random(genotype_length(instance))
+        g = np.random.default_rng(11).random(instance.genotype_length)
         network = decode(g, instance)
         assert network.product_flow.shape == (2, 2, 2)
         assert network.retail_flow.shape == (2, 2, 4)
@@ -269,19 +267,25 @@ class TestDecode:
         assert np.allclose(network.inflow.sum(axis=2), network.product_flow.sum(axis=1), rtol=1e-9)
 
 
+def simulate(inflow, demand):
+    """One cell of the decoder's stock/backlog recursion."""
+    on_hand, backlog = _schedule_recursion(np.array([inflow], dtype=float), np.array([demand], dtype=float))
+    return on_hand[0], backlog[0]
+
+
 class TestSimulateSchedule:
     def test_early_arrival_carries_stock(self):
-        on_hand, backlog = simulate_schedule([10.0, 0.0], [5.0, 5.0])
+        on_hand, backlog = simulate([10.0, 0.0], [5.0, 5.0])
         assert on_hand.tolist() == [5.0, 0.0]
         assert backlog.tolist() == [0.0, 0.0]
 
     def test_late_arrival_carries_backlog(self):
-        on_hand, backlog = simulate_schedule([0.0, 10.0], [5.0, 5.0])
+        on_hand, backlog = simulate([0.0, 10.0], [5.0, 5.0])
         assert on_hand.tolist() == [0.0, 0.0]
         assert backlog.tolist() == [5.0, 0.0]
 
     def test_exact_matching_is_flat_zero(self):
-        on_hand, backlog = simulate_schedule([5.0, 5.0], [5.0, 5.0])
+        on_hand, backlog = simulate([5.0, 5.0], [5.0, 5.0])
         assert on_hand.tolist() == [0.0, 0.0]
         assert backlog.tolist() == [0.0, 0.0]
 
@@ -293,24 +297,14 @@ class TestSimulateSchedule:
             shares = rng.random(t) + 1e-9
             inflow = demand.sum() * shares / shares.sum()
             inflow[-1] = max(demand.sum() - inflow[:-1].sum(), 0.0)
-            on_hand, backlog = simulate_schedule(inflow, demand)
+            on_hand, backlog = simulate(inflow, demand)
             assert abs(on_hand[-1]) < 1e-9
             assert abs(backlog[-1]) < 1e-9
             assert np.all(on_hand >= -1e-12) and np.all(backlog >= -1e-12)
 
     def test_shortfall_leaves_terminal_backlog(self):
-        _, backlog = simulate_schedule([3.0, 0.0], [5.0, 5.0])
+        _, backlog = simulate([3.0, 0.0], [5.0, 5.0])
         assert backlog.tolist() == [2.0, 7.0]
-
-    def test_negative_input_raises(self):
-        with pytest.raises(ValueError):
-            simulate_schedule([-1.0, 2.0], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            simulate_schedule([1.0, 2.0], [1.0, -1.0])
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            simulate_schedule([1.0], [1.0, 2.0])
 
 
 class TestObjectives:
