@@ -136,7 +136,7 @@ class Instance:
     def genotype_length(self) -> int:
         return GenotypeLayout.for_instance(self).length
 
-    @np.errstate(over="ignore")  # totals of huge finite entries may overflow to inf; the comparisons handle inf
+    @np.errstate(over="ignore")  # totals and products of huge finite entries may overflow to inf; the checks handle inf
     def invariant_problems(self) -> list[str]:
         """Every violated instance invariant, empty when the instance is sound."""
         problems: list[str] = []
@@ -154,6 +154,26 @@ class Instance:
                 problems.append(f"{f.name} contains negative entries")
             elif not np.isfinite(value.sum()):
                 problems.append(f"{f.name} entries sum beyond the double range")
+        if not problems:
+            # An upper bound on any design's cost: every fixed cost, plus all
+            # demand at the dearest rate of each term.  Raw material flows
+            # utilization x demand; on-hand stock, or backlog, stays within the
+            # total demand in each period.  Products are taken in an order
+            # where an overflow meets no zero factor.
+            demand = self.demand.sum()
+            dearest_raw = (self.raw_material_unit_cost[:, None] + self.raw_transport_cost).max()
+            bound = (
+                self.plant_fixed_cost.sum() + self.dc_fixed_cost.sum()
+                + self.utilization * (demand * dearest_raw)
+                + demand * self.product_transport_plant_dc.max()
+                + demand * self.product_transport_dc_retailer.max()
+                + self.n_periods * (demand * self.holding_cost.max())
+            )
+            if not np.isfinite(bound):
+                problems.append("a design's cost can exceed the double range")
+            # the delay objective sums at most the total demand per period
+            if not np.isfinite(self.n_periods * demand):
+                problems.append("a design's delay can exceed the double range")
         # Capacity checks tolerate a relative 1e-9: capacities generated with
         # exact slack sum to the demand only up to rounding.
         if np.all(np.isfinite(self.demand)) and np.all(np.isfinite(self.dc_capacity)):

@@ -457,8 +457,104 @@ def _evaluate_batch(
     return individuals, int(m)  # type: ignore[arg-type]
 
 
-# Pairs varied together in one block of array operations.
-_VARIATION_BLOCK = 32
+# Raw generator words decoded per block of pairs, a memory bound rather than a
+# tuning knob: one block holds max(1, _BLOCK_WORDS // (3 + 5L)) pairs, and its
+# words, uniforms and parents take about 256 KiB each.  A paper-scale
+# generation (L = 195) runs in 20 blocks of 33 pairs.
+_BLOCK_WORDS = 1 << 15
+_TO_UNIT = 2.0**-53  # numpy's random() is (word >> 11) * 2^-53
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+
+
+def _per_pair_draws(
+    rng: np.random.Generator, n: int, size: int, length: int, crossover_prob: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of ``size`` pairs, made pair by pair through ``rng``: per pair
+    ``integers(n)``, ``integers(n - 1)``, ``integers(n)``, ``integers(n - 1)``,
+    the crossover coin, then ``random(5L)`` when the pair crosses (SBX
+    uniforms, then each child's mutation mask and perturbation draws) or
+    ``random(4L)`` when it does not.  Returns the contestant draws ``(size, 4)``,
+    the coins ``(size,)`` and the uniforms ``(size, 5L)``, whose SBX columns are
+    unset on pairs that do not cross."""
+    contestants = np.empty((size, 4), dtype=np.int64)
+    crosses = np.empty(size, dtype=bool)
+    draws = np.empty((size, 5 * length))
+    for p in range(size):
+        contestants[p] = (rng.integers(n), rng.integers(n - 1), rng.integers(n), rng.integers(n - 1))
+        crosses[p] = cross = rng.random() < crossover_prob
+        draws[p, 0 if cross else length:] = rng.random((5 if cross else 4) * length)
+    return contestants, crosses, draws
+
+
+def _lemire(halves: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Lemire's multiply-shift ``(h * bound) >> 32`` of 32-bit draws ``halves``
+    (each column against its entry of ``bounds``), and whether any draw falls
+    where numpy's ``integers`` rejects it and draws again: a low product word
+    below ``(2^32 - bound) mod bound``.  Halves and bounds are below 2^32, so
+    the products fit in 64 bits."""
+    product = halves * bounds
+    threshold = (np.uint64(1 << 32) - bounds) % bounds
+    return product >> np.uint64(32), bool(((product & _LOW_HALF) < threshold).any())
+
+
+def _decoded_draws(
+    rng: np.random.Generator, n: int, size: int, length: int, crossover_prob: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """:func:`_per_pair_draws`'s result decoded from one ``random_raw`` call
+    on a PCG64 generator, leaving its state as the per-pair calls would; or
+    ``None``, with the state untouched, when a contestant draw hits a Lemire
+    rejection.
+
+    ``integers(k)`` for k < 2^32 is Lemire's multiply-shift on one 32-bit
+    half of a word, low half first; the generator buffers the high half
+    (``has_uint32``/``uinteger``).  A pair's four contestant draws take two
+    words' halves, so the buffer's state is the same before and after each
+    pair; when it holds a half, that half is the pair's first draw.  The coin
+    and the uniforms are ``(word >> 11) * 2^-53``, one word each.  A pair
+    uses 3 + 5L words when it crosses and 3 + 4L when it does not, so a walk
+    over the coins finds where each pair's words start.
+    """
+    bit_generator = rng.bit_generator
+    saved = bit_generator.state
+    buffered = saved["has_uint32"]
+    raw = bit_generator.random_raw(size * (3 + 5 * length))
+    mantissas = (raw >> np.uint64(11)).view(np.int64)  # the uniforms are these times 2^-53
+    coins = mantissas * _TO_UNIT < crossover_prob
+    flags = coins.tobytes()  # indexing bytes is cheaper than indexing the array in the walk
+    crossed, plain = 3 + 5 * length, 3 + 4 * length
+    offsets = []
+    used = 0
+    for _ in range(size):
+        offsets.append(used)
+        used += crossed if flags[used + 2] else plain
+    starts = np.array(offsets)
+
+    words = raw[starts[:, None] + np.arange(2)]
+    low, high = words & _LOW_HALF, words >> np.uint64(32)
+    if buffered:  # the buffered half, then each pair's halves shifted by one
+        previous = np.concatenate((np.array([saved["uinteger"]], dtype=np.uint64), high[:-1, 1]))
+        halves = np.column_stack((previous, low[:, 0], high[:, 0], low[:, 1]))
+    else:
+        halves = np.column_stack((low[:, 0], high[:, 0], low[:, 1], high[:, 1]))
+    contestants, rejected = _lemire(halves, np.array([n, n - 1, n, n - 1], dtype=np.uint64))
+    if rejected:
+        bit_generator.state = saved
+        return None
+
+    crosses = coins[starts + 2]
+    draws = np.empty((size, 5 * length))
+    windows = np.lib.stride_tricks.sliding_window_view(mantissas, 4 * length)
+    # mutation uniforms follow the SBX ones on a crossing pair
+    np.multiply(windows[starts + 3 + length * crosses], _TO_UNIT, out=draws[:, length:])
+    crossing = np.flatnonzero(crosses)
+    draws[crossing, :length] = windows[starts[crossing] + 3, :length] * _TO_UNIT
+
+    bit_generator.state = saved
+    bit_generator.advance(used)  # advance clears the buffer; restore what the per-pair calls leave
+    state = bit_generator.state
+    state["has_uint32"], state["uinteger"] = buffered, int(high[-1, 1])
+    bit_generator.state = state
+    return contestants.astype(np.int64), crosses, draws
 
 
 def _make_offspring(
@@ -475,26 +571,32 @@ def _make_offspring(
     perturbation draws.  Successive ``random(L)`` calls give the same doubles
     as one ``random(kL)`` call, so the children equal those of the per-pair
     tournament, SBX and polynomial mutation in ``tests/oracles.py`` called in
-    turn.  Tournaments (lower rank wins, then larger crowding, ties to the
-    first drawn), crossover and mutation then run over blocks of pairs.
-    Children are clamped to [0, 1].
+    turn.
+
+    Pairs run in blocks of up to ``_BLOCK_WORDS // (3 + 5L)``.  On a PCG64
+    generator a block's draws are decoded from one ``random_raw`` call
+    (:func:`_decoded_draws`) and the generator is left in the state the
+    per-pair calls would leave; a block with a Lemire rejection, and any block
+    on another bit generator, makes the per-pair calls instead
+    (:func:`_per_pair_draws`).  Tournaments (lower rank wins, then larger
+    crowding, ties to the first drawn), crossover and mutation then run over
+    the block.  Children are clamped to [0, 1].
     """
     n = len(population)
     length = population[0].genotype.shape[0]
     ranks = np.array([ind.rank for ind in population])
     crowding = np.array([ind.crowding for ind in population], dtype=float)
     pairs = config.population_size // 2
+    block_pairs = max(1, _BLOCK_WORDS // (3 + 5 * length))
+    # integers(1) draws nothing, so the halves would not pair up below n = 3
+    decodable = type(rng.bit_generator) is np.random.PCG64 and n >= 3
     children = np.empty((2 * pairs, length))
-    for start in range(0, pairs, _VARIATION_BLOCK):
-        size = min(_VARIATION_BLOCK, pairs - start)
-        contestants = np.empty((size, 4), dtype=np.int64)
-        crosses = np.empty(size, dtype=bool)
-        # per pair: SBX uniforms, then child 1's mask and perturbation draws, then child 2's
-        draws = np.empty((size, 5 * length))
-        for p in range(size):
-            contestants[p] = (rng.integers(n), rng.integers(n - 1), rng.integers(n), rng.integers(n - 1))
-            crosses[p] = cross = rng.random() < config.crossover_prob
-            draws[p, 0 if cross else length:] = rng.random((5 if cross else 4) * length)
+    for start in range(0, pairs, block_pairs):
+        size = min(block_pairs, pairs - start)
+        drawn = _decoded_draws(rng, n, size, length, config.crossover_prob) if decodable else None
+        if drawn is None:
+            drawn = _per_pair_draws(rng, n, size, length, config.crossover_prob)
+        contestants, crosses, draws = drawn
 
         first, second = contestants[:, 0::2], contestants[:, 1::2]
         second = second + (second >= first)  # drawn among the other n - 1

@@ -216,6 +216,23 @@ class TestExitCodes:
         assert f"{name} entries sum beyond the double range" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"raw_material_unit_cost": np.array([1e308])},
+            {"plant_fixed_cost": np.array([1e308]), "dc_fixed_cost": np.array([1e308])},
+        ],
+        ids=["raw-unit-cost", "two-fixed-costs"],
+    )
+    def test_cost_beyond_double_range_is_validation(self, tmp_path, capsys, changes):
+        # before the load check, this ran and exited 3 with a non-finite objective
+        path = save_instance(replace(tiny_instance(), **changes), tmp_path / "huge.json")
+        code = main(["run", "--instance", str(path), "--out", str(tmp_path / "o"),
+                     "--pop-size", "12", "--generations", "2"])
+        assert code == EXIT_VALIDATION
+        assert "a design's cost can exceed the double range" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_instance_file_is_validation(self, tmp_path, capsys):
         code = main(
             ["run", "--instance", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]

@@ -210,6 +210,57 @@ class TestLoadErrors:
             load_instance(path)
         assert f"{name} entries sum beyond the double range" in err.value.problems
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"raw_material_unit_cost": [1e308]},
+            {"raw_material_unit_cost": [9e307], "raw_transport_cost": [[9e307]]},
+            {"plant_fixed_cost": [1e308], "dc_fixed_cost": [1e308]},
+            {"product_transport_plant_dc": [[1e308]]},
+            {"product_transport_dc_retailer": [[1e308]]},
+            {"holding_cost": [1e308]},
+        ],
+        ids=["raw-unit", "raw-unit-plus-transport", "two-fixed-costs", "plant-dc", "dc-retailer", "holding"],
+    )
+    def test_cost_beyond_double_range_rejected(self, tmp_path, changes):
+        # every entry and every field total is finite; a design's cost is not
+        path = save_instance(tiny_instance(), tmp_path / "t.json")
+        raw = json.loads(path.read_text())
+        raw.update(changes)
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError, match="violates invariants") as err:
+            load_instance(path)
+        assert err.value.problems == ["a design's cost can exceed the double range"]
+
+    def test_delay_beyond_double_range_rejected(self, tmp_path):
+        # stock of 1e308 units held over two periods: every field total is finite, the delay is not
+        path = save_instance(tiny_instance(), tmp_path / "t.json")
+        raw = json.loads(path.read_text())
+        raw["dimensions"]["periods"] = 3
+        raw.update(
+            demand=[[[0.0, 0.0, 1e308]]], backorder_limit=[[[1e307] * 3]],
+            supplier_capacity=[1e308], plant_capacity=[1e308], dc_capacity=[1e308],
+            raw_material_unit_cost=[0.0], raw_transport_cost=[[0.0]],
+            product_transport_plant_dc=[[0.0]], product_transport_dc_retailer=[[0.0]],
+        )
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError, match="violates invariants") as err:
+            load_instance(path)
+        assert err.value.problems == ["a design's delay can exceed the double range"]
+
+    def test_largest_finite_cost_bound_loads(self, tmp_path):
+        # tiny's dearest rates, at 1e300 per unit, bound a design's cost near 3e301
+        path = save_instance(tiny_instance(), tmp_path / "t.json")
+        raw = json.loads(path.read_text())
+        raw.update(raw_material_unit_cost=[1e300], holding_cost=[1e300], dc_fixed_cost=[1e300])
+        path.write_text(json.dumps(raw))
+        assert load_instance(path).invariant_problems() == []
+
+    @pytest.mark.parametrize("preset", ["desk", "sbc-scale"])
+    def test_presets_load(self, tmp_path, preset):
+        path = save_instance(generate_preset(preset), tmp_path / "p.json")
+        assert load_instance(path).invariant_problems() == []
+
     @pytest.mark.parametrize("key", ["currency", "time_unit"])
     def test_non_string_metadata_rejected(self, tmp_path, key):
         path = save_instance(tiny_instance(), tmp_path / "t.json")

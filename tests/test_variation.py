@@ -2,16 +2,20 @@
 
 The per-pair contracts are checked on the references in ``oracles.py``;
 the engine's pooled variation must equal those references called pair by
-pair, bit for bit, so the contracts carry over to it."""
+pair, bit for bit, so the contracts carry over to it.  That includes the
+draws it decodes from raw generator words and the generator state it leaves,
+so a numpy release that changes how ``integers`` or ``random`` consume the
+stream fails here."""
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from scnopt import EngineConfig, Individual
+from scnopt import EngineConfig, Individual, nsga2
 from scnopt.nsga2 import _make_offspring
 
 from oracles import reference_offspring, reference_polynomial_mutation, reference_sbx_crossover
@@ -137,3 +141,114 @@ class TestPooledVariation:
         assert pooled.shape == (n, length)
         assert np.array_equal(pooled, expected)
         assert pooled_rng.bit_generator.state == pair_rng.bit_generator.state
+
+
+@pytest.fixture
+def block_paths(monkeypatch):
+    """How ``_make_offspring`` drew each block, in order: "fast" (decoded from
+    raw words), "rejected" (a decode that found a Lemire rejection) or "loop"
+    (per-pair calls)."""
+    paths = []
+    decoded, per_pair = nsga2._decoded_draws, nsga2._per_pair_draws
+
+    def recording_decode(*args):
+        result = decoded(*args)
+        paths.append("rejected" if result is None else "fast")
+        return result
+
+    def recording_loop(*args):
+        paths.append("loop")
+        return per_pair(*args)
+
+    monkeypatch.setattr(nsga2, "_decoded_draws", recording_decode)
+    monkeypatch.setattr(nsga2, "_per_pair_draws", recording_loop)
+    return paths
+
+
+def _offspring_pair(n, length, make_rng, **overrides):
+    """``_make_offspring``'s children and generator next to the per-pair
+    reference's, each run on its own generator from ``make_rng()``."""
+    population = _population(n, length)
+    cfg = EngineConfig(population_size=n, **overrides)
+    pooled_rng, pair_rng = make_rng(), make_rng()
+    pooled = _make_offspring(population, cfg, pooled_rng)
+    expected = np.array(reference_offspring(population, cfg, pair_rng))
+    return pooled, pooled_rng, expected, pair_rng
+
+
+def _rejecting_rng(bound: int) -> np.random.Generator:
+    """A PCG64 generator whose next word has a high half that ``integers(bound)``
+    rejects: the low 32 bits of ``half * bound`` fall below
+    ``(2^32 - bound) mod bound``, so numpy draws another half."""
+    raw = np.random.PCG64(8).random_raw(1 << 20)
+    low_product = ((raw >> np.uint64(32)) * np.uint64(bound)) & np.uint64(0xFFFFFFFF)
+    rng = np.random.default_rng(8)
+    rng.bit_generator.advance(int(np.flatnonzero(low_product < (2**32 - bound) % bound)[0]))
+    return rng
+
+
+class TestRawWordDraws:
+    """The draws decoded from raw PCG64 words, and the per-pair fallback."""
+
+    @pytest.mark.parametrize("n, length", [(4, 1), (100, 30), (1290, 195)])
+    def test_buffered_half_on_entry(self, n, length, block_paths):
+        def make_rng():
+            rng = np.random.default_rng(n + length)
+            rng.integers(7)  # leaves the high half of a word buffered
+            return rng
+
+        pooled, pooled_rng, expected, pair_rng = _offspring_pair(n, length, make_rng, mutation_prob=0.05)
+        assert pooled_rng.bit_generator.state["has_uint32"] == 1
+        assert np.array_equal(pooled, expected)
+        assert pooled_rng.bit_generator.state == pair_rng.bit_generator.state
+        assert set(block_paths) == {"fast"}
+
+    def test_budget_splits_a_paper_scale_generation(self, block_paths):
+        pooled, pooled_rng, expected, pair_rng = _offspring_pair(
+            1290, 195, lambda: np.random.default_rng(11), mutation_prob=1 / 195
+        )
+        pairs_per_block = nsga2._BLOCK_WORDS // (3 + 5 * 195)
+        assert block_paths == ["fast"] * -(-645 // pairs_per_block)
+        assert len(block_paths) > 1
+        assert np.array_equal(pooled, expected)
+        assert pooled_rng.bit_generator.state == pair_rng.bit_generator.state
+
+    def test_forced_rejection_falls_back_for_that_block_only(self, monkeypatch, block_paths):
+        lemire, calls = nsga2._lemire, []
+
+        def reject_second_block(halves, bounds):
+            values, rejected = lemire(halves, bounds)
+            calls.append(rejected)
+            return values, rejected or len(calls) == 2
+
+        monkeypatch.setattr(nsga2, "_lemire", reject_second_block)
+        pooled, pooled_rng, expected, pair_rng = _offspring_pair(
+            200, 195, lambda: np.random.default_rng(5), mutation_prob=0.05
+        )
+        assert block_paths == ["fast", "rejected", "loop", "fast", "fast"]
+        assert not any(calls)
+        assert np.array_equal(pooled, expected)
+        assert pooled_rng.bit_generator.state == pair_rng.bit_generator.state
+
+    def test_real_rejection_flips_the_buffer_and_later_blocks_decode(self, block_paths):
+        # the first pair's second contestant, integers(n - 1), lands in the rejection zone
+        pooled, pooled_rng, expected, pair_rng = _offspring_pair(
+            1290, 30, lambda: _rejecting_rng(1289), mutation_prob=1 / 30
+        )
+        assert block_paths[:2] == ["rejected", "loop"]
+        assert set(block_paths[2:]) == {"fast"} and len(block_paths) > 3
+        assert pooled_rng.bit_generator.state["has_uint32"] == 1  # the redraw took one extra half
+        assert np.array_equal(pooled, expected)
+        assert pooled_rng.bit_generator.state == pair_rng.bit_generator.state
+
+    def test_other_bit_generators_draw_pair_by_pair(self, block_paths):
+        pooled, pooled_rng, expected, pair_rng = _offspring_pair(
+            100, 30, lambda: np.random.Generator(np.random.Philox(3)), mutation_prob=0.05
+        )
+        assert block_paths == ["loop"]
+        assert np.array_equal(pooled, expected)
+        # Philox's state holds arrays, which == does not compare as a whole
+        def state(rng):
+            return json.dumps(rng.bit_generator.state, sort_keys=True, default=lambda a: a.tolist())
+
+        assert state(pooled_rng) == state(pair_rng)
