@@ -3,15 +3,21 @@ minimization over real-coded genotypes in the unit box [0, 1]^L.
 
 The engine is problem-agnostic: anything exposing ``genotype_length`` and
 ``evaluate(genotype) -> (objectives, violation)`` can be plugged in; a problem
-that also has ``evaluate_batch`` gets each generation as one matrix.  All
-randomness flows through a single seeded generator consumed only by
-initialization, selection, and variation.
+that also has ``evaluate_batch`` gets each generation as one matrix.
+
+The population lives in arrays.  Genotypes fill the top half of one
+``(2N, L)`` buffer whose bottom half takes each generation's children;
+objectives ``(N, M)``, violations, ranks and crowding ``(N,)`` are plain
+arrays.  Sorting, selection and crowding take those arrays and return row
+indices.  :class:`Individual` objects are built only for archive members and,
+once at the end, for :attr:`EvolutionResult.population`.  All randomness flows
+through a single seeded generator consumed only by initialization, selection,
+and variation.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -31,7 +37,6 @@ __all__ = [
     "fast_nondominated_sort",
     "crowding_distance",
     "environmental_select",
-    "assign_ranks_and_crowding",
     "update_archive",
     "evolve",
 ]
@@ -48,7 +53,9 @@ class Problem(Protocol):
     ``(N, L)`` matrix and returning ``(objectives (N, M), violations (N,))``
     whose row ``n`` is what ``evaluate(genotypes[n])`` returns.  Rows must be
     independent of each other.  The engine then calls it once per generation
-    in place of ``evaluate``.
+    in place of ``evaluate``.  Either method receives a view of the engine's
+    genotype buffer, which the next generation overwrites: a problem must not
+    write to it or keep it.
     """
 
     genotype_length: int
@@ -66,8 +73,9 @@ class Problem(Protocol):
 class Individual:
     """One candidate solution: genotype plus its evaluation results.
 
-    ``rank`` and ``crowding`` are populated by the sorting/selection machinery
-    and stay ``None`` until then.
+    The engine builds these for archive members and for the final population
+    only.  ``rank`` and ``crowding`` are set on the final population and stay
+    ``None`` on archive members.
     """
 
     genotype: np.ndarray
@@ -89,11 +97,18 @@ class Individual:
             raise ValueError("constraint violation must be finite and nonnegative")
 
     @classmethod
-    def _checked(cls, genotype: np.ndarray, objectives: np.ndarray, violation: float) -> Individual:
-        """An unranked Individual from values whose checks have already passed."""
+    def _checked(
+        cls,
+        genotype: np.ndarray,
+        objectives: np.ndarray,
+        violation: float,
+        rank: int | None = None,
+        crowding: float | None = None,
+    ) -> Individual:
+        """An Individual from values whose checks have already passed."""
         ind = cls.__new__(cls)
         ind.genotype, ind.objectives, ind.violation = genotype, objectives, violation
-        ind.rank = ind.crowding = None
+        ind.rank, ind.crowding = rank, crowding
         return ind
 
     @property
@@ -137,80 +152,161 @@ class FrontPartition:
     """Result of non-dominated sorting: fronts as index arrays plus a rank map.
 
     ``fronts[0]`` is the non-dominated set; ``ranks[i]`` is 1-based and equals
-    ``k+1`` when individual ``i`` sits in ``fronts[k]``.  Each front lists its
-    indices in ascending population order; crowding ties and the cut of the
-    last admitted front in :func:`environmental_select` depend on that order.
+    ``k+1`` when point ``i`` sits in ``fronts[k]``, or 0 when the sort
+    stopped before placing it.  Each front lists its row indices in ascending
+    order; crowding ties and the cut of the last admitted front in
+    :func:`environmental_select` depend on that order.
     """
 
     fronts: list[np.ndarray]
     ranks: np.ndarray
 
 
-def _pareto_fronts(points: np.ndarray) -> list[np.ndarray]:
-    """Pareto fronts of the rows of ``points``, each front in ascending row order.
+def _lexsorted(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row order that sorts ``points`` lexicographically (stable: equal
+    vectors keep row order), the sorted rows, and a mask of the sorted rows
+    that start a new distinct vector."""
+    order = np.lexsort(points.T[::-1])
+    ranked = points[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order, ranked, head
 
-    Two objectives take one sweep in (f1, f2)-lexicographic order, where every
-    dominator of a point comes before it and each front's latest member has
-    the least f2 in that front.  A point joins the first front whose latest
-    member does not dominate it: the first whose ``(f2, f1)`` key is not below
-    the point's.  Those keys increase from front to front, so a bisection
-    finds it.  More objectives peel fronts by domination counts over the
-    pairwise dominance matrix.
+
+def _pareto_fronts(points: np.ndarray, stop: int | None = None) -> list[np.ndarray]:
+    """Pareto fronts of the rows of ``points``, each front in ascending row
+    order, peeled until at least ``stop`` rows are placed (all by default).
+
+    Two objectives peel the distinct vectors in (f1, f2)-lexicographic order,
+    where every dominator of a point comes before it: the next front is the
+    vectors left whose f2 is below the running minimum of the f2 before them
+    (one ``np.minimum.accumulate``), and equal vectors share a front.  More
+    objectives peel by domination counts over the pairwise dominance matrix.
     """
-    if points.shape[1] != 2:
+    n = len(points)
+    stop = n if stop is None else min(stop, n)
+    level = np.full(n, n)  # each row's front number; n while not placed
+    placed = k = 0
+    if points.shape[1] == 2:
+        order, ranked, head = _lexsorted(points)
+        heads = np.flatnonzero(head)
+        sizes = np.diff(np.append(heads, n))
+        f2 = ranked[heads, 1]
+        distinct_level = np.full(heads.size, n)
+        left = np.arange(heads.size)
+        while placed < stop:
+            values = f2[left]
+            front = np.ones(values.size, dtype=bool)
+            np.less(values[1:], np.minimum.accumulate(values[:-1]), out=front[1:])
+            distinct_level[left[front]] = k
+            placed += int(sizes[left[front]].sum())
+            left = left[~front]
+            k += 1
+        level[order] = np.repeat(distinct_level, sizes)
+    else:
         le = np.all(points[:, None, :] <= points[None, :, :], axis=2)
         dom = le & np.any(points[:, None, :] < points[None, :, :], axis=2)
         counts = dom.sum(axis=0)
-        fronts: list[np.ndarray] = []
         current = np.flatnonzero(counts == 0)
-        while current.size:
-            fronts.append(current)
+        while placed < stop:
+            level[current] = k
+            placed += current.size
             counts -= dom[current].sum(axis=0)
             counts[current] = -1  # peeled: never counted as undominated again
             current = np.flatnonzero(counts == 0)
-        return fronts
-    values = points.tolist()
-    keys: list[tuple[float, float]] = []
-    members: list[list[int]] = []
-    for i in np.lexsort((points[:, 1], points[:, 0])).tolist():
-        key = (values[i][1], values[i][0])
-        k = bisect_left(keys, key)
-        if k == len(keys):
-            keys.append(key)
-            members.append([i])
-        else:
-            keys[k] = key
-            members[k].append(i)
-    return [np.sort(np.array(front)) for front in members]
+            k += 1
+    if not placed:
+        return []
+    rows = np.argsort(level, kind="stable")[:placed]  # stable: a front keeps row order
+    return np.split(rows, np.cumsum(np.bincount(level[rows]))[:-1])
 
 
-def fast_nondominated_sort(population: Sequence[Individual]) -> FrontPartition:
-    """Partition a population into ranked fronts under constraint-domination.
+def _nondominated(points: np.ndarray) -> np.ndarray:
+    """Rows of ``points`` that no other row dominates, one per distinct vector
+    (its first row), in lexicographic order of the vectors.
+
+    For two objectives these are the distinct vectors whose f2 is below the
+    least f2 of the vectors before them, the running minimum
+    :func:`scnopt.metrics.hypervolume_2d` sweeps with.
+    """
+    order, ranked, head = _lexsorted(points)
+    order, ranked = order[head], ranked[head]
+    if points.shape[1] == 2:
+        f2 = ranked[:, 1]
+        return order[f2 < np.minimum.accumulate(np.concatenate(([np.inf], f2[:-1])))]
+    weakly = np.all(ranked[:, None, :] <= ranked[None, :, :], axis=2)
+    np.fill_diagonal(weakly, False)  # between distinct vectors, weak dominance is dominance
+    return order[~weakly.any(axis=0)]
+
+
+def fast_nondominated_sort(
+    objectives: np.ndarray, violations: np.ndarray, stop: int | None = None
+) -> FrontPartition:
+    """Partition points, ``objectives (N, M)`` and ``violations (N,)``, into
+    ranked fronts under constraint-domination.
 
     Every feasible point dominates every infeasible one, and two infeasible
     points compare by violation alone.  So feasible points take the first
     fronts, the Pareto fronts of the feasible rows only (:func:`_pareto_fronts`);
     infeasible points follow with one front per distinct violation value, in
-    ascending order (a stable sort of their violations).
+    ascending order (a stable sort of their violations).  With ``stop``, the
+    sort ends with the front that places the ``stop``-th point; later points
+    keep rank 0.
     """
-    n = len(population)
+    objectives = np.asarray(objectives, dtype=float)
+    violations = np.asarray(violations, dtype=float)
+    n = len(objectives)
     if n == 0:
         raise ValueError("cannot sort an empty population")
-    objectives = np.array([ind.objectives for ind in population], dtype=float)
-    violations = np.array([ind.violation for ind in population], dtype=float)
+    if stop is not None and stop < 1:
+        raise ValueError("stop must be at least 1")
+    if objectives.ndim != 2 or violations.shape != (n,):
+        raise ValueError("objectives must be an (N, M) array and violations an (N,) array")
+    stop = n if stop is None else min(stop, n)
     feasible = violations == 0.0
 
     rows = np.flatnonzero(feasible)
-    fronts = [rows[front] for front in _pareto_fronts(objectives[rows])]
-
-    rows = np.flatnonzero(~feasible)
-    rows = rows[np.argsort(violations[rows], kind="stable")]  # stable: equal violations keep index order
-    if rows.size:
-        fronts.extend(np.split(rows, np.flatnonzero(np.diff(violations[rows])) + 1))
+    fronts = [rows[front] for front in _pareto_fronts(objectives[rows], stop)]
+    placed = sum(front.size for front in fronts)
+    if placed < stop:
+        rows = np.flatnonzero(~feasible)
+        rows = rows[np.argsort(violations[rows], kind="stable")]  # stable: equal violations keep index order
+        starts = np.flatnonzero(np.diff(violations[rows])) + 1
+        last = np.searchsorted(starts, stop - placed)  # the front holding the stop-th point ends at starts[last]
+        fronts.extend(np.split(rows[: starts[last] if last < starts.size else rows.size], starts[:last]))
     ranks = np.zeros(n, dtype=int)
-    for rank, front in enumerate(fronts, start=1):
-        ranks[front] = rank
+    ranks[np.concatenate(fronts)] = np.repeat(np.arange(1, len(fronts) + 1), [front.size for front in fronts])
     return FrontPartition(fronts=fronts, ranks=ranks)
+
+
+def _front_crowding(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Crowding distance of each row of ``values`` within its front, the fronts
+    being consecutive runs of ``sizes`` rows (each at least 1).
+
+    One pass per objective covers every front: a stable lexsort by (front,
+    value) sorts each front's points by that objective, ties in row order.
+    Each interior point adds the normalized gap between its neighbours,
+    ``(f[i+1] - f[i-1]) / (f_max - f_min)``, and the front's two boundary
+    points get ``+inf``.  An objective with zero spread on a front adds
+    nothing to its interior points.  A point adds the same terms in the same
+    order as when its front is taken alone, so the bits do not depend on
+    which fronts share the pass.
+    """
+    n, m = values.shape
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    front = np.repeat(np.arange(sizes.size), sizes)
+    boundary = np.zeros(n, dtype=bool)
+    boundary[starts] = boundary[ends - 1] = True
+    distance = np.zeros(n)
+    for j in range(m):
+        order = np.lexsort((values[:, j], front))
+        ranked = values[order, j]
+        span = np.repeat(ranked[ends - 1] - ranked[starts], sizes)
+        inner = np.flatnonzero(~boundary & (span > 0.0))
+        distance[order[inner]] += (ranked[inner + 1] - ranked[inner - 1]) / span[inner]
+        distance[order[boundary]] = np.inf
+    return distance
 
 
 def crowding_distance(front_values: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -225,19 +321,9 @@ def crowding_distance(front_values: Sequence[np.ndarray] | np.ndarray) -> np.nda
     values = np.asarray(front_values, dtype=float)
     if values.ndim != 2:
         raise ValueError("front_values must be a sequence of objective vectors")
-    n, m = values.shape
-    if n == 0:
+    if len(values) == 0:
         raise ValueError("front must be nonempty")
-    distance = np.zeros(n)
-    for j in range(m):
-        order = np.argsort(values[:, j], kind="stable")
-        span = values[order[-1], j] - values[order[0], j]
-        if span > 0.0:
-            gaps = (values[order[2:], j] - values[order[:-2], j]) / span
-            distance[order[1:-1]] += gaps
-        distance[order[0]] = np.inf
-        distance[order[-1]] = np.inf
-    return distance
+    return _front_crowding(values, np.array([len(values)]))
 
 
 def _sbx_children(p1: np.ndarray, p2: np.ndarray, u: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -268,50 +354,39 @@ def _perturb(g: np.ndarray, u: np.ndarray, eta: float) -> np.ndarray:
     return np.clip(g + delta, 0.0, 1.0)
 
 
-def assign_ranks_and_crowding(population: Sequence[Individual]) -> FrontPartition:
-    """Sort a population and write rank/crowding back onto each individual."""
-    partition = fast_nondominated_sort(population)
-    for front in partition.fronts:
-        distances = crowding_distance([population[i].objectives for i in front])
-        for position, i in enumerate(front):
-            population[i].rank = int(partition.ranks[i])
-            population[i].crowding = float(distances[position])
-    return partition
-
-
 def environmental_select(
-    parents: Sequence[Individual],
-    offspring: Sequence[Individual],
-    n_survivors: int,
-) -> list[Individual]:
-    """Elitist (mu + lambda) truncation of parents plus offspring to ``n_survivors``.
+    objectives: np.ndarray, violations: np.ndarray, n_survivors: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elitist (mu + lambda) truncation of the points ``objectives (N, M)``,
+    ``violations (N,)`` (parents, then offspring) to ``n_survivors``.
 
-    Whole fronts are admitted in rank order; the front that overflows is cut
-    by descending crowding distance, ties resolved toward the lower combined
-    index.  Survivors keep their combined ranks: every dominator of a kept
-    member lies in an earlier front, and earlier fronts are kept whole, so
-    sorting the survivors alone would give the same ranks.  Crowding is taken
-    over each admitted front, for the cut front over its kept members in kept
+    Returns the survivors' row indices, ranks and crowding distances.  Whole
+    fronts are admitted in rank order, each in row order; the front that
+    overflows is cut by descending crowding distance, ties resolved toward
+    the lower row index, and its kept members follow in that order.  The
+    sort stops at that front.  Survivors keep their combined ranks: every
+    dominator of a kept member lies in an earlier front, and earlier fronts
+    are kept whole, so sorting the survivors alone would give the same ranks.
+    Crowding is taken over each admitted front (:func:`_front_crowding`, all
+    fronts in one pass), for the cut front over its kept members in kept
     order.
     """
-    if len(parents) != n_survivors or len(offspring) != n_survivors:
-        raise ValueError("parents and offspring must each have exactly n_survivors members")
-    combined: list[Individual] = list(parents) + list(offspring)
-    partition = fast_nondominated_sort(combined)
-    survivors: list[Individual] = []
-    for rank, front in enumerate(partition.fronts, start=1):
-        room = n_survivors - len(survivors)
-        distances = crowding_distance([combined[i].objectives for i in front])
-        if front.size > room:
-            front = front[np.argsort(-distances, kind="stable")[:room]]  # stable: ties keep lower index
-            distances = crowding_distance([combined[i].objectives for i in front])
-        for i, distance in zip(front, distances):
-            combined[i].rank = rank
-            combined[i].crowding = float(distance)
-            survivors.append(combined[i])
-        if len(survivors) == n_survivors:
-            break
-    return survivors
+    objectives = np.asarray(objectives, dtype=float)
+    if not 1 <= n_survivors <= len(objectives):
+        raise ValueError("n_survivors must lie between 1 and the number of points")
+    fronts = fast_nondominated_sort(objectives, violations, stop=n_survivors).fronts
+    sizes = np.array([front.size for front in fronts])
+    survivors = np.concatenate(fronts)
+    crowding = _front_crowding(objectives[survivors], sizes)
+    excess = survivors.size - n_survivors
+    if excess:
+        cut = fronts[-1]
+        start = survivors.size - cut.size
+        kept = cut[np.argsort(-crowding[start:], kind="stable")[: cut.size - excess]]  # stable: ties keep lower index
+        survivors = np.concatenate((survivors[:start], kept))
+        crowding = np.concatenate((crowding[:start], crowding_distance(objectives[kept])))
+        sizes[-1] -= excess
+    return survivors, np.repeat(np.arange(1, sizes.size + 1), sizes), crowding
 
 
 @dataclass
@@ -323,6 +398,7 @@ class ParetoArchive:
     """
 
     members: list[Individual] = field(default_factory=list)
+    _objectives: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -331,28 +407,47 @@ class ParetoArchive:
         return iter(self.members)
 
     def objectives_array(self) -> np.ndarray:
-        if not self.members:
-            return np.empty((0, 0))
-        return np.array([m.objectives for m in self.members], dtype=float)
+        """The members' objectives as one ``(n, M)`` array (``(0, 0)`` when
+        empty), built once per archive and shared by every caller: read it,
+        do not write to it."""
+        if self._objectives is None:
+            self._objectives = (
+                np.array([m.objectives for m in self.members], dtype=float) if self.members else np.empty((0, 0))
+            )
+        return self._objectives
 
 
 def update_archive(archive: ParetoArchive, candidates: Sequence[Individual]) -> ParetoArchive:
     """Fold feasible candidates into the archive, keeping the non-dominated set.
 
     Infeasible candidates are ignored.  The result is a new archive whose
-    members are mutually non-dominated with duplicates (by objective vector)
-    removed, sorted by objectives.
+    members are mutually non-dominated, sorted by objectives, with each
+    objective vector kept once: the earliest of equal vectors stays, archive
+    members before candidates and candidates in the order given.
     """
-    pool = list(archive.members) + [c for c in candidates if c.feasible]
+    offered = [c for c in candidates if c.feasible]
+    pool = archive.members + offered
     if not pool:
-        return ParetoArchive([])
-    objectives = np.array([p.objectives for p in pool], dtype=float)
-    front = _pareto_fronts(objectives)[0]
-    front = front[np.lexsort(objectives[front].T[::-1])]  # stable: equal vectors keep pool order
-    values = objectives[front]
-    first = np.ones(len(front), dtype=bool)  # equal vectors: the earliest pool member stays
-    first[1:] = (values[1:] != values[:-1]).any(axis=1)
-    return ParetoArchive([pool[i] for i in front[first].tolist()])
+        return ParetoArchive()
+    parts = [archive.objectives_array()] if archive.members else []
+    if offered:
+        parts.append(np.array([c.objectives for c in offered], dtype=float))
+    objectives = np.concatenate(parts)
+    keep = _nondominated(objectives)
+    result = ParetoArchive([pool[i] for i in keep.tolist()])
+    result._objectives = objectives[keep]
+    return result
+
+
+def _archive_offers(genotypes: np.ndarray, objectives: np.ndarray, violations: np.ndarray) -> list[Individual]:
+    """The rows of one generation that can enter the archive, as Individuals:
+    its feasible rows that no other feasible row dominates, one per distinct
+    objective vector.  Any other row is dominated by, or equal to, one that
+    comes earlier in the archive's pool."""
+    rows = np.flatnonzero(violations == 0.0)
+    if rows.size:
+        rows = rows[_nondominated(objectives[rows])]
+    return [Individual._checked(g, o, 0.0) for g, o in zip(genotypes[rows], objectives[rows])]
 
 
 @dataclass
@@ -368,6 +463,10 @@ class GenerationRecord:
 
 @dataclass
 class EvolutionResult:
+    """What :func:`evolve` returns.  ``population`` is the final population in
+    the engine's row order, with ranks and crowding set, built once at the
+    end of the run."""
+
     population: list[Individual]
     archive: ParetoArchive
     history: list[GenerationRecord]
@@ -411,11 +510,11 @@ def _evaluate_batch(
     genotypes: np.ndarray,
     problem: Problem,
     expected_m: int | None,
-) -> tuple[list[Individual], int]:
-    """Evaluate the rows of an ``(N, L)`` matrix into Individuals, through
-    ``problem.evaluate_batch`` when the problem has one and one ``evaluate``
-    call per row otherwise.  The whole block is checked at once; each
-    Individual gets its own copy of its row."""
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Objectives ``(N, M)``, violations ``(N,)`` and ``M`` for the rows of an
+    ``(N, L)`` matrix, through ``problem.evaluate_batch`` when the problem has
+    one and one ``evaluate`` call per row otherwise.  The whole block is
+    checked at once."""
     m = expected_m
     batch = getattr(problem, "evaluate_batch", None)
     if batch is None:
@@ -448,13 +547,8 @@ def _evaluate_batch(
         if fault:
             raise EvaluationError(fault)
         m = objective_matrix.shape[1]
-        objective_rows = list(objective_matrix)
     _check_rows(genotypes, objective_matrix, violations)
-    individuals = [
-        Individual._checked(g.copy(), objectives, violation)
-        for g, objectives, violation in zip(genotypes, objective_rows, violations.tolist())
-    ]
-    return individuals, int(m)  # type: ignore[arg-type]
+    return objective_matrix, violations, int(m)  # type: ignore[arg-type]
 
 
 # Raw generator words decoded per block of pairs, a memory bound rather than a
@@ -558,11 +652,16 @@ def _decoded_draws(
 
 
 def _make_offspring(
-    population: list[Individual],
+    parents: np.ndarray,
+    ranks: np.ndarray,
+    crowding: np.ndarray,
     config: EngineConfig,
     rng: np.random.Generator,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """``population_size`` children as an ``(N, L)`` matrix, two per mating pair.
+    """``population_size`` children of the ``(n, L)`` matrix ``parents``, two per
+    mating pair, written to the ``(population_size, L)`` matrix ``out`` and
+    returned.  ``ranks`` and ``crowding`` are the parents'.
 
     Each pair draws, in order: two binary tournaments (a contestant index,
     then the other contestant among the remaining n - 1), the crossover coin
@@ -582,15 +681,11 @@ def _make_offspring(
     crowding, ties to the first drawn), crossover and mutation then run over
     the block.  Children are clamped to [0, 1].
     """
-    n = len(population)
-    length = population[0].genotype.shape[0]
-    ranks = np.array([ind.rank for ind in population])
-    crowding = np.array([ind.crowding for ind in population], dtype=float)
+    n, length = parents.shape
     pairs = config.population_size // 2
     block_pairs = max(1, _BLOCK_WORDS // (3 + 5 * length))
     # integers(1) draws nothing, so the halves would not pair up below n = 3
     decodable = type(rng.bit_generator) is np.random.PCG64 and n >= 3
-    children = np.empty((2 * pairs, length))
     for start in range(0, pairs, block_pairs):
         size = min(block_pairs, pairs - start)
         drawn = _decoded_draws(rng, n, size, length, config.crossover_prob) if decodable else None
@@ -606,7 +701,7 @@ def _make_offspring(
         )
         winners = np.where(first_wins, first, second)
 
-        block = np.array([population[k].genotype for k in winners.ravel()]).reshape(size, 2, length)
+        block = parents[winners.ravel()].reshape(size, 2, length)
         crossing = np.flatnonzero(crosses)
         if crossing.size:
             block[crossing, 0], block[crossing, 1] = _sbx_children(
@@ -615,8 +710,8 @@ def _make_offspring(
         mutation = draws[:, length:].reshape(size, 2, 2, length)
         mask = mutation[:, :, 0] < config.mutation_prob
         block[mask] = _perturb(block[mask], mutation[:, :, 1][mask], PM_ETA)
-        children[2 * start: 2 * (start + size)] = block.reshape(2 * size, length)
-    return children
+        out[2 * start: 2 * (start + size)] = block.reshape(2 * size, length)
+    return out
 
 
 def _record(generation: int, evaluations: int, archive: ParetoArchive) -> GenerationRecord:
@@ -641,22 +736,41 @@ def evolve(problem: Problem, config: EngineConfig) -> EvolutionResult:
     archive accumulates every feasible non-dominated point seen; ``history``
     holds one record for the initial population (generation 0) and one per
     generation after it.  Runs are fully deterministic for a fixed config.
+
+    Parents fill the top half of one ``(2N, L)`` genotype buffer and children
+    are written straight into its bottom half; the survivors are gathered
+    back to the top with one fancy index.  Only the children's own feasible
+    first front is offered to the archive.
     """
     length = int(problem.genotype_length)
     if length < 1:
         raise ValueError("problem.genotype_length must be >= 1")
+    n = config.population_size
     rng = np.random.default_rng(config.seed)
-    population, m = _evaluate_batch(rng.random((config.population_size, length)), problem, None)
-    assign_ranks_and_crowding(population)
-    archive = update_archive(ParetoArchive(), population)
-    evaluations = config.population_size
-    history = [_record(0, evaluations, archive)]
+    genotypes = np.empty((2 * n, length))
+    parents, children = genotypes[:n], genotypes[n:]
+    rng.random(out=parents)
+    objectives, violations, m = _evaluate_batch(parents, problem, None)
+    # all n points survive; the initial population keeps its row order
+    order, ranked, crowded = environmental_select(objectives, violations, n)
+    ranks, crowding = np.empty(n, dtype=int), np.empty(n)
+    ranks[order], crowding[order] = ranked, crowded
+    archive = update_archive(ParetoArchive(), _archive_offers(parents, objectives, violations))
+    history = [_record(0, n, archive)]
 
     for generation in range(1, config.generations + 1):
-        offspring, m = _evaluate_batch(_make_offspring(population, config, rng), problem, m)
-        population = environmental_select(population, offspring, config.population_size)
-        archive = update_archive(archive, offspring)
-        evaluations += config.population_size
-        history.append(_record(generation, evaluations, archive))
+        _make_offspring(parents, ranks, crowding, config, rng, children)
+        child_objectives, child_violations, m = _evaluate_batch(children, problem, m)
+        archive = update_archive(archive, _archive_offers(children, child_objectives, child_violations))
+        objectives = np.concatenate((objectives, child_objectives))
+        violations = np.concatenate((violations, child_violations))
+        survivors, ranks, crowding = environmental_select(objectives, violations, n)
+        parents[:] = genotypes[survivors]
+        objectives, violations = objectives[survivors], violations[survivors]
+        history.append(_record(generation, n * (generation + 1), archive))
 
+    population = [
+        Individual._checked(g, o, v, r, c)
+        for g, o, v, r, c in zip(parents.copy(), objectives, violations.tolist(), ranks.tolist(), crowding.tolist())
+    ]
     return EvolutionResult(population=population, archive=archive, history=history)

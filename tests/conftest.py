@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from scnopt import DecodedNetwork, Individual, Instance, tiny_instance
+from scnopt import DecodedNetwork, Instance, tiny_instance
 
 
 class LineFrontProblem:
@@ -16,6 +16,17 @@ class LineFrontProblem:
     def evaluate(self, genotype):
         x = float(genotype[0])
         return np.array([x, 1.0 - x]), 0.0
+
+
+class SometimesInfeasibleProblem:
+    """Feasible only on the left half of the gene range."""
+
+    genotype_length = 2
+
+    def evaluate(self, genotype):
+        x, y = float(genotype[0]), float(genotype[1])
+        violation = max(0.0, x - 0.5)
+        return np.array([x + y, 1.0 - y]), violation
 
 
 class RecordingProblem:
@@ -161,9 +172,10 @@ def random_population(
     n_objectives: int,
     infeasible_fraction: float = 0.4,
     tie_grid: int | None = 4,
-) -> list[Individual]:
-    """Random evaluated individuals with deliberate objective ties and a mix of
-    feasible and infeasible members (some sharing violation values)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Random evaluated points, ``(objectives (size, M), violations (size,))``,
+    with deliberate objective ties and a mix of feasible and infeasible
+    members (some sharing violation values)."""
     objectives = rng.random((size, n_objectives))
     if tie_grid:
         snap = rng.random((size, n_objectives)) < 0.5
@@ -172,7 +184,4 @@ def random_population(
     infeasible = rng.random(size) < infeasible_fraction
     raw = np.round(rng.random(size) * 3.0, 1)  # coarse grid so ties happen
     violations[infeasible] = raw[infeasible] + 0.1
-    return [
-        Individual(np.zeros(1), objectives=objectives[k], violation=float(violations[k]))
-        for k in range(size)
-    ]
+    return objectives, violations

@@ -14,7 +14,9 @@ out for one network; the package's only decoder,
 ``scnopt.model._decode_rows``, and its constraint scorer must match it bit
 for bit.  The
 reference engine is the generational loop as it ran one mating pair and one
-evaluated row at a time, with per-pair tournaments, crossover and mutation.
+evaluated row at a time, with per-pair tournaments, crossover and mutation;
+it ranks, crowds, selects and keeps its archive with the oracles above, not
+with the package's sorting, selection or archive code.
 """
 
 from __future__ import annotations
@@ -35,9 +37,6 @@ from scnopt import (
     SBX_ETA,
     Individual,
     ParetoArchive,
-    assign_ranks_and_crowding,
-    environmental_select,
-    update_archive,
 )
 from scnopt.model import _EXCESS_RTOL, _constraint_scales
 
@@ -583,29 +582,63 @@ def reference_evaluate(genotypes, problem, expected_m):
     return individuals, m
 
 
+def reference_rank_and_crowd(members, fronts) -> None:
+    """Write each member's 1-based front number and its crowding within its
+    front, the front's members taken in the order listed, onto ``members``."""
+    for rank, front in enumerate(fronts, start=1):
+        for i, distance in zip(front, oracle_crowding([members[i].objectives for i in front])):
+            members[i].rank, members[i].crowding = rank, distance
+
+
+def reference_select(parents, offspring, n_survivors):
+    """Survivors of parents plus offspring by ``oracle_environmental_select``,
+    each with its combined rank and its crowding over its front's survivors,
+    the cut front's in survivor order."""
+    combined = list(parents) + list(offspring)
+    objectives = [m.objectives for m in combined]
+    violations = [m.violation for m in combined]
+    chosen = oracle_environmental_select(objectives, violations, n_survivors)
+    # each front's survivors in survivor order; the fronts after the cut keep none
+    fronts = [[i for i in chosen if i in front] for front in map(set, oracle_sort(objectives, violations))]
+    reference_rank_and_crowd(combined, [front for front in fronts if front])
+    return [combined[i] for i in chosen]
+
+
+def reference_archive(members, candidates):
+    """Archive fold by ``oracle_nondominated``: the feasible non-dominated
+    members and candidates, the first of equal vectors kept, sorted by
+    objective tuple."""
+    pool = list(members) + [c for c in candidates if c.violation == 0.0]
+    keep = oracle_nondominated([m.objectives for m in pool])
+    return sorted((pool[i] for i in keep), key=lambda m: tuple(m.objectives.tolist()))
+
+
 def reference_evolve(problem, config) -> EvolutionResult:
-    """The generational loop with per-pair variation and per-row checks."""
+    """The generational loop with per-pair variation and per-row checks,
+    ranked, selected and archived by the plain-Python oracles."""
     rng = np.random.default_rng(config.seed)
     initial = rng.random((config.population_size, int(problem.genotype_length)))
     population, m = reference_evaluate(list(initial), problem, None)
-    assign_ranks_and_crowding(population)
-    archive = update_archive(ParetoArchive(), population)
+    reference_rank_and_crowd(
+        population, oracle_sort([p.objectives for p in population], [p.violation for p in population])
+    )
+    members = reference_archive([], population)
     history = []
 
     def record(generation):
-        objectives = archive.objectives_array()
+        objectives = np.array([a.objectives for a in members]) if members else np.empty((0, 0))
         history.append(GenerationRecord(
             generation=generation,
             evaluations=config.population_size * (generation + 1),
-            archive_size=len(archive),
-            best_objectives=objectives.min(axis=0) if len(archive) else None,
-            archive_objectives=objectives.copy(),
+            archive_size=len(members),
+            best_objectives=objectives.min(axis=0) if members else None,
+            archive_objectives=objectives,
         ))
 
     record(0)
     for generation in range(1, config.generations + 1):
         offspring, m = reference_evaluate(reference_offspring(population, config, rng), problem, m)
-        population = environmental_select(population, offspring, config.population_size)
-        archive = update_archive(archive, offspring)
+        population = reference_select(population, offspring, config.population_size)
+        members = reference_archive(members, offspring)
         record(generation)
-    return EvolutionResult(population=population, archive=archive, history=history)
+    return EvolutionResult(population=population, archive=ParetoArchive(members), history=history)

@@ -57,11 +57,9 @@ def test_criterion_1_sorting_matches_oracle(capsys):
     for trial in range(200):
         size = int(rng.integers(2, 65))
         m = int(rng.integers(2, 4))
-        population = random_population(rng, size, m)
-        partition = fast_nondominated_sort(population)
-        expected = oracle_sort(
-            [p.objectives for p in population], [p.violation for p in population]
-        )
+        objectives, violations = random_population(rng, size, m)
+        partition = fast_nondominated_sort(objectives, violations)
+        expected = oracle_sort(objectives, violations)
         got = [sorted(front.tolist()) for front in partition.fronts]
         want = [sorted(front) for front in expected]
         if got != want:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from scnopt import Individual, ParetoArchive, update_archive
 
@@ -96,3 +97,38 @@ def test_monotone_no_archived_point_ever_dominated_by_history():
         archive = update_archive(archive, batch)
         for member in archive:
             assert not any(oracle_dominates(p, member.objectives) for p in inserted)
+
+
+# Objective coordinates on a small grid, -0.0 next to 0.0, so offers repeat
+# vectors within a batch, across batches and up to the sign of zero.
+GRID_VALUES = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    offers=st.integers(2, 3).flatmap(
+        lambda m: st.lists(
+            st.lists(
+                st.tuples(st.lists(GRID_VALUES, min_size=m, max_size=m), st.sampled_from([0.0, 0.0, 0.5])),
+                max_size=10,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_fold_equals_the_brute_force_filter_over_every_offer(offers):
+    # after each batch, the members are the non-dominated feasible offers so far,
+    # the earliest of equal vectors, sorted by objective tuple
+    archive = ParetoArchive()
+    history: list[Individual] = []
+    for batch in offers:
+        candidates = [ind(objectives, violation) for objectives, violation in batch]
+        archive = update_archive(archive, candidates)
+        history.extend(c for c in candidates if c.feasible)
+        keep = [history[i] for i in oracle_nondominated([c.objectives for c in history])]
+        want = sorted(keep, key=lambda c: tuple(c.objectives.tolist()))
+        assert [id(m) for m in archive] == [id(c) for c in want]
+        cached = np.array([c.objectives for c in want]) if want else np.empty((0, 0))
+        got = archive.objectives_array()
+        assert got.shape == cached.shape and got.tobytes() == cached.tobytes()  # bit for bit, signed zeros too

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scnopt import crowding_distance
+from scnopt.nsga2 import _front_crowding
 
 from oracles import oracle_crowding
 
@@ -79,3 +81,25 @@ def test_affine_invariance_per_objective():
         finite = np.isfinite(base)
         assert np.array_equal(np.isinf(base), np.isinf(transformed))
         assert np.allclose(base[finite], transformed[finite], rtol=0.0, atol=1e-9)
+
+
+# Small integer grids with -0.0 next to 0.0: ties, duplicates, zero spans and
+# single-point fronts.
+GRID_VALUES = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0, 7.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    fronts=st.integers(1, 3).flatmap(
+        lambda m: st.lists(
+            st.lists(st.lists(GRID_VALUES, min_size=m, max_size=m), min_size=1, max_size=12),
+            min_size=1,
+            max_size=8,
+        )
+    )
+)
+def test_segment_crowding_equals_the_formula_per_front(fronts):
+    # one pass over consecutive fronts gives each front's literal crowding, bit for bit
+    got = _front_crowding(np.array([row for front in fronts for row in front]), np.array([len(f) for f in fronts]))
+    want = np.array([d for front in fronts for d in oracle_crowding(front)])
+    assert np.array_equal(got, want)

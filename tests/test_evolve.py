@@ -7,7 +7,7 @@ import pytest
 
 from scnopt import EngineConfig, EvaluationError, SupplyChainProblem, evolve, generate_preset
 
-from conftest import LineFrontProblem, RecordingProblem, ScalarOnlyProblem
+from conftest import LineFrontProblem, RecordingProblem, ScalarOnlyProblem, SometimesInfeasibleProblem
 from oracles import reference_evolve
 
 
@@ -19,17 +19,6 @@ class TwoBasinProblem:
     def evaluate(self, genotype):
         x = float(genotype[0])
         return np.array([(x - 0.2) ** 2, (x - 0.8) ** 2]), 0.0
-
-
-class SometimesInfeasibleProblem:
-    """Feasible only on the left half of the gene range."""
-
-    genotype_length = 2
-
-    def evaluate(self, genotype):
-        x, y = float(genotype[0]), float(genotype[1])
-        violation = max(0.0, x - 0.5)
-        return np.array([x + y, 1.0 - y]), violation
 
 
 class BrokenProblem:

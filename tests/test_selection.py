@@ -6,15 +6,19 @@ tournaments pick what they pick."""
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import pytest
 
-from scnopt import Individual, assign_ranks_and_crowding, environmental_select, fast_nondominated_sort
+from scnopt import Individual, environmental_select, fast_nondominated_sort
 
 from conftest import random_population
-from oracles import binary_tournament_select, crowded_compare, oracle_environmental_select
+from oracles import (
+    binary_tournament_select,
+    crowded_compare,
+    oracle_crowding,
+    oracle_environmental_select,
+    oracle_sort,
+)
 
 
 def ranked(rank, crowding, objectives=(0.0, 0.0)):
@@ -103,60 +107,51 @@ class TestBinaryTournament:
             binary_tournament_select([ranked(1, 1.0)], np.random.default_rng(0))
 
 
+def combined_population(rng, n, m, *args, **kwargs):
+    """Parents then offspring, ``n`` random points each, as one pair of arrays."""
+    parents, offspring = random_population(rng, n, m, *args, **kwargs), random_population(rng, n, m, *args, **kwargs)
+    return np.concatenate((parents[0], offspring[0])), np.concatenate((parents[1], offspring[1]))
+
+
 class TestEnvironmentalSelect:
     def test_hand_case_cut_by_crowding(self):
         # one 5-member front feeding a 4-slot population: the most crowded
         # interior member (index 2, the middle of three evenly spaced interior
         # points) must be dropped.
-        rows = [(0.0, 4.0), (1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (4.0, 0.0)]
-        parents = [Individual(np.zeros(1), objectives=np.asarray(r, float)) for r in rows[:4]]
-        offspring = [Individual(np.zeros(1), objectives=np.asarray(rows[4], float))] + [
-            Individual(np.zeros(1), objectives=np.asarray(r, float)) for r in [(9, 9), (9, 10), (10, 9)]
-        ]
-        survivors = environmental_select(parents, offspring, 4)
-        kept = sorted(tuple(s.objectives) for s in survivors)
+        rows = [(0.0, 4.0), (1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (4.0, 0.0), (9, 9), (9, 10), (10, 9)]
+        survivors, ranks, crowding = environmental_select(np.array(rows, dtype=float), np.zeros(8), 4)
+        kept = sorted(rows[i] for i in survivors)
         # boundaries (0,4) and (4,0) kept; interior ties broken toward lower index
         assert ((0.0, 4.0)) in kept and ((4.0, 0.0)) in kept
         assert len(kept) == 4
         assert (9.0, 9.0) not in kept
+        assert ranks.tolist() == [1, 1, 1, 1]
 
     def test_never_drops_rank1_while_keeping_worse(self):
         rng = np.random.default_rng(17)
         for _ in range(30):
             n = int(rng.integers(2, 12)) * 2
-            parents = random_population(rng, n, 2)
-            offspring = random_population(rng, n, 2)
-            survivors = environmental_select(parents, offspring, n)
+            objectives, violations = combined_population(rng, n, 2)
+            survivors, _, _ = environmental_select(objectives, violations, n)
             assert len(survivors) == n
-            combined = list(parents) + list(offspring)
-            partition = fast_nondominated_sort(combined)
-            survivor_set = {id(s) for s in survivors}
-            best_front = [combined[i] for i in partition.fronts[0]]
-            worst_kept_rank = max(
-                partition.ranks[k]
-                for k, member in enumerate(combined)
-                if id(member) in survivor_set
-            )
-            for member in best_front:
+            partition = fast_nondominated_sort(objectives, violations)
+            survivor_set = set(survivors.tolist())
+            worst_kept_rank = max(partition.ranks[k] for k in survivor_set)
+            for k in partition.fronts[0].tolist():
                 if worst_kept_rank > 1:
-                    assert id(member) in survivor_set
+                    assert k in survivor_set
 
     def test_matches_oracle_on_random_populations(self):
         rng = np.random.default_rng(29)
         for _ in range(40):
             n = int(rng.integers(2, 10)) * 2
-            parents = random_population(rng, n, 2)
-            offspring = random_population(rng, n, 2)
-            combined = list(parents) + list(offspring)
-            survivors = environmental_select(parents, offspring, n)
-            want_idx = oracle_environmental_select(
-                [m.objectives for m in combined], [m.violation for m in combined], n
-            )
+            objectives, violations = combined_population(rng, n, 2)
+            survivors, _, _ = environmental_select(objectives, violations, n)
             # in order: tournaments index the population by position
-            assert [id(s) for s in survivors] == [id(combined[i]) for i in want_idx]
+            assert survivors.tolist() == oracle_environmental_select(objectives, violations, n)
 
     def test_survivors_carry_fresh_ranks(self):
-        # Survivors carry exactly what sorting them alone would write: the
+        # Survivors carry exactly what sorting them alone would give: the
         # ranks of the combined sort, and crowding over their own fronts.
         rng = np.random.default_rng(41)
         cut_fronts = {"feasible": 0, "infeasible": 0}
@@ -164,27 +159,31 @@ class TestEnvironmentalSelect:
             n = int(rng.integers(2, 16)) * 2
             m = int(rng.integers(2, 4))
             infeasible_fraction = (0.0, 0.4, 0.8, 1.0)[trial % 4]
-            parents = random_population(rng, n, m, infeasible_fraction, tie_grid=2)
-            offspring = random_population(rng, n, m, infeasible_fraction, tie_grid=2)
+            objectives, violations = combined_population(rng, n, m, infeasible_fraction, tie_grid=2)
             for k in rng.choice(n, size=n // 2, replace=False):  # duplicate rows
-                twin = parents[int(rng.integers(n))]
-                offspring[k] = Individual(np.zeros(1), objectives=twin.objectives, violation=twin.violation)
-            combined = parents + offspring
+                twin = int(rng.integers(n))
+                objectives[n + k], violations[n + k] = objectives[twin], violations[twin]
             filled = 0
-            for front in fast_nondominated_sort(combined).fronts:
+            for front in fast_nondominated_sort(objectives, violations).fronts:
                 if filled + front.size > n:
-                    cut_fronts["feasible" if combined[front[0]].feasible else "infeasible"] += 1
+                    cut_fronts["infeasible" if violations[front[0]] else "feasible"] += 1
                     break
                 filled += front.size
-            survivors = environmental_select(parents, offspring, n)
-            got = [(s.rank, s.crowding) for s in survivors]
-            fresh = [copy.copy(s) for s in survivors]
-            assign_ranks_and_crowding(fresh)
-            assert got == [(s.rank, s.crowding) for s in fresh]
+            survivors, ranks, crowding = environmental_select(objectives, violations, n)
+            kept_objectives, kept_violations = objectives[survivors], violations[survivors]
+            fresh_ranks, fresh_crowding = [0] * n, [0.0] * n
+            for rank, front in enumerate(oracle_sort(kept_objectives, kept_violations), start=1):
+                for i, distance in zip(front, oracle_crowding(kept_objectives[front])):
+                    fresh_ranks[i], fresh_crowding[i] = rank, distance
+            assert ranks.tolist() == fresh_ranks
+            assert crowding.tolist() == fresh_crowding
         assert min(cut_fronts.values()) >= 20
 
     def test_size_mismatch_raises(self):
         rng = np.random.default_rng(43)
-        pop = random_population(rng, 6, 2)
+        objectives, violations = random_population(rng, 6, 2)
+        for n_survivors in (0, 7):
+            with pytest.raises(ValueError):
+                environmental_select(objectives, violations, n_survivors)
         with pytest.raises(ValueError):
-            environmental_select(pop, pop[:4], 6)
+            environmental_select(objectives, violations[:4], 3)

@@ -127,6 +127,15 @@ def _population(n: int, length: int) -> list[Individual]:
     return population
 
 
+def _pooled_offspring(population: list[Individual], cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
+    """``_make_offspring`` on the genotype, rank and crowding arrays of ``population``."""
+    genotypes = np.array([ind.genotype for ind in population])
+    ranks = np.array([ind.rank for ind in population])
+    crowding = np.array([ind.crowding for ind in population])
+    out = np.empty((cfg.population_size, genotypes.shape[1]))
+    return _make_offspring(genotypes, ranks, crowding, cfg, rng, out)
+
+
 class TestPooledVariation:
     @pytest.mark.parametrize("mutation_prob", [0.0, 0.01, 1.0])
     @pytest.mark.parametrize("crossover_prob", [0.0, 0.6, 1.0])
@@ -136,7 +145,7 @@ class TestPooledVariation:
         population = _population(n, length)
         cfg = EngineConfig(population_size=n, crossover_prob=crossover_prob, mutation_prob=mutation_prob)
         pooled_rng, pair_rng = np.random.default_rng(n + length), np.random.default_rng(n + length)
-        pooled = _make_offspring(population, cfg, pooled_rng)
+        pooled = _pooled_offspring(population, cfg, pooled_rng)
         expected = np.array(reference_offspring(population, cfg, pair_rng))
         assert pooled.shape == (n, length)
         assert np.array_equal(pooled, expected)
@@ -171,7 +180,7 @@ def _offspring_pair(n, length, make_rng, **overrides):
     population = _population(n, length)
     cfg = EngineConfig(population_size=n, **overrides)
     pooled_rng, pair_rng = make_rng(), make_rng()
-    pooled = _make_offspring(population, cfg, pooled_rng)
+    pooled = _pooled_offspring(population, cfg, pooled_rng)
     expected = np.array(reference_offspring(population, cfg, pair_rng))
     return pooled, pooled_rng, expected, pair_rng
 
