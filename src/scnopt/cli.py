@@ -183,6 +183,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"archive: {len(result.archive)} points, exported front: {len(rows)} rows")
     print(f"wrote {out_dir / 'front.csv'}, {out_dir / 'report.json'}, {out_dir / 'front.dat'}")
     print(f"wall time: {wall:.2f}s")
+    low, high = rows[0][0], rows[-1][0]  # front rows ascend in cost
+    if len(rows) < 3 or high - low < 1e-3 * low:
+        print(
+            f"warning: the exported front has collapsed to {len(rows)} row(s) with total cost {low:.0f} to "
+            f"{high:.0f}: fewer than 3 rows, or costs within 0.1% of the lowest, show no cost/delay trade-off",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

@@ -3,7 +3,8 @@ minimization over real-coded genotypes in the unit box [0, 1]^L.
 
 The engine is problem-agnostic: anything exposing ``genotype_length`` and
 ``evaluate(genotype) -> (objectives, violation)`` can be plugged in; a problem
-that also has ``evaluate_batch`` gets each generation as one matrix.
+that also has ``evaluate_batch`` gets each generation's new children as one
+matrix.
 
 The population lives in arrays.  Genotypes fill the top half of one
 ``(2N, L)`` buffer whose bottom half takes each generation's children;
@@ -49,13 +50,17 @@ class EvaluationError(RuntimeError):
 class Problem(Protocol):
     """Minimal evaluator interface the engine optimizes against.
 
+    ``evaluate`` must be a deterministic function of the genotype: a child
+    copied unchanged from its tournament winner takes the winner's values
+    without a call.
+
     A problem may also define ``evaluate_batch(genotypes)``, taking an
     ``(N, L)`` matrix and returning ``(objectives (N, M), violations (N,))``
     whose row ``n`` is what ``evaluate(genotypes[n])`` returns.  Rows must be
-    independent of each other.  The engine then calls it once per generation
-    in place of ``evaluate``.  Either method receives a view of the engine's
-    genotype buffer, which the next generation overwrites: a problem must not
-    write to it or keep it.
+    independent of each other.  The engine then calls it in place of
+    ``evaluate``, at most once per generation, with only the new children's
+    rows.  Either method receives rows of a fresh matrix gathered from the
+    engine's genotype buffer, never a view of that buffer.
     """
 
     genotype_length: int
@@ -452,7 +457,11 @@ def _archive_offers(genotypes: np.ndarray, objectives: np.ndarray, violations: n
 
 @dataclass
 class GenerationRecord:
-    """Progress snapshot after one generation has been folded into the archive."""
+    """Progress snapshot after one generation has been folded into the archive.
+
+    ``evaluations`` counts the children scored so far, copies of a tournament
+    winner included, not the calls made to the problem.
+    """
 
     generation: int
     evaluations: int
@@ -483,17 +492,18 @@ def _row_faults(genotypes: np.ndarray, objectives: np.ndarray, violations: np.nd
     ])
 
 
-def _check_rows(genotypes: np.ndarray, objectives: np.ndarray, violations: np.ndarray) -> None:
-    """Raise for the first faulty row, its objectives checked before its violation."""
+def _check_rows(genotypes: np.ndarray, objectives: np.ndarray, violations: np.ndarray, indices: np.ndarray) -> None:
+    """Raise for the first faulty row, its objectives checked before its
+    violation, naming it by its entry of ``indices``."""
     faults = _row_faults(genotypes, objectives, violations)
     bad = np.flatnonzero(faults.any(axis=0))
     if not bad.size:
         return
     k = int(bad[0])
     if faults[0, k]:
-        raise EvaluationError(f"non-finite objective at genotype index {k}: {objectives[k].tolist()}")
+        raise EvaluationError(f"non-finite objective at genotype index {indices[k]}: {objectives[k].tolist()}")
     if faults[1, k]:
-        raise EvaluationError(f"invalid constraint violation at genotype index {k}: {float(violations[k])}")
+        raise EvaluationError(f"invalid constraint violation at genotype index {indices[k]}: {float(violations[k])}")
     raise ValueError("genotype coordinates must lie in [0, 1]")
 
 
@@ -506,33 +516,61 @@ def _objective_count_fault(k: int, shape: tuple[int, ...], m: int | None) -> str
     return None
 
 
+def _stack_row_by_row(
+    genotypes: np.ndarray,
+    objective_rows: list,
+    violation_rows: list,
+    expected_m: int | None,
+    indices: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Objectives and violations of ``evaluate`` results that do not stack as
+    one block, converted row by row, raising for the first row at fault: an
+    objective shape fault is reported after the faults of the rows before it."""
+    m = expected_m
+    objective_list: list[np.ndarray] = []
+    violation_list: list[float] = []
+    for k, (objectives, violation) in enumerate(zip(objective_rows, violation_rows)):
+        objectives, violation = np.asarray(objectives, dtype=float), float(violation)
+        fault = _objective_count_fault(int(indices[k]), objectives.shape, m)
+        if fault:
+            if k:
+                _check_rows(genotypes[:k], np.array(objective_list), np.array(violation_list), indices)
+            raise EvaluationError(fault)
+        m = objectives.size
+        objective_list.append(objectives)
+        violation_list.append(violation)
+    return np.array(objective_list), np.array(violation_list)
+
+
 def _evaluate_batch(
     genotypes: np.ndarray,
     problem: Problem,
     expected_m: int | None,
+    indices: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Objectives ``(N, M)``, violations ``(N,)`` and ``M`` for the rows of an
-    ``(N, L)`` matrix, through ``problem.evaluate_batch`` when the problem has
-    one and one ``evaluate`` call per row otherwise.  The whole block is
-    checked at once."""
-    m = expected_m
+    ``(N, L)`` matrix, through one ``problem.evaluate_batch`` call when the
+    problem has one and one ``evaluate`` call per row otherwise.  The whole
+    block is checked at once; errors name row ``k`` as ``indices[k]``, its
+    index in the generation."""
     batch = getattr(problem, "evaluate_batch", None)
     if batch is None:
-        objective_rows: list[np.ndarray] = []
-        violation_list: list[float] = []
-        for k, g in enumerate(genotypes):
-            objectives, violation = problem.evaluate(g)
-            objectives, violation = np.asarray(objectives, dtype=float), float(violation)
-            fault = _objective_count_fault(k, objectives.shape, m)
-            if fault:
-                if k:  # an earlier row's fault is reported first
-                    _check_rows(genotypes[:k], np.array(objective_rows), np.array(violation_list))
-                raise EvaluationError(fault)
-            m = objectives.size
-            objective_rows.append(objectives)
-            violation_list.append(violation)
-        objective_matrix = np.array(objective_rows)
-        violations = np.array(violation_list)
+        results = [problem.evaluate(g) for g in genotypes]
+        objective_rows = [objectives for objectives, _ in results]
+        violation_rows = [violation for _, violation in results]
+        try:
+            objective_matrix = np.array(objective_rows, dtype=float)
+            violations = np.array(violation_rows, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            stacked = False
+        else:
+            stacked = objective_matrix.ndim == 2 and violations.ndim == 1 and not _objective_count_fault(
+                0, objective_matrix.shape[1:], expected_m
+            )
+        if not stacked:
+            objective_matrix, violations = _stack_row_by_row(
+                genotypes, objective_rows, violation_rows, expected_m, indices
+            )
     else:
         n = len(genotypes)
         objective_matrix, violations = batch(genotypes)
@@ -543,12 +581,11 @@ def _evaluate_batch(
                 f"evaluate_batch returned objectives of shape {objective_matrix.shape} and "
                 f"violations of shape {violations.shape} for {n} genotypes"
             )
-        fault = _objective_count_fault(0, objective_matrix.shape[1:], m)
+        fault = _objective_count_fault(int(indices[0]), objective_matrix.shape[1:], expected_m)
         if fault:
             raise EvaluationError(fault)
-        m = objective_matrix.shape[1]
-    _check_rows(genotypes, objective_matrix, violations)
-    return objective_matrix, violations, int(m)  # type: ignore[arg-type]
+    _check_rows(genotypes, objective_matrix, violations, indices)
+    return objective_matrix, violations, objective_matrix.shape[1]
 
 
 # Raw generator words decoded per block of pairs, a memory bound rather than a
@@ -659,9 +696,10 @@ def _make_offspring(
     rng: np.random.Generator,
     out: np.ndarray,
 ) -> np.ndarray:
-    """``population_size`` children of the ``(n, L)`` matrix ``parents``, two per
-    mating pair, written to the ``(population_size, L)`` matrix ``out`` and
-    returned.  ``ranks`` and ``crowding`` are the parents'.
+    """Write ``population_size`` children of the ``(n, L)`` matrix ``parents``,
+    two per mating pair, to the ``(population_size, L)`` matrix ``out``, and
+    return each child's source: the row of ``parents`` it is a bit-exact copy
+    of, or -1 for a new genotype.  ``ranks`` and ``crowding`` are the parents'.
 
     Each pair draws, in order: two binary tournaments (a contestant index,
     then the other contestant among the remaining n - 1), the crossover coin
@@ -670,7 +708,8 @@ def _make_offspring(
     perturbation draws.  Successive ``random(L)`` calls give the same doubles
     as one ``random(kL)`` call, so the children equal those of the per-pair
     tournament, SBX and polynomial mutation in ``tests/oracles.py`` called in
-    turn.
+    turn.  A child of a pair that does not cross, with an empty mutation mask,
+    is its tournament winner unchanged; its source is that winner.
 
     Pairs run in blocks of up to ``_BLOCK_WORDS // (3 + 5L)``.  On a PCG64
     generator a block's draws are decoded from one ``random_raw`` call
@@ -686,6 +725,7 @@ def _make_offspring(
     block_pairs = max(1, _BLOCK_WORDS // (3 + 5 * length))
     # integers(1) draws nothing, so the halves would not pair up below n = 3
     decodable = type(rng.bit_generator) is np.random.PCG64 and n >= 3
+    source = np.empty(config.population_size, dtype=np.int64)
     for start in range(0, pairs, block_pairs):
         size = min(block_pairs, pairs - start)
         drawn = _decoded_draws(rng, n, size, length, config.crossover_prob) if decodable else None
@@ -711,7 +751,9 @@ def _make_offspring(
         mask = mutation[:, :, 0] < config.mutation_prob
         block[mask] = _perturb(block[mask], mutation[:, :, 1][mask], PM_ETA)
         out[2 * start: 2 * (start + size)] = block.reshape(2 * size, length)
-    return out
+        copied = ~crosses[:, None] & ~mask.any(axis=2)
+        source[2 * start: 2 * (start + size)] = np.where(copied, winners, -1).ravel()
+    return source
 
 
 def _record(generation: int, evaluations: int, archive: ParetoArchive) -> GenerationRecord:
@@ -741,6 +783,12 @@ def evolve(problem: Problem, config: EngineConfig) -> EvolutionResult:
     are written straight into its bottom half; the survivors are gathered
     back to the top with one fancy index.  Only the children's own feasible
     first front is offered to the archive.
+
+    Only new children are evaluated: a child copied unchanged from its
+    tournament winner (its pair did not cross and no gene mutated) takes the
+    winner's objectives and violation without a call, so the problem must be
+    a deterministic function of the genotype.  ``history`` counts every child
+    as evaluated, copies included.
     """
     length = int(problem.genotype_length)
     if length < 1:
@@ -750,7 +798,7 @@ def evolve(problem: Problem, config: EngineConfig) -> EvolutionResult:
     genotypes = np.empty((2 * n, length))
     parents, children = genotypes[:n], genotypes[n:]
     rng.random(out=parents)
-    objectives, violations, m = _evaluate_batch(parents, problem, None)
+    objectives, violations, m = _evaluate_batch(parents.copy(), problem, None, np.arange(n))
     # all n points survive; the initial population keeps its row order
     order, ranked, crowded = environmental_select(objectives, violations, n)
     ranks, crowding = np.empty(n, dtype=int), np.empty(n)
@@ -759,8 +807,14 @@ def evolve(problem: Problem, config: EngineConfig) -> EvolutionResult:
     history = [_record(0, n, archive)]
 
     for generation in range(1, config.generations + 1):
-        _make_offspring(parents, ranks, crowding, config, rng, children)
-        child_objectives, child_violations, m = _evaluate_batch(children, problem, m)
+        source = _make_offspring(parents, ranks, crowding, config, rng, children)
+        # a copy takes its source's values; the rows of new children (source -1) are overwritten
+        child_objectives, child_violations = objectives[source], violations[source]
+        fresh = np.flatnonzero(source < 0)
+        if fresh.size:
+            child_objectives[fresh], child_violations[fresh], m = _evaluate_batch(
+                children[fresh], problem, m, fresh
+            )
         archive = update_archive(archive, _archive_offers(children, child_objectives, child_violations))
         objectives = np.concatenate((objectives, child_objectives))
         violations = np.concatenate((violations, child_violations))

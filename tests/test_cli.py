@@ -153,6 +153,38 @@ class TestRun:
         assert report["config"]["holding_on_backorder"] is True
 
 
+@pytest.fixture
+def desk_path(tmp_path):
+    path = tmp_path / "desk.json"
+    assert main(["generate", "--preset", "desk", "--out", str(path)]) == EXIT_OK
+    return path
+
+
+def run_desk(desk_path, out_dir, pop_size, generations, seed):
+    return main(["run", "--instance", str(desk_path), "--out", str(out_dir), "--pop-size", str(pop_size),
+                 "--generations", str(generations), "--seed", str(seed)])
+
+
+class TestCollapsedFront:
+    def test_short_run_with_a_collapsed_front_says_so(self, desk_path, tmp_path, capsys):
+        assert run_desk(desk_path, tmp_path / "out", 8, 2, 1) == EXIT_OK
+        assert len((tmp_path / "out" / "front.csv").read_text().splitlines()) - 1 < 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "the exported front has collapsed to 1 row(s)" in err
+
+    def test_narrow_cost_span_is_a_collapse(self, desk_path, tmp_path, capsys, monkeypatch):
+        rows = [(1000.0, 3.0, 0.3), (1000.9, 2.0, 0.2), (1000.99, 1.0, 0.1)]  # span 0.099 % of 1000
+        monkeypatch.setattr("scnopt.cli.front_rows", lambda archive, instance: rows)
+        assert run_desk(desk_path, tmp_path / "out", 8, 2, 1) == EXIT_OK
+        assert "collapsed to 3 row(s) with total cost 1000 to 1001" in capsys.readouterr().err
+
+    def test_spread_desk_front_is_not_reported(self, desk_path, tmp_path, capsys):
+        assert run_desk(desk_path, tmp_path / "out", 20, 10, 3) == EXIT_OK
+        costs = [float(line.split(",")[0]) for line in (tmp_path / "out" / "front.csv").read_text().splitlines()[1:]]
+        assert len(costs) >= 3 and costs[-1] - costs[0] > 0.01 * costs[0]
+        assert capsys.readouterr().err == ""
+
+
 class TestExitCodes:
     def test_no_command_is_usage(self, capsys):
         assert main([]) == EXIT_USAGE

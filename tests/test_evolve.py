@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from scnopt import EngineConfig, EvaluationError, SupplyChainProblem, evolve, generate_preset
+from scnopt import EngineConfig, EvaluationError, SupplyChainProblem, evolve, generate_preset, nsga2
 
 from conftest import LineFrontProblem, RecordingProblem, ScalarOnlyProblem, SometimesInfeasibleProblem
 from oracles import reference_evolve
@@ -65,12 +65,20 @@ def test_history_has_one_record_per_generation_plus_initial():
     assert result.history[-1].evaluations == 8 * 7
 
 
-def test_archive_only_improves_and_never_readmits_dominated_points():
+def test_archive_only_improves_and_never_readmits_dominated_points(monkeypatch):
     problem = RecordingProblem(TwoBasinProblem())
+    calls_by_generation = []  # evaluate calls made when each generation's record is taken
+    record = nsga2._record
+
+    def counting_record(*args):
+        calls_by_generation.append(len(problem.seen))
+        return record(*args)
+
+    monkeypatch.setattr(nsga2, "_record", counting_record)
     result = evolve(problem, EngineConfig(population_size=10, generations=15, seed=11))
     for rec in result.history:
         seen_so_far = [
-            obj for obj, violation in problem.seen[: rec.evaluations] if violation == 0.0
+            obj for obj, violation in problem.seen[: calls_by_generation[rec.generation]] if violation == 0.0
         ]
         for point in rec.archive_objectives:
             assert not any(
@@ -155,4 +163,124 @@ def test_desk_run_matches_the_reference_engine(scalar_only):
     if scalar_only:
         problem = ScalarOnlyProblem(problem)
     config = EngineConfig(population_size=24, generations=15, seed=9)
+    assert_same_run(evolve(problem, config), reference_evolve(problem, config))
+
+
+class SometimesInfeasibleBatchProblem(SometimesInfeasibleProblem):
+    """:class:`SometimesInfeasibleProblem` scored a matrix at a time, logging
+    each matrix it receives."""
+
+    def __init__(self):
+        self.received = []
+
+    def evaluate_batch(self, genotypes):
+        self.received.append(genotypes)
+        x, y = genotypes[:, 0], genotypes[:, 1]
+        return np.column_stack((x + y, 1.0 - y)), np.maximum(0.0, x - 0.5)
+
+
+class FirstChildFaultProblem(SometimesInfeasibleProblem):
+    """Returns a NaN objective for the first genotype scored after the initial
+    population of ``population_size``, by ``evaluate`` or ``evaluate_batch``."""
+
+    def __init__(self, population_size, batched):
+        self.population_size, self.scored = population_size, 0
+        if batched:
+            self.evaluate_batch = self._evaluate_batch
+
+    def evaluate(self, genotype):
+        objectives, violation = super().evaluate(genotype)
+        if self.scored == self.population_size:
+            objectives[0] = np.nan
+        self.scored += 1
+        return objectives, violation
+
+    def _evaluate_batch(self, genotypes):
+        rows = [self.evaluate(g) for g in genotypes]
+        return np.array([o for o, _ in rows]), np.array([v for _, v in rows])
+
+
+@pytest.fixture
+def offspring_log(monkeypatch):
+    """Each generation's ``(parents, children, source, buffer)`` from
+    ``_make_offspring``: copies of the first three when it returns, and the
+    engine's child buffer itself."""
+    log = []
+    make_offspring = nsga2._make_offspring
+
+    def logging_make_offspring(parents, ranks, crowding, config, rng, out):
+        parents = parents.copy()
+        source = make_offspring(parents, ranks, crowding, config, rng, out)
+        log.append((parents, out.copy(), source.copy(), out))
+        return source
+
+    monkeypatch.setattr(nsga2, "_make_offspring", logging_make_offspring)
+    return log
+
+
+def test_only_new_children_are_evaluated_and_copies_equal_their_source(offspring_log):
+    called = []
+
+    class CountingProblem(TwoBasinProblem):
+        def evaluate(self, genotype):
+            called.append(genotype.copy())
+            return super().evaluate(genotype)
+
+    n = 20
+    evolve(CountingProblem(), EngineConfig(population_size=n, generations=12, seed=3, mutation_prob=0.1))
+    assert len(offspring_log) == 12
+    assert np.array_equal(np.array(called[:n]), offspring_log[0][0])  # the initial population, once each
+    done = n
+    for parents, children, source, _ in offspring_log:
+        new = source < 0
+        assert np.array_equal(np.array(called[done: done + new.sum()]), children[new])
+        done += new.sum()
+        assert np.array_equal(children[~new], parents[source[~new]])
+    assert done == len(called)
+    copies = sum(int((source >= 0).sum()) for _, _, source, _ in offspring_log)
+    assert 0 < copies < 12 * n  # both kinds of child occur
+
+
+def test_batch_problem_receives_only_the_new_rows(offspring_log):
+    problem = SometimesInfeasibleBatchProblem()
+    evolve(problem, EngineConfig(population_size=20, generations=10, seed=4))
+    fresh = [(children[source < 0], buffer) for _, children, source, buffer in offspring_log if (source < 0).any()]
+    assert len(problem.received) == 1 + len(fresh)
+    assert any(len(expected) < 20 for expected, _ in fresh)  # some children were copies
+    for received, (expected, buffer) in zip(problem.received[1:], fresh):
+        assert np.array_equal(received, expected)
+        assert not np.shares_memory(received, buffer)
+
+
+def test_batch_problem_is_not_called_when_every_child_is_a_copy():
+    problem = SometimesInfeasibleBatchProblem()
+    config = EngineConfig(population_size=20, generations=5, seed=4, crossover_prob=0.0, mutation_prob=0.0)
+    result = evolve(problem, config)
+    assert len(problem.received) == 1  # the initial population only
+    assert result.history[-1].evaluations == 20 * 6
+    assert_same_run(result, reference_evolve(SometimesInfeasibleBatchProblem(), config))
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
+def test_fault_in_a_new_child_after_a_copy_names_the_child(batched):
+    n, config = 8, EngineConfig(population_size=8, generations=1, seed=5)
+    reference = RecordingProblem(SometimesInfeasibleProblem())
+    reference_evolve(reference, config)
+    parents = np.array([o for o, _ in reference.seen[:n]])
+    children = np.array([o for o, _ in reference.seen[n:]])
+    copied = (children[:, None, :] == parents[None, :, :]).all(axis=2).any(axis=1)
+    assert copied[0], "the seed must make the first child a copy"
+    first_new = int(np.flatnonzero(~copied)[0])
+    with pytest.raises(EvaluationError, match=rf"non-finite objective at genotype index {first_new}: \[nan, "):
+        evolve(FirstChildFaultProblem(n, batched), config)
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
+@pytest.mark.parametrize("mutation_prob", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("crossover_prob", [0.0, 0.6, 1.0])
+def test_copy_rule_matches_the_reference_engine(crossover_prob, mutation_prob, batched):
+    problem = SometimesInfeasibleBatchProblem() if batched else SometimesInfeasibleProblem()
+    config = EngineConfig(
+        population_size=16, generations=12, seed=23, crossover_prob=crossover_prob, mutation_prob=mutation_prob
+    )
     assert_same_run(evolve(problem, config), reference_evolve(problem, config))

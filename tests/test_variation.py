@@ -133,7 +133,8 @@ def _pooled_offspring(population: list[Individual], cfg: EngineConfig, rng: np.r
     ranks = np.array([ind.rank for ind in population])
     crowding = np.array([ind.crowding for ind in population])
     out = np.empty((cfg.population_size, genotypes.shape[1]))
-    return _make_offspring(genotypes, ranks, crowding, cfg, rng, out)
+    _make_offspring(genotypes, ranks, crowding, cfg, rng, out)
+    return out
 
 
 class TestPooledVariation:
