@@ -77,10 +77,10 @@ def load_instance(path: str | Path) -> Instance:
         raise ValidationError(
             f"instance file {path}: unknown format {raw.get('format')!r}, expected {FORMAT_NAME!r}"
         )
-    if raw.get("version") != FORMAT_VERSION:
-        raise ValidationError(
-            f"instance file {path}: unsupported version {raw.get('version')!r}"
-        )
+    # true == 1 and 1.0 == 1 in Python, so accept only the JSON integer.
+    version = raw.get("version")
+    if isinstance(version, bool) or not isinstance(version, int) or version != FORMAT_VERSION:
+        raise ValidationError(f"instance file {path}: unsupported version {version!r}")
 
     missing = [k for k in ("dimensions", "utilization", *ARRAY_SHAPES) if k not in raw]
     if missing:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -59,8 +59,12 @@ class Problem(Protocol):
     whose row ``n`` is what ``evaluate(genotypes[n])`` returns.  Rows must be
     independent of each other.  The engine then calls it in place of
     ``evaluate``, at most once per generation, with only the new children's
-    rows.  Either method receives rows of a fresh matrix gathered from the
-    engine's genotype buffer, never a view of that buffer.
+    rows; otherwise it calls ``evaluate`` once per new row.  Either method
+    receives rows of a fresh matrix gathered from the engine's genotype
+    buffer, never a view of that buffer.  Results are checked in row order:
+    the first row whose objectives are not a finite vector of the run's
+    length (at least 2), or whose violation is not a finite nonnegative
+    number, raises.
     """
 
     genotype_length: int
@@ -232,16 +236,15 @@ def _nondominated(points: np.ndarray) -> np.ndarray:
 
     For two objectives these are the distinct vectors whose f2 is below the
     least f2 of the vectors before them, the running minimum
-    :func:`scnopt.metrics.hypervolume_2d` sweeps with.
+    :func:`scnopt.metrics.hypervolume_2d` sweeps with.  More objectives take
+    the first Pareto front of the distinct vectors.
     """
     order, ranked, head = _lexsorted(points)
     order, ranked = order[head], ranked[head]
     if points.shape[1] == 2:
         f2 = ranked[:, 1]
         return order[f2 < np.minimum.accumulate(np.concatenate(([np.inf], f2[:-1])))]
-    weakly = np.all(ranked[:, None, :] <= ranked[None, :, :], axis=2)
-    np.fill_diagonal(weakly, False)  # between distinct vectors, weak dominance is dominance
-    return order[~weakly.any(axis=0)]
+    return order[_pareto_fronts(ranked, 1)[0]]
 
 
 def fast_nondominated_sort(
@@ -507,85 +510,79 @@ def _check_rows(genotypes: np.ndarray, objectives: np.ndarray, violations: np.nd
     raise ValueError("genotype coordinates must lie in [0, 1]")
 
 
-def _objective_count_fault(k: int, shape: tuple[int, ...], m: int | None) -> str | None:
-    """What is wrong with row ``k``'s objective shape, given the count ``m`` seen so far."""
-    if len(shape) != 1 or shape[0] < 2:
-        return f"genotype index {k}: expected >= 2 objectives, got shape {shape}"
-    if m is not None and shape[0] != m:
-        return f"genotype index {k}: objective count changed from {m} to {shape[0]}"
-    return None
-
-
-def _stack_row_by_row(
-    genotypes: np.ndarray,
-    objective_rows: list,
-    violation_rows: list,
-    expected_m: int | None,
-    indices: np.ndarray,
+def _walk_rows(
+    genotypes: np.ndarray, rows: Iterable[tuple], m: int | None, indices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Objectives and violations of ``evaluate`` results that do not stack as
-    one block, converted row by row, raising for the first row at fault: an
-    objective shape fault is reported after the faults of the rows before it."""
-    m = expected_m
+    """Objectives and violations of ``(objectives, violation)`` ``rows`` that
+    did not stack as one block of ``m`` objectives, converted one row at a
+    time in row order.  At the first row that does not convert (objectives
+    by ``np.asarray``, the violation by ``float``) or whose objectives are not
+    a vector of ``m`` (at least 2) entries, the rows before it are checked as
+    a block and then that row's fault is raised."""
     objective_list: list[np.ndarray] = []
     violation_list: list[float] = []
-    for k, (objectives, violation) in enumerate(zip(objective_rows, violation_rows)):
-        objectives, violation = np.asarray(objectives, dtype=float), float(violation)
-        fault = _objective_count_fault(int(indices[k]), objectives.shape, m)
-        if fault:
-            if k:
-                _check_rows(genotypes[:k], np.array(objective_list), np.array(violation_list), indices)
-            raise EvaluationError(fault)
+    for k, row in enumerate(rows):
+        try:
+            objectives, violation = row
+            objectives, violation = np.asarray(objectives, dtype=float), float(violation)
+            if objectives.ndim != 1 or objectives.size < 2:
+                raise EvaluationError(
+                    f"genotype index {indices[k]}: expected >= 2 objectives, got shape {objectives.shape}"
+                )
+            if m is not None and objectives.size != m:
+                raise EvaluationError(
+                    f"genotype index {indices[k]}: objective count changed from {m} to {objectives.size}"
+                )
+        except Exception as error:  # whatever row k raises, it comes after the faults of the rows before it
+            fault = error
+            break
         m = objectives.size
         objective_list.append(objectives)
         violation_list.append(violation)
-    return np.array(objective_list), np.array(violation_list)
+    else:
+        return np.array(objective_list), np.array(violation_list)
+    if k:
+        _check_rows(genotypes[:k], np.array(objective_list), np.array(violation_list), indices)
+    raise fault
 
 
 def _evaluate_batch(
-    genotypes: np.ndarray,
-    problem: Problem,
-    expected_m: int | None,
-    indices: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Objectives ``(N, M)``, violations ``(N,)`` and ``M`` for the rows of an
-    ``(N, L)`` matrix, through one ``problem.evaluate_batch`` call when the
-    problem has one and one ``evaluate`` call per row otherwise.  The whole
-    block is checked at once; errors name row ``k`` as ``indices[k]``, its
-    index in the generation."""
+    genotypes: np.ndarray, problem: Problem, m: int | None, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Objectives ``(N, M)`` and violations ``(N,)`` for the rows of an
+    ``(N, L)`` matrix, ``M`` being the run's objective count ``m`` (``None``
+    before the first evaluation).
+
+    A problem with ``evaluate_batch`` answers in one call, whose output must
+    have those shapes; any other problem answers with one ``evaluate`` call
+    per row, stacked once.  The block is checked at once.  Only when the rows
+    do not stack, or give the wrong objective count, are they walked in row
+    order (:func:`_walk_rows`), so faults are raised in the order a
+    row-by-row check would find them.  Errors name row ``k`` as
+    ``indices[k]``, its index in the generation.
+    """
     batch = getattr(problem, "evaluate_batch", None)
     if batch is None:
-        results = [problem.evaluate(g) for g in genotypes]
-        objective_rows = [objectives for objectives, _ in results]
-        violation_rows = [violation for _, violation in results]
+        rows = [problem.evaluate(g) for g in genotypes]
         try:
-            objective_matrix = np.array(objective_rows, dtype=float)
-            violations = np.array(violation_rows, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            stacked = False
-        else:
-            stacked = objective_matrix.ndim == 2 and violations.ndim == 1 and not _objective_count_fault(
-                0, objective_matrix.shape[1:], expected_m
-            )
-        if not stacked:
-            objective_matrix, violations = _stack_row_by_row(
-                genotypes, objective_rows, violation_rows, expected_m, indices
-            )
+            objectives = np.array([o for o, _ in rows], dtype=float)
+            violations = np.array([float(v) for _, v in rows])
+        except Exception:  # some row does not convert; the walk finds the first
+            objectives = None
     else:
         n = len(genotypes)
-        objective_matrix, violations = batch(genotypes)
-        objective_matrix = np.asarray(objective_matrix, dtype=float)
-        violations = np.asarray(violations, dtype=float)
-        if objective_matrix.ndim != 2 or objective_matrix.shape[0] != n or violations.shape != (n,):
+        objectives, violations = batch(genotypes)
+        objectives, violations = np.asarray(objectives, dtype=float), np.asarray(violations, dtype=float)
+        if objectives.ndim != 2 or objectives.shape[0] != n or violations.shape != (n,):
             raise EvaluationError(
-                f"evaluate_batch returned objectives of shape {objective_matrix.shape} and "
+                f"evaluate_batch returned objectives of shape {objectives.shape} and "
                 f"violations of shape {violations.shape} for {n} genotypes"
             )
-        fault = _objective_count_fault(int(indices[0]), objective_matrix.shape[1:], expected_m)
-        if fault:
-            raise EvaluationError(fault)
-    _check_rows(genotypes, objective_matrix, violations, indices)
-    return objective_matrix, violations, objective_matrix.shape[1]
+        rows = zip(objectives, violations)
+    if objectives is None or objectives.ndim != 2 or objectives.shape[1] < 2 or m not in (None, objectives.shape[1]):
+        objectives, violations = _walk_rows(genotypes, rows, m, indices)
+    _check_rows(genotypes, objectives, violations, indices)
+    return objectives, violations
 
 
 # Raw generator words decoded per block of pairs, a memory bound rather than a
@@ -798,7 +795,7 @@ def evolve(problem: Problem, config: EngineConfig) -> EvolutionResult:
     genotypes = np.empty((2 * n, length))
     parents, children = genotypes[:n], genotypes[n:]
     rng.random(out=parents)
-    objectives, violations, m = _evaluate_batch(parents.copy(), problem, None, np.arange(n))
+    objectives, violations = _evaluate_batch(parents.copy(), problem, None, np.arange(n))
     # all n points survive; the initial population keeps its row order
     order, ranked, crowded = environmental_select(objectives, violations, n)
     ranks, crowding = np.empty(n, dtype=int), np.empty(n)
@@ -812,8 +809,8 @@ def evolve(problem: Problem, config: EngineConfig) -> EvolutionResult:
         child_objectives, child_violations = objectives[source], violations[source]
         fresh = np.flatnonzero(source < 0)
         if fresh.size:
-            child_objectives[fresh], child_violations[fresh], m = _evaluate_batch(
-                children[fresh], problem, m, fresh
+            child_objectives[fresh], child_violations[fresh] = _evaluate_batch(
+                children[fresh], problem, objectives.shape[1], fresh
             )
         archive = update_archive(archive, _archive_offers(children, child_objectives, child_violations))
         objectives = np.concatenate((objectives, child_objectives))

@@ -253,6 +253,11 @@ class ScalarFaultProblem:
          "invalid constraint violation at genotype index 0"),
         ({2: (np.array([1.0]), np.nan)}, r"genotype index 2: expected >= 2 objectives, got shape \(1,\)"),
         ({9: (np.array([1.0, 2.0, 3.0]), 0.0)}, "genotype index 1: objective count changed from 2 to 3"),
+        # a later row's violation that float() rejects comes after the earlier rows' faults
+        ({1: (np.array([np.nan, 1.0]), 0.0), 3: (np.array([1.0, 2.0]), [0.0, 1.0])},
+         "non-finite objective at genotype index 1"),
+        ({1: (np.array([1.0, 2.0]), -1.0), 3: (np.array([1.0, 2.0]), "x")},
+         "invalid constraint violation at genotype index 1"),
     ],
 )
 def test_scalar_faults_named_in_row_order(faults, message):
@@ -261,6 +266,18 @@ def test_scalar_faults_named_in_row_order(faults, message):
         evolve(ScalarFaultProblem(faults), config)
     with pytest.raises(EvaluationError, match=message):
         reference_evolve(ScalarFaultProblem(faults), config)
+
+
+@pytest.mark.parametrize("violation", [np.array([0.0, 1.0]), None], ids=["length-2-array", "none"])
+def test_unconvertible_violation_raises_what_float_raises(violation):
+    config = EngineConfig(population_size=8, generations=1, seed=1)
+    problems = [ScalarFaultProblem({2: (np.array([1.0, 2.0]), violation)}) for _ in range(2)]
+    with pytest.raises(TypeError) as engine_error:
+        evolve(problems[0], config)
+    with pytest.raises(TypeError) as reference_error:
+        reference_evolve(problems[1], config)
+    assert str(engine_error.value) == str(reference_error.value)
+    assert problems[0].calls == problems[1].calls == config.population_size  # the walk calls evaluate no more
 
 
 def test_block_check_rejects_exactly_what_individual_rejects():

@@ -205,6 +205,7 @@ class TestExitCodes:
             ('"utilization": 1.0', '"utilization": NaN', "utilization must be finite"),
             ('"periods": 2', '"periods": 2.9', "periods: 2.9"),
             ('"utilization": 1.0', '"utilization": true', "utilization must be a JSON number"),
+            ('"version": 1', '"version": true', "unsupported version True"),
             ('"dimensions": {', '"dimensions": 5, "unused": {', "dimensions must be a JSON object"),
             ('"demand": [\n    [\n      [\n        5.0', '"demand": [[[true', "demand: True"),
             pytest.param("{", "\xff\xfe{", "cannot read instance file", id="not-utf8"),

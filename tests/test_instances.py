@@ -93,6 +93,16 @@ class TestLoadErrors:
         with pytest.raises(ValidationError, match="unsupported version 99"):
             load_instance(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_the_json_integer(self, tmp_path, version):
+        # true == 1 and 1.0 == 1 in Python, yet neither is the format's version
+        raw = json.loads(save_instance(tiny_instance(), tmp_path / "t.json").read_text())
+        raw["version"] = version
+        path = tmp_path / "ver.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError, match=f"unsupported version {version!r}"):
+            load_instance(path)
+
     def test_missing_fields_all_listed(self, tmp_path):
         instance = tiny_instance()
         path = save_instance(instance, tmp_path / "t.json")
