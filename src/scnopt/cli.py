@@ -156,6 +156,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     problem = SupplyChainProblem(instance, holding_on_backorder=args.holding_on_backorder)
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the search, so an unusable --out fails at once
 
     # The instance is recorded by content, so runs of one file reached by two paths report alike.
     config_echo = {
@@ -169,7 +170,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     result = evolve(problem, config)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = front_rows(result.archive, instance)
     save_front(rows, out_dir / "front.csv")
     _write_plot_data(rows, out_dir / "front.dat")

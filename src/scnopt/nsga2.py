@@ -134,7 +134,8 @@ PM_ETA = 20.0
 class EngineConfig:
     """Run parameters for :func:`evolve`.
 
-    ``population_size`` must be even (pairwise variation) and at least 4.
+    ``population_size`` is an even integer >= 4 (pairwise variation);
+    ``generations`` and ``seed`` are integers too, numpy ones included, not bool.
     """
 
     population_size: int = 100
@@ -144,6 +145,10 @@ class EngineConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        for name in ("population_size", "generations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):  # 10.0 == 10 and True == 1
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.population_size < 4 or self.population_size % 2 != 0:
             raise ValueError("population_size must be an even integer >= 4")
         if self.generations < 0:
@@ -158,17 +163,19 @@ class EngineConfig:
 
 @dataclass
 class FrontPartition:
-    """Result of non-dominated sorting: fronts as index arrays plus a rank map.
+    """Result of non-dominated sorting: ``ranks[i]`` is the 1-based front
+    number of point ``i`` (1 for the non-dominated set), or 0 when the sort
+    stopped before placing it."""
 
-    ``fronts[0]`` is the non-dominated set; ``ranks[i]`` is 1-based and equals
-    ``k+1`` when point ``i`` sits in ``fronts[k]``, or 0 when the sort
-    stopped before placing it.  Each front lists its row indices in ascending
-    order; crowding ties and the cut of the last admitted front in
-    :func:`environmental_select` depend on that order.
-    """
-
-    fronts: list[np.ndarray]
     ranks: np.ndarray
+
+    @property
+    def fronts(self) -> list[np.ndarray]:
+        """The placed rows, one index array per front in rank order, each in
+        ascending row order (the order selection admits them); built on read."""
+        placed = np.flatnonzero(self.ranks)
+        rows = placed[np.argsort(self.ranks[placed], kind="stable")]  # stable: a front keeps row order
+        return np.split(rows, np.flatnonzero(np.diff(self.ranks[rows])) + 1)
 
 
 def _lexsorted(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -182,9 +189,10 @@ def _lexsorted(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, ranked, head
 
 
-def _pareto_fronts(points: np.ndarray, stop: int | None = None) -> list[np.ndarray]:
-    """Pareto fronts of the rows of ``points``, each front in ascending row
-    order, peeled until at least ``stop`` rows are placed (all by default).
+def _pareto_ranks(points: np.ndarray, stop: int | None = None) -> np.ndarray:
+    """Each row's 1-based Pareto front number among the rows of ``points``,
+    fronts peeled until at least ``stop`` rows are placed (all by default);
+    rows left unplaced get 0.
 
     Two objectives peel the distinct vectors in (f1, f2)-lexicographic order,
     where every dominator of a point comes before it: the next front is the
@@ -194,40 +202,37 @@ def _pareto_fronts(points: np.ndarray, stop: int | None = None) -> list[np.ndarr
     """
     n = len(points)
     stop = n if stop is None else min(stop, n)
-    level = np.full(n, n)  # each row's front number; n while not placed
-    placed = k = 0
+    ranks = np.zeros(n, dtype=int)
+    placed, k = 0, 1
     if points.shape[1] == 2:
         order, ranked, head = _lexsorted(points)
         heads = np.flatnonzero(head)
         sizes = np.diff(np.append(heads, n))
         f2 = ranked[heads, 1]
-        distinct_level = np.full(heads.size, n)
+        distinct_ranks = np.zeros(heads.size, dtype=int)
         left = np.arange(heads.size)
         while placed < stop:
             values = f2[left]
             front = np.ones(values.size, dtype=bool)
             np.less(values[1:], np.minimum.accumulate(values[:-1]), out=front[1:])
-            distinct_level[left[front]] = k
+            distinct_ranks[left[front]] = k
             placed += int(sizes[left[front]].sum())
             left = left[~front]
             k += 1
-        level[order] = np.repeat(distinct_level, sizes)
+        ranks[order] = np.repeat(distinct_ranks, sizes)
     else:
         le = np.all(points[:, None, :] <= points[None, :, :], axis=2)
         dom = le & np.any(points[:, None, :] < points[None, :, :], axis=2)
         counts = dom.sum(axis=0)
         current = np.flatnonzero(counts == 0)
         while placed < stop:
-            level[current] = k
+            ranks[current] = k
             placed += current.size
             counts -= dom[current].sum(axis=0)
             counts[current] = -1  # peeled: never counted as undominated again
             current = np.flatnonzero(counts == 0)
             k += 1
-    if not placed:
-        return []
-    rows = np.argsort(level, kind="stable")[:placed]  # stable: a front keeps row order
-    return np.split(rows, np.cumsum(np.bincount(level[rows]))[:-1])
+    return ranks
 
 
 def _nondominated(points: np.ndarray) -> np.ndarray:
@@ -244,22 +249,22 @@ def _nondominated(points: np.ndarray) -> np.ndarray:
     if points.shape[1] == 2:
         f2 = ranked[:, 1]
         return order[f2 < np.minimum.accumulate(np.concatenate(([np.inf], f2[:-1])))]
-    return order[_pareto_fronts(ranked, 1)[0]]
+    return order[_pareto_ranks(ranked, 1) == 1]
 
 
 def fast_nondominated_sort(
     objectives: np.ndarray, violations: np.ndarray, stop: int | None = None
 ) -> FrontPartition:
-    """Partition points, ``objectives (N, M)`` and ``violations (N,)``, into
-    ranked fronts under constraint-domination.
+    """Rank points, ``objectives (N, M)`` and ``violations (N,)``, into fronts
+    under constraint-domination.
 
     Every feasible point dominates every infeasible one, and two infeasible
     points compare by violation alone.  So feasible points take the first
-    fronts, the Pareto fronts of the feasible rows only (:func:`_pareto_fronts`);
-    infeasible points follow with one front per distinct violation value, in
-    ascending order (a stable sort of their violations).  With ``stop``, the
-    sort ends with the front that places the ``stop``-th point; later points
-    keep rank 0.
+    ranks, their Pareto fronts among the feasible rows only
+    (:func:`_pareto_ranks`); infeasible points follow with one rank per
+    distinct violation value, in ascending order.  With ``stop``, the sort
+    ends with the front that places the ``stop``-th point; later points keep
+    rank 0.
     """
     objectives = np.asarray(objectives, dtype=float)
     violations = np.asarray(violations, dtype=float)
@@ -272,19 +277,16 @@ def fast_nondominated_sort(
         raise ValueError("objectives must be an (N, M) array and violations an (N,) array")
     stop = n if stop is None else min(stop, n)
     feasible = violations == 0.0
-
-    rows = np.flatnonzero(feasible)
-    fronts = [rows[front] for front in _pareto_fronts(objectives[rows], stop)]
-    placed = sum(front.size for front in fronts)
-    if placed < stop:
-        rows = np.flatnonzero(~feasible)
-        rows = rows[np.argsort(violations[rows], kind="stable")]  # stable: equal violations keep index order
-        starts = np.flatnonzero(np.diff(violations[rows])) + 1
-        last = np.searchsorted(starts, stop - placed)  # the front holding the stop-th point ends at starts[last]
-        fronts.extend(np.split(rows[: starts[last] if last < starts.size else rows.size], starts[:last]))
     ranks = np.zeros(n, dtype=int)
-    ranks[np.concatenate(fronts)] = np.repeat(np.arange(1, len(fronts) + 1), [front.size for front in fronts])
-    return FrontPartition(fronts=fronts, ranks=ranks)
+    rows = np.flatnonzero(feasible)
+    ranks[rows] = pareto = _pareto_ranks(objectives[rows], stop)
+    placed = np.count_nonzero(pareto)
+    if placed < stop:  # every feasible point is placed; infeasible levels follow
+        rows = np.flatnonzero(~feasible)
+        _, level, counts = np.unique(violations[rows], return_inverse=True, return_counts=True)
+        last = np.searchsorted(np.cumsum(counts), stop - placed)  # the level holding the stop-th point
+        ranks[rows] = np.where(level <= last, level + 1 + pareto.max(initial=0), 0)
+    return FrontPartition(ranks)
 
 
 def _front_crowding(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -369,32 +371,29 @@ def environmental_select(
     ``violations (N,)`` (parents, then offspring) to ``n_survivors``.
 
     Returns the survivors' row indices, ranks and crowding distances.  Whole
-    fronts are admitted in rank order, each in row order; the front that
-    overflows is cut by descending crowding distance, ties resolved toward
-    the lower row index, and its kept members follow in that order.  The
-    sort stops at that front.  Survivors keep their combined ranks: every
-    dominator of a kept member lies in an earlier front, and earlier fronts
-    are kept whole, so sorting the survivors alone would give the same ranks.
-    Crowding is taken over each admitted front (:func:`_front_crowding`, all
-    fronts in one pass), for the cut front over its kept members in kept
-    order.
+    fronts are admitted in rank order, each in row order (a stable argsort of
+    the ranks); the front that overflows is cut by descending crowding
+    distance within it, ties to the lower row index, and its kept members
+    follow in that order.  The sort stops at that front.  Survivors keep their
+    combined ranks: every dominator of a kept member lies in an earlier front,
+    and earlier fronts are kept whole, so sorting the survivors alone would
+    give the same ranks.  Crowding is taken once over the survivors, each
+    front on its own (:func:`_front_crowding`), the cut front's kept members
+    in kept order.
     """
     objectives = np.asarray(objectives, dtype=float)
     if not 1 <= n_survivors <= len(objectives):
         raise ValueError("n_survivors must lie between 1 and the number of points")
-    fronts = fast_nondominated_sort(objectives, violations, stop=n_survivors).fronts
-    sizes = np.array([front.size for front in fronts])
-    survivors = np.concatenate(fronts)
-    crowding = _front_crowding(objectives[survivors], sizes)
-    excess = survivors.size - n_survivors
-    if excess:
-        cut = fronts[-1]
-        start = survivors.size - cut.size
-        kept = cut[np.argsort(-crowding[start:], kind="stable")[: cut.size - excess]]  # stable: ties keep lower index
-        survivors = np.concatenate((survivors[:start], kept))
-        crowding = np.concatenate((crowding[:start], crowding_distance(objectives[kept])))
-        sizes[-1] -= excess
-    return survivors, np.repeat(np.arange(1, sizes.size + 1), sizes), crowding
+    ranks = fast_nondominated_sort(objectives, violations, stop=n_survivors).ranks
+    placed = np.flatnonzero(ranks)
+    survivors = placed[np.argsort(ranks[placed], kind="stable")]  # stable: a front keeps row order
+    sizes = np.bincount(ranks)[1:]
+    if survivors.size > n_survivors:
+        cut = survivors[-sizes[-1]:]
+        sizes[-1] -= survivors.size - n_survivors
+        kept = cut[np.argsort(-crowding_distance(objectives[cut]), kind="stable")[: sizes[-1]]]  # ties to lower index
+        survivors = np.concatenate((survivors[: n_survivors - sizes[-1]], kept))
+    return survivors, ranks[survivors], _front_crowding(objectives[survivors], sizes)
 
 
 @dataclass

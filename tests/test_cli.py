@@ -279,14 +279,20 @@ class TestExitCodes:
         )
         assert code == EXIT_VALIDATION
 
-    def test_unwritable_out_dir_is_runtime(self, tiny_path, tmp_path, capsys):
+    def test_unwritable_out_dir_is_runtime(self, tiny_path, tmp_path, capsys, monkeypatch):
+        # an --out that cannot be a directory fails before the search starts
+        calls = []
+        monkeypatch.setattr("scnopt.cli.evolve", lambda *args: calls.append(args))
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
-        code = main(
-            ["run", "--instance", str(tiny_path), "--out", str(blocker / "sub"),
-             "--pop-size", "12", "--generations", "2"]
-        )
-        assert code == EXIT_RUNTIME
+        for out in (blocker / "sub", blocker):
+            code = main(
+                ["run", "--instance", str(tiny_path), "--out", str(out),
+                 "--pop-size", "12", "--generations", "2"]
+            )
+            assert code == EXIT_RUNTIME
+            assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
 
 
 class TestPaperParams:

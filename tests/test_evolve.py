@@ -126,6 +126,12 @@ def test_invalid_config_rejected():
         EngineConfig(population_size=10, generations=1, crossover_prob=1.5)
     with pytest.raises(ValueError):
         EngineConfig(population_size=10, generations=1, mutation_prob=-0.1)
+    # non-integers, and bool, which Python counts as an integer
+    for bad in ({"population_size": 10.0}, {"generations": 2.5}, {"seed": 1.5}, {"population_size": True},
+                {"generations": True}, {"seed": False}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            EngineConfig(**{"population_size": 10, "generations": 1, **bad})
+    assert EngineConfig(population_size=np.int64(10), generations=1).population_size == 10
 
 
 def assert_same_run(result, expected):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scnopt import Individual, fast_nondominated_sort
-from scnopt.nsga2 import _pareto_fronts
+from scnopt.nsga2 import _pareto_ranks
 
 from conftest import random_population
 from oracles import oracle_constrained_dominates, oracle_sort
@@ -160,8 +160,9 @@ GRID_VALUES = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
 def test_stopped_pareto_fronts_are_a_prefix_of_the_oracle_fronts(rows, data):
     points = np.array(rows)
     stop = data.draw(st.integers(1, len(points)))
-    want = oracle_sort(points, np.zeros(len(points)))
-    got = [front.tolist() for front in _pareto_fronts(points, stop)]
-    count = next(k for k in range(1, len(want) + 1) if sum(map(len, want[:k])) >= stop)
-    assert got == want[:count]
-    assert [front.tolist() for front in _pareto_fronts(points)] == want
+    want = np.zeros(len(points), dtype=int)
+    for rank, front in enumerate(oracle_sort(points, np.zeros(len(points))), start=1):
+        want[front] = rank
+    last = np.sort(want)[stop - 1]  # the oracle's front holding the stop-th point
+    assert _pareto_ranks(points, stop).tolist() == np.where(want <= last, want, 0).tolist()
+    assert _pareto_ranks(points).tolist() == want.tolist()
