@@ -25,9 +25,9 @@ import numpy as np
 from .instances import (
     PRESETS,
     ValidationError,
+    _read_instance,
     front_rows,
     generate_preset,
-    load_instance,
     save_front,
     save_instance,
 )
@@ -143,7 +143,8 @@ def resolve_engine_config(args: argparse.Namespace) -> EngineConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        instance = load_instance(args.instance)
+        # one read: a pipe or FIFO gives its bytes once, and the report hashes the bytes parsed
+        data, instance = _read_instance(args.instance)
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -160,7 +161,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     # The instance is recorded by content, so runs of one file reached by two paths report alike.
     config_echo = {
-        "instance_sha256": hashlib.sha256(Path(args.instance).read_bytes()).hexdigest(),
+        "instance_sha256": hashlib.sha256(data).hexdigest(),
         **asdict(config),
         "sbx_eta": SBX_ETA,
         "pm_eta": PM_ETA,

@@ -57,9 +57,15 @@ def load_instance(path: str | Path) -> Instance:
     Raises :class:`ValidationError` with parse context on malformed JSON and
     with the full list of violated invariants on bad content.
     """
+    return _read_instance(path)[1]
+
+
+def _read_instance(path: str | Path) -> tuple[bytes, Instance]:
+    """The bytes of an instance file, read once, and the instance they hold."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise ValidationError(f"cannot read instance file {path}: {err}") from err
     try:
@@ -139,7 +145,7 @@ def load_instance(path: str | Path) -> Instance:
     problems = instance.invariant_problems()
     if problems:
         raise ValidationError(f"instance file {path} violates invariants", problems)
-    return instance
+    return data, instance
 
 
 def _non_numbers(value) -> list:

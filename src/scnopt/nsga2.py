@@ -97,7 +97,7 @@ class Individual:
         self.genotype = np.asarray(self.genotype, dtype=float)
         if self.genotype.ndim != 1:
             raise ValueError("genotype must be a one-dimensional vector")
-        if np.any(self.genotype < 0.0) or np.any(self.genotype > 1.0):
+        if not np.all((self.genotype >= 0.0) & (self.genotype <= 1.0)):  # NaN fails both comparisons
             raise ValueError("genotype coordinates must lie in [0, 1]")
         self.objectives = np.asarray(self.objectives, dtype=float)
         if not np.all(np.isfinite(self.objectives)):
@@ -135,7 +135,8 @@ class EngineConfig:
     """Run parameters for :func:`evolve`.
 
     ``population_size`` is an even integer >= 4 (pairwise variation);
-    ``generations`` and ``seed`` are integers too, numpy ones included, not bool.
+    ``generations`` and ``seed`` are integers too, and the two probabilities
+    numbers in [0, 1]; numpy scalars pass, bool does not.
     """
 
     population_size: int = 100
@@ -155,8 +156,8 @@ class EngineConfig:
             raise ValueError("generations must be >= 0")
         for name in ("crossover_prob", "mutation_prob"):
             p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+            if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)) or not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1], got {p!r}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -483,35 +484,31 @@ class EvolutionResult:
     history: list[GenerationRecord]
 
 
-def _row_faults(genotypes: np.ndarray, objectives: np.ndarray, violations: np.ndarray) -> np.ndarray:
-    """Per-row faults of an evaluated block, the checks :class:`Individual` makes:
-    non-finite objectives, a non-finite or negative violation, and a gene
-    outside [0, 1], as a ``(3, N)`` boolean array in that order."""
+def _row_faults(objectives: np.ndarray, violations: np.ndarray) -> np.ndarray:
+    """Per-row faults of a problem's output, the checks :class:`Individual`
+    makes of it: non-finite objectives and a non-finite or negative violation,
+    as a ``(2, N)`` boolean array in that order."""
     return np.stack([
         ~np.isfinite(objectives).all(axis=1),
         ~(np.isfinite(violations) & (violations >= 0.0)),
-        ((genotypes < 0.0) | (genotypes > 1.0)).any(axis=1),
     ])
 
 
-def _check_rows(genotypes: np.ndarray, objectives: np.ndarray, violations: np.ndarray, indices: np.ndarray) -> None:
-    """Raise for the first faulty row, its objectives checked before its
-    violation, naming it by its entry of ``indices``."""
-    faults = _row_faults(genotypes, objectives, violations)
+def _check_rows(objectives: np.ndarray, violations: np.ndarray, indices: np.ndarray) -> None:
+    """Raise :class:`EvaluationError` for the first row of a problem's output
+    with a fault, its objectives checked before its violation, naming it by
+    its entry of ``indices``."""
+    faults = _row_faults(objectives, violations)
     bad = np.flatnonzero(faults.any(axis=0))
     if not bad.size:
         return
     k = int(bad[0])
     if faults[0, k]:
         raise EvaluationError(f"non-finite objective at genotype index {indices[k]}: {objectives[k].tolist()}")
-    if faults[1, k]:
-        raise EvaluationError(f"invalid constraint violation at genotype index {indices[k]}: {float(violations[k])}")
-    raise ValueError("genotype coordinates must lie in [0, 1]")
+    raise EvaluationError(f"invalid constraint violation at genotype index {indices[k]}: {float(violations[k])}")
 
 
-def _walk_rows(
-    genotypes: np.ndarray, rows: Iterable[tuple], m: int | None, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _walk_rows(rows: Iterable[tuple], m: int | None, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Objectives and violations of ``(objectives, violation)`` ``rows`` that
     did not stack as one block of ``m`` objectives, converted one row at a
     time in row order.  At the first row that does not convert (objectives
@@ -541,7 +538,7 @@ def _walk_rows(
     else:
         return np.array(objective_list), np.array(violation_list)
     if k:
-        _check_rows(genotypes[:k], np.array(objective_list), np.array(violation_list), indices)
+        _check_rows(np.array(objective_list), np.array(violation_list), indices)
     raise fault
 
 
@@ -558,7 +555,9 @@ def _evaluate_batch(
     do not stack, or give the wrong objective count, are they walked in row
     order (:func:`_walk_rows`), so faults are raised in the order a
     row-by-row check would find them.  Errors name row ``k`` as
-    ``indices[k]``, its index in the generation.
+    ``indices[k]``, its index in the generation.  ``genotypes`` goes to the
+    problem and is not read again: the engine made those genes and clipped
+    them to [0, 1].
     """
     batch = getattr(problem, "evaluate_batch", None)
     if batch is None:
@@ -579,8 +578,8 @@ def _evaluate_batch(
             )
         rows = zip(objectives, violations)
     if objectives is None or objectives.ndim != 2 or objectives.shape[1] < 2 or m not in (None, objectives.shape[1]):
-        objectives, violations = _walk_rows(genotypes, rows, m, indices)
-    _check_rows(genotypes, objectives, violations, indices)
+        objectives, violations = _walk_rows(rows, m, indices)
+    _check_rows(objectives, violations, indices)
     return objectives, violations
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -128,6 +129,20 @@ class TestRun:
         config = json.loads(first)["config"]
         assert config["instance_sha256"] == hashlib.sha256(tiny_path.read_bytes()).hexdigest()
         assert "instance" not in config
+
+    def test_instance_from_a_pipe_is_read_once(self, tiny_path, tmp_path):
+        # a pipe gives its bytes once: a second read would hash zero bytes, or block on a FIFO
+        data = tiny_path.read_bytes()
+        assert len(data) < 4096  # within any pipe buffer, so the write cannot block
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)
+        os.close(write_end)
+        try:
+            assert run_tiny(f"/dev/fd/{read_end}", tmp_path / "out") == EXIT_OK
+        finally:
+            os.close(read_end)
+        config = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+        assert config["instance_sha256"] == hashlib.sha256(data).hexdigest()
 
     def test_eval_workers_flag_is_gone(self, tiny_path, tmp_path):
         assert run_tiny(tiny_path, tmp_path / "a", "--eval-workers", "2") == EXIT_USAGE

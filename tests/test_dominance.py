@@ -28,3 +28,9 @@ class TestIndividualValues:
         # infeasible member; ranking assumes violations are totally ordered.
         with pytest.raises(ValueError):
             Individual(np.zeros(1), objectives=objectives, violation=violation)
+
+    @pytest.mark.parametrize("gene", [float("nan"), -0.1, 1.5])
+    def test_gene_outside_unit_interval_rejected(self, gene):
+        # NaN compares false with both bounds, so the check must ask that each gene lies inside them
+        with pytest.raises(ValueError, match=r"genotype coordinates must lie in \[0, 1\]"):
+            Individual(np.array([0.5, gene]), objectives=np.zeros(2))

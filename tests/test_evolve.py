@@ -132,6 +132,14 @@ def test_invalid_config_rejected():
         with pytest.raises(ValueError, match="must be an integer"):
             EngineConfig(**{"population_size": 10, "generations": 1, **bad})
     assert EngineConfig(population_size=np.int64(10), generations=1).population_size == 10
+    # probabilities: bool, strings and None are not numbers, and NaN lies in no interval
+    for bad in ({"crossover_prob": True}, {"mutation_prob": False}, {"mutation_prob": "0.5"},
+                {"crossover_prob": None}, {"mutation_prob": np.nan}):
+        with pytest.raises(ValueError, match="must be a number in"):
+            EngineConfig(**{"population_size": 10, "generations": 1, **bad})
+    for good in (0, 1, np.float32(0.25), np.float64(0.6), np.int64(1)):
+        config = EngineConfig(population_size=10, generations=1, crossover_prob=good, mutation_prob=good)
+        assert config.crossover_prob == config.mutation_prob == good
 
 
 def assert_same_run(result, expected):
