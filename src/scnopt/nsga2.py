@@ -341,14 +341,10 @@ def _sbx_children(p1: np.ndarray, p2: np.ndarray, u: np.ndarray, eta: float) -> 
     """Simulated binary crossover children of parents ``p1`` and ``p2`` (any
     equal shape) for uniform draws ``u``: genes blended with spread factor
     ``beta`` from the SBX distribution of index ``eta``, clamped to [0, 1]."""
-    exponent = 1.0 / (eta + 1.0)
-    beta = np.where(
-        u <= 0.5,
-        (2.0 * u) ** exponent,
-        (1.0 / (2.0 * (1.0 - u))) ** exponent,
-    )
-    child1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
-    child2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
+    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
+    more, less = 1.0 + beta, 1.0 - beta
+    child1 = 0.5 * (more * p1 + less * p2)
+    child2 = 0.5 * (less * p1 + more * p2)
     return np.clip(child1, 0.0, 1.0), np.clip(child2, 0.0, 1.0)
 
 
@@ -356,13 +352,12 @@ def _perturb(g: np.ndarray, u: np.ndarray, eta: float) -> np.ndarray:
     """Polynomially mutated genes ``g`` for uniform draws ``u`` (distribution
     index ``eta``); deltas shrink near the box's bounds, and results are
     clamped to [0, 1]."""
-    exponent = 1.0 / (eta + 1.0)
-    to_lower = g          # distance to the lower bound (box is [0, 1])
-    to_upper = 1.0 - g
-    delta_low = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - to_lower) ** (eta + 1.0)) ** exponent - 1.0
-    delta_high = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - to_upper) ** (eta + 1.0)) ** exponent
-    delta = np.where(u <= 0.5, delta_low, delta_high)
-    return np.clip(g + delta, 0.0, 1.0)
+    low = u <= 0.5
+    # 1 - (1 - g), the distance to the lower bound as the upper branch rounds it, is not always g
+    shrink = np.where(low, 1.0 - g, 1.0 - (1.0 - g)) ** (eta + 1.0)
+    base = np.where(low, 2.0 * u + (1.0 - 2.0 * u) * shrink, 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * shrink)
+    power = base ** (1.0 / (eta + 1.0))
+    return np.clip(g + np.where(low, power - 1.0, 1.0 - power), 0.0, 1.0)
 
 
 def environmental_select(
@@ -583,25 +578,40 @@ def _evaluate_batch(
     return objectives, violations
 
 
-# Raw generator words decoded per block of pairs, a memory bound rather than a
-# tuning knob: one block holds max(1, _BLOCK_WORDS // (3 + 5L)) pairs, and its
-# words, uniforms and parents take about 256 KiB each.  A paper-scale
-# generation (L = 195) runs in 20 blocks of 33 pairs.
+# Raw generator words drawn per block of pairs, a memory bound rather than a
+# tuning knob: one block holds max(1, _BLOCK_WORDS // (3 + 5L)) pairs, whose
+# raw words take 256 KiB.  Only the words read become doubles: the crossing
+# pairs' SBX uniforms and the perturbation words under a true mask.  A
+# paper-scale generation (L = 195) runs in 20 blocks of 33 pairs.
 _BLOCK_WORDS = 1 << 15
 _TO_UNIT = 2.0**-53  # numpy's random() is (word >> 11) * 2^-53
 _LOW_HALF = np.uint64(0xFFFFFFFF)
 
 
+def _word_limit(p: float) -> np.uint64 | None:
+    """The raw-word limit of a coin of probability ``p``: ``(w >> 11) * 2^-53 < p``
+    holds exactly when ``w < limit``, with ``limit = ceil(p * 2^53) * 2^11``
+    (scaling by a power of two is exact, and ``w >> 11`` is an integer).
+    ``None`` when ``p`` is 1, where every word passes and the limit, 2^64,
+    would not fit a word."""
+    if p >= 1.0:
+        return None
+    return np.uint64(math.ceil(float(p) * 2.0**53) << 11)
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """The uniforms numpy's ``random()`` makes of raw ``words``."""
+    return (words >> np.uint64(11)).view(np.int64) * _TO_UNIT  # int64 converts to double faster than uint64
+
+
 def _per_pair_draws(
-    rng: np.random.Generator, n: int, size: int, length: int, crossover_prob: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The draws of ``size`` pairs, made pair by pair through ``rng``: per pair
-    ``integers(n)``, ``integers(n - 1)``, ``integers(n)``, ``integers(n - 1)``,
-    the crossover coin, then ``random(5L)`` when the pair crosses (SBX
-    uniforms, then each child's mutation mask and perturbation draws) or
-    ``random(4L)`` when it does not.  Returns the contestant draws ``(size, 4)``,
-    the coins ``(size,)`` and the uniforms ``(size, 5L)``, whose SBX columns are
-    unset on pairs that do not cross."""
+    rng: np.random.Generator, n: int, size: int, length: int, crossover_prob: float, mutation_prob: float
+) -> tuple[np.ndarray, ...]:
+    """:func:`_decoded_draws`'s result, made pair by pair through ``rng``: per
+    pair ``integers(n)``, ``integers(n - 1)``, ``integers(n)``,
+    ``integers(n - 1)``, the crossover coin, then ``random(5L)`` when the pair
+    crosses (SBX uniforms, then each child's mutation mask and perturbation
+    draws) or ``random(4L)`` when it does not."""
     contestants = np.empty((size, 4), dtype=np.int64)
     crosses = np.empty(size, dtype=bool)
     draws = np.empty((size, 5 * length))
@@ -609,7 +619,9 @@ def _per_pair_draws(
         contestants[p] = (rng.integers(n), rng.integers(n - 1), rng.integers(n), rng.integers(n - 1))
         crosses[p] = cross = rng.random() < crossover_prob
         draws[p, 0 if cross else length:] = rng.random((5 if cross else 4) * length)
-    return contestants, crosses, draws
+    mutation = draws[:, length:].reshape(2 * size, 2, length)
+    rows, genes = np.nonzero(mutation[:, 0] < mutation_prob)
+    return contestants, crosses, draws[crosses, :length], rows, genes, mutation[rows, 1, genes]
 
 
 def _lemire(halves: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -624,12 +636,17 @@ def _lemire(halves: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _decoded_draws(
-    rng: np.random.Generator, n: int, size: int, length: int, crossover_prob: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """:func:`_per_pair_draws`'s result decoded from one ``random_raw`` call
-    on a PCG64 generator, leaving its state as the per-pair calls would; or
-    ``None``, with the state untouched, when a contestant draw hits a Lemire
-    rejection.
+    rng: np.random.Generator, n: int, size: int, length: int, crossover_prob: float, mutation_prob: float
+) -> tuple[np.ndarray, ...] | None:
+    """The draws of ``size`` pairs, decoded from one ``random_raw`` call on a
+    PCG64 generator, which is left in the state the per-pair calls of
+    :func:`_per_pair_draws` would leave; or ``None``, with the state
+    untouched, when a contestant draw hits a Lemire rejection.
+
+    Returns the contestant draws ``(size, 4)``, the crossover coins
+    ``(size,)``, the SBX uniforms of the crossing pairs ``(crossing, L)``,
+    and the mutations: each one's child ``2 * pair + child``, gene and
+    perturbation uniform, in draw order.
 
     ``integers(k)`` for k < 2^32 is Lemire's multiply-shift on one 32-bit
     half of a word, low half first; the generator buffers the high half
@@ -638,25 +655,30 @@ def _decoded_draws(
     pair; when it holds a half, that half is the pair's first draw.  The coin
     and the uniforms are ``(word >> 11) * 2^-53``, one word each.  A pair
     uses 3 + 5L words when it crosses and 3 + 4L when it does not, so a walk
-    over the coins finds where each pair's words start.
+    over the coins, each read from its raw word, finds where each pair's
+    words start.  The coins and mutation masks are compared as raw words
+    (:func:`_word_limit`): one pass over the block finds the mask words
+    below the limit, and only the words read are converted to doubles.
     """
     bit_generator = rng.bit_generator
     saved = bit_generator.state
     buffered = saved["has_uint32"]
     raw = bit_generator.random_raw(size * (3 + 5 * length))
-    mantissas = (raw >> np.uint64(11)).view(np.int64)  # the uniforms are these times 2^-53
-    coins = mantissas * _TO_UNIT < crossover_prob
-    flags = coins.tobytes()  # indexing bytes is cheaper than indexing the array in the walk
     crossed, plain = 3 + 5 * length, 3 + 4 * length
-    offsets = []
+    limit = _word_limit(crossover_prob)
+    coin = math.inf if limit is None else int(limit)
+    words = raw.data  # indexing a memoryview gives Python ints, cheaper than indexing the array
+    offsets, flags = [], []
     used = 0
     for _ in range(size):
         offsets.append(used)
-        used += crossed if flags[used + 2] else plain
-    starts = np.array(offsets)
+        cross = words[used + 2] < coin
+        flags.append(cross)
+        used += crossed if cross else plain
+    starts, crosses = np.array(offsets), np.array(flags)
 
-    words = raw[starts[:, None] + np.arange(2)]
-    low, high = words & _LOW_HALF, words >> np.uint64(32)
+    pair_words = raw[starts[:, None] + np.arange(2)]
+    low, high = pair_words & _LOW_HALF, pair_words >> np.uint64(32)
     if buffered:  # the buffered half, then each pair's halves shifted by one
         previous = np.concatenate((np.array([saved["uinteger"]], dtype=np.uint64), high[:-1, 1]))
         halves = np.column_stack((previous, low[:, 0], high[:, 0], low[:, 1]))
@@ -667,20 +689,22 @@ def _decoded_draws(
         bit_generator.state = saved
         return None
 
-    crosses = coins[starts + 2]
-    draws = np.empty((size, 5 * length))
-    windows = np.lib.stride_tricks.sliding_window_view(mantissas, 4 * length)
-    # mutation uniforms follow the SBX ones on a crossing pair
-    np.multiply(windows[starts + 3 + length * crosses], _TO_UNIT, out=draws[:, length:])
-    crossing = np.flatnonzero(crosses)
-    draws[crossing, :length] = windows[starts[crossing] + 3, :length] * _TO_UNIT
+    sbx = _unit(raw[starts[crosses, None] + 3 + np.arange(length)])
+    limit = _word_limit(mutation_prob)
+    hits = np.arange(used) if limit is None else np.flatnonzero(raw[:used] < limit)
+    pair = np.searchsorted(starts, hits, side="right") - 1
+    # a pair's mutation words are four columns of L: mask, perturbation, mask,
+    # perturbation; its earlier words fall in negative columns
+    column, genes = np.divmod(hits - (starts + 3 + length * crosses)[pair], length)
+    masked = (column == 0) | (column == 2)
 
     bit_generator.state = saved
     bit_generator.advance(used)  # advance clears the buffer; restore what the per-pair calls leave
     state = bit_generator.state
     state["has_uint32"], state["uinteger"] = buffered, int(high[-1, 1])
     bit_generator.state = state
-    return contestants.astype(np.int64), crosses, draws
+    rows = 2 * pair + column // 2
+    return contestants.astype(np.int64), crosses, sbx, rows[masked], genes[masked], _unit(raw[hits[masked] + length])
 
 
 def _make_offspring(
@@ -706,49 +730,52 @@ def _make_offspring(
     turn.  A child of a pair that does not cross, with an empty mutation mask,
     is its tournament winner unchanged; its source is that winner.
 
-    Pairs run in blocks of up to ``_BLOCK_WORDS // (3 + 5L)``.  On a PCG64
-    generator a block's draws are decoded from one ``random_raw`` call
-    (:func:`_decoded_draws`) and the generator is left in the state the
-    per-pair calls would leave; a block with a Lemire rejection, and any block
-    on another bit generator, makes the per-pair calls instead
-    (:func:`_per_pair_draws`).  Tournaments (lower rank wins, then larger
-    crowding, ties to the first drawn), crossover and mutation then run over
-    the block.  Children are clamped to [0, 1].
+    The draws are made in blocks of up to ``_BLOCK_WORDS // (3 + 5L)`` pairs.
+    On a PCG64 generator a block's draws are decoded from one ``random_raw``
+    call (:func:`_decoded_draws`), which converts to doubles only the words
+    used, and the generator is left in the state the per-pair calls would
+    leave; a block with a Lemire rejection, and any block on another bit
+    generator, makes the per-pair calls instead (:func:`_per_pair_draws`).
+    Tournaments (lower rank wins, then larger crowding, ties to the first
+    drawn), the gather of the winners into ``out`` and mutation of the masked
+    genes then run once over all pairs, and crossover over the crossing
+    pairs a block's worth at a time.  Children are clamped to [0, 1].
     """
     n, length = parents.shape
     pairs = config.population_size // 2
     block_pairs = max(1, _BLOCK_WORDS // (3 + 5 * length))
     # integers(1) draws nothing, so the halves would not pair up below n = 3
     decodable = type(rng.bit_generator) is np.random.PCG64 and n >= 3
-    source = np.empty(config.population_size, dtype=np.int64)
+    blocks = []
     for start in range(0, pairs, block_pairs):
         size = min(block_pairs, pairs - start)
-        drawn = _decoded_draws(rng, n, size, length, config.crossover_prob) if decodable else None
+        args = (rng, n, size, length, config.crossover_prob, config.mutation_prob)
+        drawn = _decoded_draws(*args) if decodable else None
         if drawn is None:
-            drawn = _per_pair_draws(rng, n, size, length, config.crossover_prob)
-        contestants, crosses, draws = drawn
+            drawn = _per_pair_draws(*args)
+        drawn[3][...] += 2 * start  # the mutated children's rows, from the block's to the generation's
+        blocks.append(drawn)
+    contestants, crosses, sbx, rows, genes, perturbation = map(np.concatenate, zip(*blocks))
 
-        first, second = contestants[:, 0::2], contestants[:, 1::2]
-        second = second + (second >= first)  # drawn among the other n - 1
-        # crowded comparison: lower rank wins, then larger crowding; ties go to the first drawn
-        first_wins = (ranks[first] < ranks[second]) | (
-            (ranks[first] == ranks[second]) & (crowding[first] >= crowding[second])
+    first, second = contestants[:, 0::2], contestants[:, 1::2]
+    second = second + (second >= first)  # drawn among the other n - 1
+    # crowded comparison: lower rank wins, then larger crowding; ties go to the first drawn
+    first_wins = (ranks[first] < ranks[second]) | (
+        (ranks[first] == ranks[second]) & (crowding[first] >= crowding[second])
+    )
+    winners = np.where(first_wins, first, second).ravel()
+    np.take(parents, winners, axis=0, out=out, mode="clip")  # the indices are in range; "raise" would buffer out
+
+    crossing = 2 * np.flatnonzero(crosses)
+    for k in range(0, crossing.size, block_pairs):  # a block at a time: larger temporaries page-fault anew each time
+        pair_rows = crossing[k: k + block_pairs]
+        out[pair_rows], out[pair_rows + 1] = _sbx_children(
+            out[pair_rows], out[pair_rows + 1], sbx[k: k + block_pairs], SBX_ETA
         )
-        winners = np.where(first_wins, first, second)
-
-        block = parents[winners.ravel()].reshape(size, 2, length)
-        crossing = np.flatnonzero(crosses)
-        if crossing.size:
-            block[crossing, 0], block[crossing, 1] = _sbx_children(
-                block[crossing, 0], block[crossing, 1], draws[crossing, :length], SBX_ETA
-            )
-        mutation = draws[:, length:].reshape(size, 2, 2, length)
-        mask = mutation[:, :, 0] < config.mutation_prob
-        block[mask] = _perturb(block[mask], mutation[:, :, 1][mask], PM_ETA)
-        out[2 * start: 2 * (start + size)] = block.reshape(2 * size, length)
-        copied = ~crosses[:, None] & ~mask.any(axis=2)
-        source[2 * start: 2 * (start + size)] = np.where(copied, winners, -1).ravel()
-    return source
+    out[rows, genes] = _perturb(out[rows, genes], perturbation, PM_ETA)
+    copied = np.repeat(~crosses, 2)
+    copied[rows] = False
+    return np.where(copied, winners, -1)
 
 
 def _record(generation: int, evaluations: int, archive: ParetoArchive) -> GenerationRecord:

@@ -509,18 +509,33 @@ def binary_tournament_select(population, rng: np.random.Generator) -> int:
 
 
 
+def reference_sbx_children(p1, p2, u):
+    """SBX's two children for uniforms ``u``, each branch of the spread factor
+    taking its own power."""
+    exponent = 1.0 / (SBX_ETA + 1.0)
+    beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent)
+    child1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
+    child2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
+    return np.clip(child1, 0.0, 1.0), np.clip(child2, 0.0, 1.0)
+
+
 def reference_sbx_crossover(parent1, parent2, config, rng):
     """SBX with its draws and formulas written out once more, for one pair."""
     p1 = np.asarray(parent1, dtype=float)
     p2 = np.asarray(parent2, dtype=float)
     if rng.random() >= config.crossover_prob:
         return p1.copy(), p2.copy()
-    exponent = 1.0 / (SBX_ETA + 1.0)
-    u = rng.random(p1.shape[0])
-    beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent)
-    child1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
-    child2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
-    return np.clip(child1, 0.0, 1.0), np.clip(child2, 0.0, 1.0)
+    return reference_sbx_children(p1, p2, rng.random(p1.shape[0]))
+
+
+def reference_mutated_genes(g, u):
+    """Polynomial mutation of every gene ``g`` for uniforms ``u``, each branch
+    of the delta taking its own powers."""
+    exponent = 1.0 / (PM_ETA + 1.0)
+    to_upper = 1.0 - g
+    delta_low = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - g) ** (PM_ETA + 1.0)) ** exponent - 1.0
+    delta_high = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - to_upper) ** (PM_ETA + 1.0)) ** exponent
+    return g + np.where(u <= 0.5, delta_low, delta_high)
 
 
 def reference_polynomial_mutation(genotype, config, rng):
@@ -528,12 +543,7 @@ def reference_polynomial_mutation(genotype, config, rng):
     g = np.asarray(genotype, dtype=float)
     mask = rng.random(g.shape[0]) < config.mutation_prob
     u = rng.random(g.shape[0])
-    exponent = 1.0 / (PM_ETA + 1.0)
-    to_upper = 1.0 - g
-    delta_low = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - g) ** (PM_ETA + 1.0)) ** exponent - 1.0
-    delta_high = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - to_upper) ** (PM_ETA + 1.0)) ** exponent
-    delta = np.where(u <= 0.5, delta_low, delta_high)
-    return np.clip(np.where(mask, g + delta, g), 0.0, 1.0)
+    return np.clip(np.where(mask, reference_mutated_genes(g, u), g), 0.0, 1.0)
 
 
 def reference_offspring(population, config, rng) -> list[np.ndarray]:

@@ -5,20 +5,32 @@ the engine's pooled variation must equal those references called pair by
 pair, bit for bit, so the contracts carry over to it.  That includes the
 draws it decodes from raw generator words and the generator state it leaves,
 so a numpy release that changes how ``integers`` or ``random`` consume the
-stream fails here."""
+stream fails here.  The raw-word limits the coins and masks are compared
+against, the one-power operators at their branch points and bounds, and each
+child's source are checked on their own as well."""
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scnopt import EngineConfig, Individual, nsga2
-from scnopt.nsga2 import _make_offspring
+from scnopt import PM_ETA, SBX_ETA, EngineConfig, Individual, nsga2
+from scnopt.nsga2 import _make_offspring, _perturb, _sbx_children
 
-from oracles import reference_offspring, reference_polynomial_mutation, reference_sbx_crossover
+from oracles import (
+    binary_tournament_select,
+    reference_mutated_genes,
+    reference_offspring,
+    reference_polynomial_mutation,
+    reference_sbx_children,
+    reference_sbx_crossover,
+)
 
 
 def config(**overrides):
@@ -262,3 +274,109 @@ class TestRawWordDraws:
             return json.dumps(rng.bit_generator.state, sort_keys=True, default=lambda a: a.tolist())
 
         assert state(pooled_rng) == state(pair_rng)
+
+
+# probabilities at the edges of the word comparison: none, the least double, one mantissa step, and all
+_EDGE_PROBABILITIES = [0.0, 5e-324, 2.0**-53, 0.01, 0.6, 1.0 - 2.0**-53, 1.0]
+
+
+class TestWordLimit:
+    """Coins and mutation masks compared as raw words: ``w < _word_limit(p)``
+    must be numpy's ``(w >> 11) * 2^-53 < p``, in the walk's Python ints and in
+    the block's uint64 pass alike."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        p=st.one_of(st.sampled_from(_EDGE_PROBABILITIES), st.floats(0.0, 1.0)),
+        words=st.lists(st.integers(0, 2**64 - 1), max_size=8),
+    )
+    def test_integer_comparison_is_the_float_coin(self, p, words):
+        limit = nsga2._word_limit(p)
+        if limit is None:
+            assert p == 1.0
+            edges = [2**64 - 1]
+        else:
+            assert type(limit) is np.uint64
+            edges = [w for w in (int(limit) - 1, int(limit)) if 0 <= w < 2**64]
+        words = words + edges
+        expected = [(w >> 11) * 2.0**-53 < p for w in words]
+        block = np.array(words, dtype=np.uint64)
+        assert (np.ones(block.size, dtype=bool) if limit is None else block < limit).tolist() == expected
+        coin = math.inf if limit is None else int(limit)
+        assert [w < coin for w in words] == expected
+
+
+# SBX's branch point and the uniforms either side of it, and the extremes a uniform reaches
+_EDGE_UNIFORMS = [0.0, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53]
+_EDGE_GENES = [0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53, 0.3]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestOperatorBoundaries:
+    """The engine's one-power operators against the per-branch powers of the oracles."""
+
+    def test_sbx_children(self):
+        u, p1, p2 = np.meshgrid(_EDGE_UNIFORMS, _EDGE_GENES, _EDGE_GENES, indexing="ij")
+        for child, expected in zip(_sbx_children(p1, p2, u, SBX_ETA), reference_sbx_children(p1, p2, u)):
+            assert _same_bits(child, expected)
+
+    def test_perturbed_genes(self):
+        u, g = np.meshgrid(_EDGE_UNIFORMS, _EDGE_GENES, indexing="ij")
+        assert _same_bits(_perturb(g, u, PM_ETA), np.clip(reference_mutated_genes(g, u), 0.0, 1.0))
+
+
+def _replayed_sources(population: list[Individual], cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
+    """Each child's source replayed pair by pair on ``rng``: its tournament
+    winner when its pair did not cross and its mutation mask is empty, else -1."""
+    length = population[0].genotype.size
+    sources = []
+    for _ in range(cfg.population_size // 2):
+        winners = binary_tournament_select(population, rng), binary_tournament_select(population, rng)
+        crosses = rng.random() < cfg.crossover_prob
+        if crosses:
+            rng.random(length)
+        for winner in winners:
+            masked = (rng.random(length) < cfg.mutation_prob).any()
+            rng.random(length)
+            sources.append(-1 if crosses or masked else winner)
+    return np.array(sources)
+
+
+class TestOnePass:
+    """What the one pass of the operators over a generation hands the evaluator."""
+
+    @pytest.mark.parametrize(
+        "n, length, crossover_prob, mutation_prob",
+        [(100, 30, 0.6, 0.01), (1290, 195, 0.6, 0.01), (68, 195, 0.6, 1 / 195), (100, 1, 0.6, 0.3),
+         (100, 30, 0.0, 0.0), (100, 30, 1.0, 1.0)],
+    )
+    def test_source_is_the_winner_exactly_when_the_child_is_a_copy(self, n, length, crossover_prob, mutation_prob):
+        population = _population(n, length)
+        cfg = EngineConfig(population_size=n, crossover_prob=crossover_prob, mutation_prob=mutation_prob)
+        rng = np.random.default_rng(n + length)
+        rng.integers(7)  # a buffered half, so the replay starts mid-word as well
+        replay = copy.deepcopy(rng)
+        genotypes = np.array([ind.genotype for ind in population])
+        ranks, crowding = np.array([ind.rank for ind in population]), np.array([ind.crowding for ind in population])
+        source = _make_offspring(genotypes, ranks, crowding, cfg, rng, np.empty((n, length)))
+        expected = _replayed_sources(population, cfg, replay)
+        assert np.array_equal(source, expected)
+        if 0.0 < crossover_prob < 1.0:
+            assert 0 < np.count_nonzero(source >= 0) < n  # copies and new children both occur
+
+    @pytest.mark.parametrize("mutation_prob", [0.0, 1.0])
+    def test_one_pair_last_block_with_a_buffered_half(self, mutation_prob, block_paths):
+        def make_rng():
+            rng = np.random.default_rng(68)
+            rng.integers(7)  # leaves the high half of a word buffered
+            return rng
+
+        assert 68 // 2 - nsga2._BLOCK_WORDS // (3 + 5 * 195) == 1  # the second block holds one pair
+        pooled, pooled_rng, expected, pair_rng = _offspring_pair(68, 195, make_rng, mutation_prob=mutation_prob)
+        assert block_paths == ["fast", "fast"]
+        assert pooled_rng.bit_generator.state["has_uint32"] == 1
+        assert np.array_equal(pooled, expected)
+        assert pooled_rng.bit_generator.state == pair_rng.bit_generator.state
