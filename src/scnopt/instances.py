@@ -367,7 +367,7 @@ def front_rows(archive: ParetoArchive, instance: Instance) -> list[tuple[float, 
         raise ValueError("archive is empty; nothing to export")
     mean_period_demand = instance.total_demand / instance.n_periods
     members = sorted(archive.members, key=lambda m: (float(m.objectives[0]), float(m.objectives[1])))
-    backlog_totals = _row_sums(_decode_rows(np.array([m.genotype for m in members]), instance).backlog)
+    backlog_totals = _row_sums(_decode_rows(np.array([m.genotype for m in members]), instance)[0].backlog)
     rows: list[tuple[float, float, float]] = []
     for m, backlog_total in zip(members, backlog_totals.tolist()):
         days = backlog_total / mean_period_demand if mean_period_demand > 0 else 0.0

@@ -17,6 +17,7 @@ Genotype layout (segment sizes, in order):
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -257,7 +258,7 @@ def decode(genotype: np.ndarray, instance: Instance) -> DecodedNetwork:
     is scheduled across periods by its normalized timing weights and the
     stock/backlog recursion is simulated against assigned per-period demand.
     """
-    return _network_row(_decode_rows(_genotype_row(genotype, instance), instance), 0)
+    return _network_row(_decode_rows(_genotype_row(genotype, instance), instance)[0], 0)
 
 
 def _schedule_recursion(inflow: np.ndarray, demand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,19 +309,21 @@ def eval_delay(network: DecodedNetwork) -> float:
     return float(_delay_rows(_network_row(network, None))[0])
 
 
-def _constraint_scales(instance: Instance) -> np.ndarray:
-    """Positive per-family scales that normalize :func:`check_constraints` excess."""
-    scales = np.array(
-        [
-            instance.dc_capacity.mean(),
-            instance.backorder_limit.mean(),
-            instance.total_demand / instance.n_dcs,
-            instance.supplier_capacity.mean(),
-            instance.plant_capacity.mean(),
-            instance.plant_capacity.mean(),
-            1.0,
-        ]
-    )
+# The capacity each family's excess is measured in, as a function of the instance.
+_FAMILY_SCALES = (
+    lambda instance: instance.dc_capacity.mean(),
+    lambda instance: instance.backorder_limit.mean(),
+    lambda instance: instance.total_demand / instance.n_dcs,
+    lambda instance: instance.supplier_capacity.mean(),
+    lambda instance: instance.plant_capacity.mean(),
+    lambda instance: instance.plant_capacity.mean(),
+    lambda instance: 1.0,
+)
+
+
+def _constraint_scales(instance: Instance, families: Sequence[int] = range(len(CONSTRAINT_FAMILIES))) -> np.ndarray:
+    """Positive scales that normalize :func:`check_constraints` excess, for ``families``."""
+    scales = np.array([_FAMILY_SCALES[f](instance) for f in families])
     return np.where(scales > 0.0, scales, 1.0)
 
 
@@ -341,11 +344,14 @@ def check_constraints(
     a hand-built network can overdraw suppliers, overload plants or split a
     retailer.
     """
+    stacked = _network_row(network, None)
+    production = stacked.product_flow.sum(axis=(1, 3))
+    dc_in = stacked.product_flow.sum(axis=2)
+    dc_out = stacked.retail_flow.sum(axis=3)
     excess = np.zeros(len(CONSTRAINT_FAMILIES))
-    excess[_ROW_FAMILIES] = _excess_rows(_network_row(network, None), instance)[0]
+    excess[_ROW_FAMILIES] = _excess_rows(stacked, instance, dc_in, dc_out, production)[0]
     excess[3] = np.maximum(network.raw_flow.sum(axis=1) - instance.supplier_capacity, 0.0).sum()
-    production = network.product_flow.sum(axis=(0, 2))
-    excess[5] = np.maximum(instance.utilization * production - instance.plant_capacity, 0.0).sum()
+    excess[5] = np.maximum(instance.utilization * production[0] - instance.plant_capacity, 0.0).sum()
     excess[6] = np.abs(network.assignment.sum(axis=0) - 1).sum()
     excess, total = _scored(excess, _constraint_scales(instance))
     return excess, float(total)
@@ -367,7 +373,37 @@ def evaluate(
 # families from _excess_rows.  tests/oracles.py keeps the decoder and the
 # constraint scorer as they ran one genotype at a time; every row matches
 # them bit for bit, because each function here takes the same operations and
-# reduces the same axes of the same memory layout.
+# reduces the same axes of the same memory layout, or, over a short trailing
+# axis, adds its columns in the order numpy's reduce takes (_sum_last).
+
+
+def _sum_last(values: np.ndarray) -> np.ndarray:
+    """``values.sum(axis=-1)``, bit for bit, by column adds over a short axis.
+
+    numpy reduces a trailing axis with one inner loop per row, which costs
+    several times the column adds when the axis has a few bins.  Below 8
+    terms numpy adds left to right from +0.0, as the columns do here (a row
+    of -0.0 sums to +0.0); from 8 terms it sums in an unrolled pairwise
+    order, and this defers to it.
+    """
+    width = values.shape[-1]
+    if not 0 < width < 8:
+        return values.sum(axis=-1)
+    total = values[..., 0] + 0.0
+    for column in range(1, width):
+        total += values[..., column]
+    return total
+
+
+def _any_last(mask: np.ndarray) -> np.ndarray:
+    """``mask.any(axis=-1)`` by column ORs over a short axis, as :func:`_sum_last` sums."""
+    width = mask.shape[-1]
+    if not 0 < width < 8:
+        return mask.any(axis=-1)
+    found = mask[..., 0].copy()
+    for column in range(1, width):
+        found |= mask[..., column]
+    return found
 
 
 def _allocate_rows(total: np.ndarray, weights: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -384,28 +420,28 @@ def _allocate_rows(total: np.ndarray, weights: np.ndarray, caps: np.ndarray) -> 
     active = caps > 0.0
     running = total > 0.0
     for _ in range(caps.shape[1] + 1):
-        running &= (remaining > tolerance) & active.any(axis=1)
+        running &= (remaining > tolerance) & _any_last(active)
         if not running.any():
             break
         w = np.where(active, weights, 0.0)
-        w_sum = w.sum(axis=1)
+        w_sum = _sum_last(w)
         # Rows whose weights sum to zero split by headroom instead.  Subnormal
         # weights would round remaining * w to a few bits; a power of two
         # scales them exactly.  Rows with normal weights keep their bits.
         small = running & (w_sum < _SMALLEST_NORMAL)
         if small.any():
             w = np.where((small & (w_sum <= 0.0))[:, None], np.where(active, caps - allocation, 0.0), w)
-            w_sum = w.sum(axis=1)
+            w_sum = _sum_last(w)
             w[small & (w_sum < _SMALLEST_NORMAL)] *= 2.0**1022
-            w_sum = w.sum(axis=1)
+            w_sum = _sum_last(w)
         shares = remaining[:, None] * w / np.where(running, w_sum, 1.0)[:, None]
         overflow = running[:, None] & active & (shares > caps - allocation)
-        pinned = overflow.any(axis=1)
+        pinned = _any_last(overflow)
         settled = running & ~pinned
         allocation = np.where(settled[:, None], allocation + shares, allocation)
         allocation = np.where(overflow, caps, allocation)
         active &= ~overflow
-        remaining = np.where(pinned, total - allocation.sum(axis=1), remaining)
+        remaining = np.where(pinned, total - _sum_last(allocation), remaining)
         running &= pinned
     return allocation
 
@@ -413,16 +449,25 @@ def _allocate_rows(total: np.ndarray, weights: np.ndarray, caps: np.ndarray) -> 
 def _open_rows(keys: np.ndarray) -> np.ndarray:
     """Row-wise facility keys >= 0.5, forcing the largest key open in all-closed rows."""
     is_open = keys >= 0.5
-    closed = np.flatnonzero(~is_open.any(axis=1))
+    closed = np.flatnonzero(~_any_last(is_open))
     is_open[closed, np.argmax(keys[closed], axis=1)] = True
     return is_open
 
 
-def _decode_rows(g: np.ndarray, instance: Instance) -> DecodedNetwork:
-    """:func:`decode` of every row of ``g``; each array gains a leading row axis."""
+def _decode_rows(
+    g: np.ndarray, instance: Instance
+) -> tuple[DecodedNetwork, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`decode` of every row of an ``(N, L)`` ``g``; each array gains a leading row axis.
+
+    Also returns the flow totals the constraint scorer reads: product into
+    each DC and demand out of it, both ``(N, P, J)``, and each plant's
+    production ``(N, K)``.
+    """
+    layout = GenotypeLayout.for_instance(instance)
+    if g.ndim != 2 or g.shape[1] != layout.length:
+        raise ValueError(f"genotypes must have shape (N, {layout.length}), got {g.shape}")
     n = g.shape[0]
     s, k, j, i, p, t = instance.dimensions
-    layout = GenotypeLayout.for_instance(instance)
     # C-contiguous (P, I) horizon demand: retail_flow then has the memory
     # layout of one decoded genotype, and sums in its order.
     retailer_demand = instance.demand.sum(axis=2).T.copy()
@@ -465,7 +510,7 @@ def _decode_rows(g: np.ndarray, instance: Instance) -> DecodedNetwork:
         raw_flow[:, :, plant] = share
         supplier_budget = supplier_budget - share
 
-    row_sums = timing_weights.sum(axis=2, keepdims=True)
+    row_sums = _sum_last(timing_weights)[:, :, None]
     period_share = np.where(
         row_sums > 0.0,
         timing_weights / np.where(row_sums > 0.0, row_sums, 1.0),
@@ -475,7 +520,7 @@ def _decode_rows(g: np.ndarray, instance: Instance) -> DecodedNetwork:
     inflow = dc_inflow_total[:, :, :, None] * period_share[:, None, :, :]
     on_hand, backlog = _schedule_recursion(inflow, assigned_demand)
 
-    return DecodedNetwork(
+    network = DecodedNetwork(
         plant_open=plant_open,
         dc_open=dc_open,
         assignment=assignment,
@@ -486,6 +531,7 @@ def _decode_rows(g: np.ndarray, instance: Instance) -> DecodedNetwork:
         on_hand=on_hand,
         backlog=backlog,
     )
+    return network, (dc_inflow_total, dc_demand, production)
 
 
 def _row_sums(values: np.ndarray) -> np.ndarray:
@@ -505,9 +551,9 @@ def _objective_rows(
 ) -> np.ndarray:
     """``(N, 2)`` :func:`eval_total_cost` and :func:`eval_delay` of every row of a
     row-stacked network."""
-    fixed = (instance.plant_fixed_cost * network.plant_open).sum(axis=1) + (
+    fixed = _sum_last(instance.plant_fixed_cost * network.plant_open) + _sum_last(
         instance.dc_fixed_cost * network.dc_open
-    ).sum(axis=1)
+    )
     raw_unit_cost = instance.raw_material_unit_cost[:, None] + instance.raw_transport_cost
     raw = _row_sums(raw_unit_cost * network.raw_flow)
     plant_to_dc = _row_sums(instance.product_transport_plant_dc[None, :, :] * network.product_flow)
@@ -524,9 +570,16 @@ def _objective_rows(
 _ROW_FAMILIES = [0, 1, 2, 4]
 
 
-def _excess_rows(network: DecodedNetwork, instance: Instance) -> np.ndarray:
+def _excess_rows(
+    network: DecodedNetwork,
+    instance: Instance,
+    dc_in: np.ndarray,
+    dc_out: np.ndarray,
+    production: np.ndarray,
+) -> np.ndarray:
     """``(N, 4)`` excess of dc_holding_capacity, backorder_limit,
-    dc_flow_balance and plant_raw_balance for every row of a row-stacked network.
+    dc_flow_balance and plant_raw_balance for every row of a row-stacked network,
+    given its flow totals as :func:`_decode_rows` returns them.
 
     supplier_capacity, plant_capacity and single_assignment are zero on every
     decoded network: allocation is capped at the supplier and plant budgets,
@@ -534,16 +587,13 @@ def _excess_rows(network: DecodedNetwork, instance: Instance) -> np.ndarray:
     (tests/test_decode_properties.py::test_unscored_families_are_zero).
     Dropping exact zeros from the family sum leaves the total's bits unchanged.
     """
-    dc_in = network.product_flow.sum(axis=2)
-    dc_out = network.retail_flow.sum(axis=3)
-    production = network.product_flow.sum(axis=(1, 3))
     raw_in = network.raw_flow.sum(axis=1)
     return np.stack(
         [
             _row_sums(np.maximum(network.on_hand - instance.dc_capacity[None, :, None], 0.0)),
             _row_sums(np.maximum(network.backlog - instance.backorder_limit, 0.0)),
             _row_sums(np.maximum(dc_out - dc_in, 0.0)),
-            np.maximum(instance.utilization * production - raw_in, 0.0).sum(axis=1),
+            _sum_last(np.maximum(instance.utilization * production - raw_in, 0.0)),
         ],
         axis=1,
     )
@@ -553,12 +603,7 @@ def _scored(excess: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndar
     """``excess`` with entries below float-repair resolution set to zero, and
     its sum over the last axis in units of ``scales``: the violation total."""
     excess = np.where(excess > _EXCESS_RTOL * scales, excess, 0.0)
-    return excess, (excess / scales).sum(axis=-1)
-
-
-def _violation_rows(network: DecodedNetwork, instance: Instance) -> np.ndarray:
-    """The :func:`check_constraints` total of every row of a row-stacked network."""
-    return _scored(_excess_rows(network, instance), _constraint_scales(instance)[_ROW_FAMILIES])[1]
+    return excess, _sum_last(excess / scales)
 
 
 def evaluate_batch(
@@ -573,12 +618,10 @@ def evaluate_batch(
     All rows are decoded in one pass; the working set grows linearly with N
     (about 4.4 KiB per row on sbc-scale).
     """
-    g = np.asarray(genotypes, dtype=float)
-    length = instance.genotype_length
-    if g.ndim != 2 or g.shape[1] != length:
-        raise ValueError(f"genotypes must have shape (N, {length}), got {g.shape}")
-    network = _decode_rows(g, instance)
-    return _objective_rows(network, instance, holding_on_backorder), _violation_rows(network, instance)
+    network, flow_totals = _decode_rows(np.asarray(genotypes, dtype=float), instance)
+    excess = _excess_rows(network, instance, *flow_totals)
+    violations = _scored(excess, _constraint_scales(instance, _ROW_FAMILIES))[1]
+    return _objective_rows(network, instance, holding_on_backorder), violations
 
 
 @dataclass

@@ -158,6 +158,8 @@ class EngineConfig:
             p = getattr(self, name)
             if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)) or not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a number in [0, 1], got {p!r}")
+            # A numpy float32 would make rng.random() < p compare in float32.
+            setattr(self, name, float(p))
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -596,7 +598,7 @@ def _word_limit(p: float) -> np.uint64 | None:
     would not fit a word."""
     if p >= 1.0:
         return None
-    return np.uint64(math.ceil(float(p) * 2.0**53) << 11)
+    return np.uint64(math.ceil(p * 2.0**53) << 11)
 
 
 def _unit(words: np.ndarray) -> np.ndarray:

@@ -123,7 +123,7 @@ def cases(draw, subnormal=False):
 
 def decoded_rows(instance, genotypes):
     """The batch decoder's network for every genotype row."""
-    stacked = _decode_rows(genotypes, instance)
+    stacked, _ = _decode_rows(genotypes, instance)
     for n in range(len(genotypes)):
         yield _network_row(stacked, n)
 
@@ -157,17 +157,36 @@ def test_unscored_families_are_zero(case):
         assert np.array_equal(one_objectives, expected_objectives) and one_violation == expected_violation
 
 
+@st.composite
+def allocation_rows(draw, n_bins):
+    """A capped-allocation row ``(total, weights, caps)`` of ``n_bins`` bins.
+
+    Its weights are all normal or zero, or all exact subnormals.
+    """
+    def bins(elements):
+        return draw(st.lists(elements, min_size=n_bins, max_size=n_bins))
+
+    total = draw(st.floats(-1.0, 300.0, allow_subnormal=False))
+    if draw(st.booleans()):
+        weights = [k * SMALLEST_SUBNORMAL for k in bins(st.integers(0, 2**20))]
+    else:
+        weights = bins(st.floats(0.0, 1.0, allow_subnormal=False))
+    return total, weights, bins(st.floats(0.0, 100.0, allow_subnormal=False))
+
+
 @PROPERTY
-@given(
-    st.floats(-1.0, 300.0, allow_subnormal=False),
-    st.lists(st.tuples(st.floats(0.0, 1.0, allow_subnormal=False), st.floats(0.0, 100.0, allow_subnormal=False)),
-             min_size=1, max_size=6),
-)
-def test_allocation_matches_reference(total, bins):
-    weights, caps = np.array(bins).T
-    allocation = _allocate_rows(np.array([total]), weights[None], caps[None])[0]
-    expected, _ = reference_allocate_with_caps(total, weights, caps)
-    assert np.array_equal(allocation, expected)
+@given(st.integers(1, 12).flatmap(lambda n_bins: st.lists(allocation_rows(n_bins), min_size=1, max_size=6)))
+def test_allocation_matches_reference(rows):
+    # The rows share one call but settle after different numbers of passes;
+    # from 8 bins the weight sums take numpy's pairwise order.
+    totals, weights, caps = (np.array(column, dtype=float) for column in zip(*rows))
+    allocation = _allocate_rows(totals, weights, caps)
+    for n in range(len(rows)):
+        # The decoder scales weights that sum below the smallest normal by
+        # 2**1022, which is exact; the reference allocates them unscaled.
+        w = weights[n] * 2.0**1022 if weights[n].sum() < np.finfo(float).tiny else weights[n]
+        expected, _ = reference_allocate_with_caps(totals[n], w, caps[n])
+        assert np.array_equal(allocation[n], expected)
 
 
 # Hand edits of a decoded network that break the constraint families decoding

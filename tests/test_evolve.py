@@ -142,6 +142,15 @@ def test_invalid_config_rejected():
         assert config.crossover_prob == config.mutation_prob == good
 
 
+def test_probabilities_are_stored_as_python_floats():
+    # rng.random() < np.float32(p) compares in float32, while the raw-word
+    # coins compare in float64; a Python float makes every path compare alike.
+    config = EngineConfig(population_size=10, generations=1, crossover_prob=np.float32(0.6),
+                          mutation_prob=np.float32(0.01))
+    assert type(config.crossover_prob) is float and config.crossover_prob == float(np.float32(0.6))
+    assert type(config.mutation_prob) is float and config.mutation_prob == float(np.float32(0.01))
+
+
 def assert_same_run(result, expected):
     assert len(result.population) == len(expected.population)
     for a, b in zip(result.population, expected.population):

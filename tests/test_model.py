@@ -19,7 +19,7 @@ from scnopt import (
     generate_instance,
     tiny_instance,
 )
-from scnopt.model import _allocate_rows, _schedule_recursion
+from scnopt.model import _allocate_rows, _any_last, _schedule_recursion, _sum_last
 
 from conftest import make_duo_instance
 
@@ -64,6 +64,23 @@ class TestGenotypeLength:
         assert stops[0][0] == 0 and stops[-1][1] == layout.length
         for (_, stop), (start, _) in zip(stops[:-1], stops[1:]):
             assert stop == start
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_column_sums_are_numpys_trailing_axis_sums(width):
+    # Below 8 terms the columns add left to right from +0.0, as numpy's
+    # reduce does; from 8 terms numpy sums pairwise itself.  Compared as bits,
+    # so a -0.0 that numpy sums to +0.0 must come out +0.0 here too.
+    rng = np.random.default_rng(width)
+    signs = rng.choice([-1.0, 1.0], (300, width))
+    values = signs * 10.0 ** rng.uniform(-300.0, 300.0, (300, width))
+    values[100:200] = signs[100:200] * rng.random((100, width)) * 10.0 ** rng.uniform(-300.0, 300.0, (100, 1))
+    values[200:250] = -0.0
+    values[250:] = np.where(rng.random((50, width)) < 0.5, -0.0, values[250:])
+    for x in (values, values.reshape(30, 10, width), values[0], values[200]):
+        assert _sum_last(x).tobytes() == x.sum(axis=-1).tobytes()
+        mask = x > 0.0
+        assert np.array_equal(_any_last(mask), mask.any(axis=-1))
 
 
 def allocate(total, weights, caps):
