@@ -118,7 +118,7 @@ def _read_instance(path: str | Path) -> tuple[bytes, Instance]:
     if non_strings:
         raise ValidationError(f"instance file {path} has metadata that is not a JSON string", non_strings)
 
-    # np.asarray(..., dtype=float) would do the same to array entries.
+    # Instance converts array entries with np.array(..., dtype=float), which would do the same.
     non_numbers = []
     for name in ARRAY_SHAPES:
         entries = _non_numbers(raw[name])
@@ -137,7 +137,7 @@ def _read_instance(path: str | Path) -> tuple[bytes, Instance]:
             n_periods=dims["periods"],
             utilization=utilization,
             **metadata,
-            **{name: np.asarray(raw[name], dtype=float) for name in ARRAY_SHAPES},
+            **{name: raw[name] for name in ARRAY_SHAPES},
         )
     except (TypeError, ValueError, OverflowError) as err:
         raise ValidationError(f"instance file {path} has malformed content: {err}") from err

@@ -17,8 +17,8 @@ Genotype layout (segment sizes, in order):
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -73,13 +73,18 @@ _EXCESS_RTOL = 1e-9
 _SMALLEST_NORMAL = np.finfo(float).tiny
 
 
-@dataclass
+@dataclass(frozen=True)
 class Instance:
     """Immutable problem data for one supply chain network design instance.
 
     The array fields and their shapes are listed in :data:`ARRAY_SHAPES`;
-    ``utilization`` (> 0) is the raw-material units consumed per product
-    unit.  ``currency`` and ``time_unit`` are display metadata only.
+    each holds a read-only float copy of the array passed in, so the
+    caller's array stays writable and the arrays the evaluator derives
+    from the instance (the cached properties below, built on first use)
+    cannot go stale.  ``dataclasses.replace`` makes a new instance, which
+    derives its own.  ``utilization`` (> 0) is the raw-material units
+    consumed per product unit.  ``currency`` and ``time_unit`` are display
+    metadata only.
     """
 
     n_suppliers: int
@@ -108,11 +113,49 @@ class Instance:
         sizes = dict(zip("SKJIPT", self.dimensions))
         for name, axes in ARRAY_SHAPES.items():
             shape = tuple(sizes[axis] for axis in axes)
-            value = np.asarray(getattr(self, name), dtype=float)
+            value = np.array(getattr(self, name), dtype=float)
             if value.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
-            object.__setattr__(self, name, value)
-        self.utilization = float(self.utilization)
+            object.__setattr__(self, name, _read_only(value))
+        object.__setattr__(self, "utilization", float(self.utilization))
+
+    def __reduce__(self):
+        # Copies and unpickled instances are rebuilt through __init__, so
+        # their arrays are read-only again and they derive their own caches.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    # Arrays the evaluator reads that depend on the instance alone, each
+    # built on first use and kept read-only.
+
+    @cached_property
+    def _layout(self) -> GenotypeLayout:
+        return GenotypeLayout.for_instance(self)
+
+    @cached_property
+    def _horizon_demand(self) -> np.ndarray:
+        """``(P, I)`` demand over the horizon, C-contiguous: retail_flow then
+        has the memory layout of one decoded genotype, and sums in its order."""
+        return _read_only(self.demand.sum(axis=2).T.copy())
+
+    @cached_property
+    def _demand_matrix(self) -> np.ndarray:
+        """``(I, P*T)`` view of the demand, for the assigned-demand matmul."""
+        return self.demand.reshape(self.n_retailers, -1)
+
+    @cached_property
+    def _product_budget(self) -> np.ndarray:
+        """``(K,)`` plant capacity in product units."""
+        return _read_only(self.plant_capacity / self.utilization)
+
+    @cached_property
+    def _raw_unit_cost(self) -> np.ndarray:
+        """``(S, K)`` raw material plus transport cost per unit."""
+        return _read_only(self.raw_material_unit_cost[:, None] + self.raw_transport_cost)
+
+    @cached_property
+    def _scales(self) -> np.ndarray:
+        """The seven constraint families' scales (:func:`_constraint_scales`)."""
+        return _read_only(_constraint_scales(self))
 
     @property
     def dimensions(self) -> tuple[int, int, int, int, int, int]:
@@ -131,7 +174,7 @@ class Instance:
 
     @property
     def genotype_length(self) -> int:
-        return GenotypeLayout.for_instance(self).length
+        return self._layout.length
 
     @np.errstate(over="ignore")  # totals and products of huge finite entries may overflow to inf; the checks handle inf
     def invariant_problems(self) -> list[str]:
@@ -190,6 +233,11 @@ class Instance:
                         f"total {name.replace('_', ' ')} is below utilization x total demand ({total:g} < {need:g})"
                     )
         return problems
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)
@@ -321,9 +369,9 @@ _FAMILY_SCALES = (
 )
 
 
-def _constraint_scales(instance: Instance, families: Sequence[int] = range(len(CONSTRAINT_FAMILIES))) -> np.ndarray:
-    """Positive scales that normalize :func:`check_constraints` excess, for ``families``."""
-    scales = np.array([_FAMILY_SCALES[f](instance) for f in families])
+def _constraint_scales(instance: Instance) -> np.ndarray:
+    """Positive scales that normalize :func:`check_constraints` excess, one per family."""
+    scales = np.array([scale(instance) for scale in _FAMILY_SCALES])
     return np.where(scales > 0.0, scales, 1.0)
 
 
@@ -353,7 +401,7 @@ def check_constraints(
     excess[3] = np.maximum(network.raw_flow.sum(axis=1) - instance.supplier_capacity, 0.0).sum()
     excess[5] = np.maximum(instance.utilization * production[0] - instance.plant_capacity, 0.0).sum()
     excess[6] = np.abs(network.assignment.sum(axis=0) - 1).sum()
-    excess, total = _scored(excess, _constraint_scales(instance))
+    excess, total = _scored(excess, instance._scales)
     return excess, float(total)
 
 
@@ -459,18 +507,20 @@ def _decode_rows(
 ) -> tuple[DecodedNetwork, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """:func:`decode` of every row of an ``(N, L)`` ``g``; each array gains a leading row axis.
 
+    Arrays that depend on the instance alone (the layout, the horizon
+    demand, the plant budgets) are its cached properties, built once per
+    instance.  Each row's per-period demand at its DCs is one matmul of its
+    one-hot assignment with the demand, stacked over the rows.
+
     Also returns the flow totals the constraint scorer reads: product into
     each DC and demand out of it, both ``(N, P, J)``, and each plant's
     production ``(N, K)``.
     """
-    layout = GenotypeLayout.for_instance(instance)
+    layout = instance._layout
     if g.ndim != 2 or g.shape[1] != layout.length:
         raise ValueError(f"genotypes must have shape (N, {layout.length}), got {g.shape}")
     n = g.shape[0]
     s, k, j, i, p, t = instance.dimensions
-    # C-contiguous (P, I) horizon demand: retail_flow then has the memory
-    # layout of one decoded genotype, and sums in its order.
-    retailer_demand = instance.demand.sum(axis=2).T.copy()
     supplier_weights = g[:, layout.supplier_weights].reshape(n, s, k)
     plant_dc_weights = g[:, layout.plant_dc_weights].reshape(n, k, j)
     assignment_keys = g[:, layout.assignment_keys].reshape(n, j, i)
@@ -483,13 +533,17 @@ def _decode_rows(
     dc_of_retailer = np.argmax(masked_keys, axis=1)  # (N, I)
     assignment = dc_of_retailer[:, None, :] == np.arange(j)[None, :, None]  # (N, J, I)
 
-    retail_flow = assignment[:, None, :, :] * retailer_demand[None, :, None, :]
+    retail_flow = assignment[:, None, :, :] * instance._horizon_demand[None, :, None, :]
     dc_demand = retail_flow.sum(axis=3)  # (N, P, J)
-    assigned_demand = np.einsum("nji,ipt->npjt", assignment.astype(float), instance.demand)
+    # The assignment is one-hot, so every product is exact and each cell adds
+    # its DC's retailers' demand in retailer order: the bits of the reference
+    # decoder's einsum, which takes several times as long.
+    assigned_demand = np.matmul(assignment.astype(float), instance._demand_matrix)  # (N, J, P*T)
+    assigned_demand = assigned_demand.reshape(n, j, p, t).transpose(0, 2, 1, 3)  # (N, P, J, T)
 
     product_flow = np.zeros((n, p, k, j))
     open_plant_weights = np.where(plant_open[:, :, None], plant_dc_weights, 0.0)
-    product_budget = np.where(plant_open, instance.plant_capacity / instance.utilization, 0.0)
+    product_budget = np.where(plant_open, instance._product_budget, 0.0)
     for product in range(p):
         for dc in range(j):
             share = _allocate_rows(
@@ -554,8 +608,7 @@ def _objective_rows(
     fixed = _sum_last(instance.plant_fixed_cost * network.plant_open) + _sum_last(
         instance.dc_fixed_cost * network.dc_open
     )
-    raw_unit_cost = instance.raw_material_unit_cost[:, None] + instance.raw_transport_cost
-    raw = _row_sums(raw_unit_cost * network.raw_flow)
+    raw = _row_sums(instance._raw_unit_cost * network.raw_flow)
     plant_to_dc = _row_sums(instance.product_transport_plant_dc[None, :, :] * network.product_flow)
     held = network.backlog if holding_on_backorder else network.on_hand
     holding = _row_sums(instance.holding_cost[None, :, None] * held)
@@ -620,7 +673,7 @@ def evaluate_batch(
     """
     network, flow_totals = _decode_rows(np.asarray(genotypes, dtype=float), instance)
     excess = _excess_rows(network, instance, *flow_totals)
-    violations = _scored(excess, _constraint_scales(instance, _ROW_FAMILIES))[1]
+    violations = _scored(excess, instance._scales[_ROW_FAMILIES])[1]
     return _objective_rows(network, instance, holding_on_backorder), violations
 
 

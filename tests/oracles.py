@@ -312,6 +312,8 @@ def reference_decode(genotype: np.ndarray, instance) -> DecodedNetwork:
     retail_flow = np.zeros((p, j, i))
     retail_flow[:, dc_of_retailer, np.arange(i)] = horizon_demand.T
     dc_demand = retail_flow.sum(axis=2)  # (P, J)
+    # An einsum, where the package takes a stacked matmul: both must add each
+    # DC's retailers in retailer order.
     assigned_demand = np.einsum("ji,ipt->pjt", assignment.astype(float), instance.demand)
 
     # Plant -> DC flows; plant capacity is stated in raw-material-equivalent

@@ -21,7 +21,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from scnopt import (
@@ -155,6 +155,71 @@ def test_unscored_families_are_zero(case):
         assert violations[n] == expected_violation
         one_objectives, one_violation = evaluate(g, instance, holding_on_backorder)
         assert np.array_equal(one_objectives, expected_objectives) and one_violation == expected_violation
+
+
+def assert_same_bytes(a, b):
+    for f in fields(DecodedNetwork):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+
+
+@st.composite
+def extreme_demand_cases(draw):
+    """A small instance whose demand spans 1e-300 to 1e300, zeros and
+    subnormals included, and genotypes that close some of its DCs.
+
+    At most 24 cells of 1e300 add up in any sum, so nothing overflows.
+    """
+    n_dcs, n_retailers = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    n_products, n_periods = draw(st.integers(1, 2)), draw(st.integers(2, 4))
+    instance = generate_instance(
+        GeneratorParams(
+            n_suppliers=draw(st.integers(1, 3)),
+            n_plants=draw(st.integers(1, 3)),
+            n_dcs=n_dcs,
+            n_retailers=n_retailers,
+            n_products=n_products,
+            n_periods=n_periods,
+            seed=draw(st.integers(0, 2**16)),
+        )
+    )
+    cell = st.one_of(
+        st.just(0.0),
+        st.integers(1, 2**20).map(lambda k: k * SMALLEST_SUBNORMAL),
+        st.floats(1e-300, 1e300),
+    )
+    demand = draw(arrays(np.float64, (n_retailers, n_products, n_periods), elements=cell))
+    instance = replace(instance, demand=demand)
+    layout = GenotypeLayout.for_instance(instance)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    genotypes = rng.random((draw(st.integers(1, 4)), layout.length))
+    closed = draw(arrays(np.bool_, (len(genotypes), n_dcs)))
+    genotypes[:, layout.dc_keys] = np.where(closed, 0.49 * genotypes[:, layout.dc_keys], genotypes[:, layout.dc_keys])
+    return instance, genotypes
+
+
+def order_sensitive_case():
+    """Three retailers on one DC whose period-0 demand sums to 1e16 added in
+    retailer order and to 1e16 + 2 added in reverse."""
+    instance = generate_instance(
+        GeneratorParams(n_suppliers=1, n_plants=1, n_dcs=2, n_retailers=3, n_periods=2, seed=0)
+    )
+    instance = replace(instance, demand=np.array([[[1e16, 0.0]], [[1.0, 0.0]], [[1.0, 0.0]]]))
+    layout = GenotypeLayout.for_instance(instance)
+    genotype = np.full(layout.length, 0.7)
+    genotype[layout.dc_keys] = (0.9, 0.1)  # DC 1 closed: every retailer goes to DC 0
+    return instance, genotype[None]
+
+
+@PROPERTY
+@given(extreme_demand_cases())
+@example(order_sensitive_case())
+def test_assigned_demand_keeps_its_bits_at_extreme_demand(case):
+    # Each DC's per-period demand is a matmul of the one-hot assignment with
+    # the demand; it must add the retailers in the reference's order.
+    instance, genotypes = case
+    for g, row in zip(genotypes, decoded_rows(instance, genotypes)):
+        assert_same_bytes(row, reference_decode(g, instance))
 
 
 @st.composite

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -487,3 +489,45 @@ class TestInstanceValidation:
         tiny = tiny_instance()
         with pytest.raises(ValueError, match="demand"):
             replace(tiny, demand=np.zeros((2, 1, 2)))
+
+
+class TestInstanceImmutable:
+    # The evaluator caches arrays derived from an instance; a write that
+    # reached the instance would leave them stale without an error.
+    def test_arrays_are_read_only_copies(self):
+        demand = np.array([[[5.0, 5.0]]])
+        instance = replace(tiny_instance(), demand=demand)
+        with pytest.raises(ValueError, match="read-only"):
+            instance.demand[0, 0, 0] = 1.0
+        demand[0, 0, 0] = 1.0  # the caller's array stays writable and apart
+        assert instance.demand[0, 0, 0] == 5.0
+
+    def test_fields_cannot_be_assigned(self):
+        instance = tiny_instance()
+        with pytest.raises(FrozenInstanceError):
+            instance.demand = 2 * instance.demand
+        with pytest.raises(FrozenInstanceError):
+            instance.utilization = 2.0
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda i: pickle.loads(pickle.dumps(i))])
+    def test_copies_stay_read_only(self, duplicate):
+        instance = tiny_instance()
+        g = np.full(instance.genotype_length, 0.7)
+        expected = evaluate(g, instance)  # the cached arrays exist before the copy is taken
+        twin = duplicate(instance)
+        with pytest.raises(ValueError, match="read-only"):
+            twin.demand[0, 0, 0] = 1.0
+        assert twin.currency == instance.currency
+        assert np.array_equal(evaluate(g, twin)[0], expected[0])
+
+    def test_replaced_instance_has_its_own_derived_arrays(self):
+        desk = generate_instance(
+            GeneratorParams(n_suppliers=3, n_plants=2, n_dcs=3, n_retailers=8, n_periods=7)
+        )
+        g = np.random.default_rng(3).random(desk.genotype_length)
+        before = evaluate(g, desk)  # builds desk's derived arrays
+        doubled = replace(desk, demand=2 * desk.demand)
+        after = evaluate(g, doubled)
+        assert not np.array_equal(after[0], before[0])
+        assert np.array_equal(evaluate(g, desk)[0], before[0])
+        np.testing.assert_array_equal(decode(g, doubled).retail_flow, 2 * decode(g, desk).retail_flow)
