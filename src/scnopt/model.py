@@ -73,7 +73,7 @@ _EXCESS_RTOL = 1e-9
 _SMALLEST_NORMAL = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """Immutable problem data for one supply chain network design instance.
 
@@ -84,7 +84,7 @@ class Instance:
     cannot go stale.  ``dataclasses.replace`` makes a new instance, which
     derives its own.  ``utilization`` (> 0) is the raw-material units
     consumed per product unit.  ``currency`` and ``time_unit`` are display
-    metadata only.
+    metadata only.  Instances compare and hash by identity.
     """
 
     n_suppliers: int
@@ -260,7 +260,7 @@ class GenotypeLayout:
         return cls(*slices, length=int(bounds[-1]))
 
 
-@dataclass
+@dataclass(eq=False)
 class DecodedNetwork:
     """A fully materialized network design: decisions, flows, and schedule.
 

@@ -12,8 +12,9 @@ objectives ``(N, M)``, violations, ranks and crowding ``(N,)`` are plain
 arrays.  Sorting, selection and crowding take those arrays and return row
 indices.  :class:`Individual` objects are built only for archive members and,
 once at the end, for :attr:`EvolutionResult.population`.  All randomness flows
-through a single seeded generator consumed only by initialization, selection,
-and variation.
+through a single seeded generator consumed only by initialization and, each
+generation, by six vectorized draws for selection and variation
+(:func:`_make_offspring`).
 """
 
 from __future__ import annotations
@@ -130,13 +131,15 @@ SBX_ETA = 15.0
 PM_ETA = 20.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
     """Run parameters for :func:`evolve`.
 
     ``population_size`` is an even integer >= 4 (pairwise variation);
     ``generations`` and ``seed`` are integers too, and the two probabilities
-    numbers in [0, 1]; numpy scalars pass, bool does not.
+    numbers in [0, 1]; numpy scalars pass, bool does not.  The config is
+    frozen: the checks run at construction, and ``dataclasses.replace``
+    makes a checked copy.
     """
 
     population_size: int = 100
@@ -159,12 +162,12 @@ class EngineConfig:
             if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)) or not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a number in [0, 1], got {p!r}")
             # A numpy float32 would make rng.random() < p compare in float32.
-            setattr(self, name, float(p))
+            object.__setattr__(self, name, float(p))
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
 
-@dataclass
+@dataclass(eq=False)
 class FrontPartition:
     """Result of non-dominated sorting: ``ranks[i]`` is the 1-based front
     number of point ``i`` (1 for the non-dominated set), or 0 when the sort
@@ -455,7 +458,7 @@ def _archive_offers(genotypes: np.ndarray, objectives: np.ndarray, violations: n
     return [Individual._checked(g, o, 0.0) for g, o in zip(genotypes[rows], objectives[rows])]
 
 
-@dataclass
+@dataclass(eq=False)
 class GenerationRecord:
     """Progress snapshot after one generation has been folded into the archive.
 
@@ -580,135 +583,6 @@ def _evaluate_batch(
     return objectives, violations
 
 
-# Raw generator words drawn per block of pairs, a memory bound rather than a
-# tuning knob: one block holds max(1, _BLOCK_WORDS // (3 + 5L)) pairs, whose
-# raw words take 256 KiB.  Only the words read become doubles: the crossing
-# pairs' SBX uniforms and the perturbation words under a true mask.  A
-# paper-scale generation (L = 195) runs in 20 blocks of 33 pairs.
-_BLOCK_WORDS = 1 << 15
-_TO_UNIT = 2.0**-53  # numpy's random() is (word >> 11) * 2^-53
-_LOW_HALF = np.uint64(0xFFFFFFFF)
-
-
-def _word_limit(p: float) -> np.uint64 | None:
-    """The raw-word limit of a coin of probability ``p``: ``(w >> 11) * 2^-53 < p``
-    holds exactly when ``w < limit``, with ``limit = ceil(p * 2^53) * 2^11``
-    (scaling by a power of two is exact, and ``w >> 11`` is an integer).
-    ``None`` when ``p`` is 1, where every word passes and the limit, 2^64,
-    would not fit a word."""
-    if p >= 1.0:
-        return None
-    return np.uint64(math.ceil(p * 2.0**53) << 11)
-
-
-def _unit(words: np.ndarray) -> np.ndarray:
-    """The uniforms numpy's ``random()`` makes of raw ``words``."""
-    return (words >> np.uint64(11)).view(np.int64) * _TO_UNIT  # int64 converts to double faster than uint64
-
-
-def _per_pair_draws(
-    rng: np.random.Generator, n: int, size: int, length: int, crossover_prob: float, mutation_prob: float
-) -> tuple[np.ndarray, ...]:
-    """:func:`_decoded_draws`'s result, made pair by pair through ``rng``: per
-    pair ``integers(n)``, ``integers(n - 1)``, ``integers(n)``,
-    ``integers(n - 1)``, the crossover coin, then ``random(5L)`` when the pair
-    crosses (SBX uniforms, then each child's mutation mask and perturbation
-    draws) or ``random(4L)`` when it does not."""
-    contestants = np.empty((size, 4), dtype=np.int64)
-    crosses = np.empty(size, dtype=bool)
-    draws = np.empty((size, 5 * length))
-    for p in range(size):
-        contestants[p] = (rng.integers(n), rng.integers(n - 1), rng.integers(n), rng.integers(n - 1))
-        crosses[p] = cross = rng.random() < crossover_prob
-        draws[p, 0 if cross else length:] = rng.random((5 if cross else 4) * length)
-    mutation = draws[:, length:].reshape(2 * size, 2, length)
-    rows, genes = np.nonzero(mutation[:, 0] < mutation_prob)
-    return contestants, crosses, draws[crosses, :length], rows, genes, mutation[rows, 1, genes]
-
-
-def _lemire(halves: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Lemire's multiply-shift ``(h * bound) >> 32`` of 32-bit draws ``halves``
-    (each column against its entry of ``bounds``), and whether any draw falls
-    where numpy's ``integers`` rejects it and draws again: a low product word
-    below ``(2^32 - bound) mod bound``.  Halves and bounds are below 2^32, so
-    the products fit in 64 bits."""
-    product = halves * bounds
-    threshold = (np.uint64(1 << 32) - bounds) % bounds
-    return product >> np.uint64(32), bool(((product & _LOW_HALF) < threshold).any())
-
-
-def _decoded_draws(
-    rng: np.random.Generator, n: int, size: int, length: int, crossover_prob: float, mutation_prob: float
-) -> tuple[np.ndarray, ...] | None:
-    """The draws of ``size`` pairs, decoded from one ``random_raw`` call on a
-    PCG64 generator, which is left in the state the per-pair calls of
-    :func:`_per_pair_draws` would leave; or ``None``, with the state
-    untouched, when a contestant draw hits a Lemire rejection.
-
-    Returns the contestant draws ``(size, 4)``, the crossover coins
-    ``(size,)``, the SBX uniforms of the crossing pairs ``(crossing, L)``,
-    and the mutations: each one's child ``2 * pair + child``, gene and
-    perturbation uniform, in draw order.
-
-    ``integers(k)`` for k < 2^32 is Lemire's multiply-shift on one 32-bit
-    half of a word, low half first; the generator buffers the high half
-    (``has_uint32``/``uinteger``).  A pair's four contestant draws take two
-    words' halves, so the buffer's state is the same before and after each
-    pair; when it holds a half, that half is the pair's first draw.  The coin
-    and the uniforms are ``(word >> 11) * 2^-53``, one word each.  A pair
-    uses 3 + 5L words when it crosses and 3 + 4L when it does not, so a walk
-    over the coins, each read from its raw word, finds where each pair's
-    words start.  The coins and mutation masks are compared as raw words
-    (:func:`_word_limit`): one pass over the block finds the mask words
-    below the limit, and only the words read are converted to doubles.
-    """
-    bit_generator = rng.bit_generator
-    saved = bit_generator.state
-    buffered = saved["has_uint32"]
-    raw = bit_generator.random_raw(size * (3 + 5 * length))
-    crossed, plain = 3 + 5 * length, 3 + 4 * length
-    limit = _word_limit(crossover_prob)
-    coin = math.inf if limit is None else int(limit)
-    words = raw.data  # indexing a memoryview gives Python ints, cheaper than indexing the array
-    offsets, flags = [], []
-    used = 0
-    for _ in range(size):
-        offsets.append(used)
-        cross = words[used + 2] < coin
-        flags.append(cross)
-        used += crossed if cross else plain
-    starts, crosses = np.array(offsets), np.array(flags)
-
-    pair_words = raw[starts[:, None] + np.arange(2)]
-    low, high = pair_words & _LOW_HALF, pair_words >> np.uint64(32)
-    if buffered:  # the buffered half, then each pair's halves shifted by one
-        previous = np.concatenate((np.array([saved["uinteger"]], dtype=np.uint64), high[:-1, 1]))
-        halves = np.column_stack((previous, low[:, 0], high[:, 0], low[:, 1]))
-    else:
-        halves = np.column_stack((low[:, 0], high[:, 0], low[:, 1], high[:, 1]))
-    contestants, rejected = _lemire(halves, np.array([n, n - 1, n, n - 1], dtype=np.uint64))
-    if rejected:
-        bit_generator.state = saved
-        return None
-
-    sbx = _unit(raw[starts[crosses, None] + 3 + np.arange(length)])
-    limit = _word_limit(mutation_prob)
-    hits = np.arange(used) if limit is None else np.flatnonzero(raw[:used] < limit)
-    pair = np.searchsorted(starts, hits, side="right") - 1
-    # a pair's mutation words are four columns of L: mask, perturbation, mask,
-    # perturbation; its earlier words fall in negative columns
-    column, genes = np.divmod(hits - (starts + 3 + length * crosses)[pair], length)
-    masked = (column == 0) | (column == 2)
-
-    bit_generator.state = saved
-    bit_generator.advance(used)  # advance clears the buffer; restore what the per-pair calls leave
-    state = bit_generator.state
-    state["has_uint32"], state["uinteger"] = buffered, int(high[-1, 1])
-    bit_generator.state = state
-    rows = 2 * pair + column // 2
-    return contestants.astype(np.int64), crosses, sbx, rows[masked], genes[masked], _unit(raw[hits[masked] + length])
-
-
 def _make_offspring(
     parents: np.ndarray,
     ranks: np.ndarray,
@@ -722,58 +596,44 @@ def _make_offspring(
     return each child's source: the row of ``parents`` it is a bit-exact copy
     of, or -1 for a new genotype.  ``ranks`` and ``crowding`` are the parents'.
 
-    Each pair draws, in order: two binary tournaments (a contestant index,
-    then the other contestant among the remaining n - 1), the crossover coin
-    (crossing when below ``crossover_prob``), then one call for the uniforms:
-    SBX's when the pair crosses, then each child's mutation mask and
-    perturbation draws.  Successive ``random(L)`` calls give the same doubles
-    as one ``random(kL)`` call, so the children equal those of the per-pair
-    tournament, SBX and polynomial mutation in ``tests/oracles.py`` called in
-    turn.  A child of a pair that does not cross, with an empty mutation mask,
-    is its tournament winner unchanged; its source is that winner.
+    A generation makes six calls on ``rng``, in this order:
 
-    The draws are made in blocks of up to ``_BLOCK_WORDS // (3 + 5L)`` pairs.
-    On a PCG64 generator a block's draws are decoded from one ``random_raw``
-    call (:func:`_decoded_draws`), which converts to doubles only the words
-    used, and the generator is left in the state the per-pair calls would
-    leave; a block with a Lemire rejection, and any block on another bit
-    generator, makes the per-pair calls instead (:func:`_per_pair_draws`).
-    Tournaments (lower rank wins, then larger crowding, ties to the first
-    drawn), the gather of the winners into ``out`` and mutation of the masked
-    genes then run once over all pairs, and crossover over the crossing
-    pairs a block's worth at a time.  Children are clamped to [0, 1].
+    1. ``integers(n, size=(pairs, 2))``: the first contestant of each of a
+       pair's two tournaments;
+    2. ``integers(n - 1, size=(pairs, 2))``: each rival, drawn among the other
+       n - 1 and shifted past the first contestant;
+    3. ``random(pairs) < crossover_prob``: the crossover coins;
+    4. ``random((crossing, L))``: the SBX uniforms of the crossing pairs, in
+       pair order;
+    5. ``random((population_size, L)) < mutation_prob``: the mutation masks,
+       one row per child;
+    6. ``random(masked)``: one perturbation uniform per masked gene, in
+       row-major order.
+
+    The operators then run once over the generation: the tournaments (lower
+    rank wins, then larger crowding, ties to the first contestant), one gather
+    of the winners into ``out``, SBX over the crossing pairs and polynomial
+    mutation of the masked genes.  Children are clamped to [0, 1].  A child of
+    a pair that does not cross, with an empty mutation mask, is its tournament
+    winner unchanged; its source is that winner.
     """
     n, length = parents.shape
-    pairs = config.population_size // 2
-    block_pairs = max(1, _BLOCK_WORDS // (3 + 5 * length))
-    # integers(1) draws nothing, so the halves would not pair up below n = 3
-    decodable = type(rng.bit_generator) is np.random.PCG64 and n >= 3
-    blocks = []
-    for start in range(0, pairs, block_pairs):
-        size = min(block_pairs, pairs - start)
-        args = (rng, n, size, length, config.crossover_prob, config.mutation_prob)
-        drawn = _decoded_draws(*args) if decodable else None
-        if drawn is None:
-            drawn = _per_pair_draws(*args)
-        drawn[3][...] += 2 * start  # the mutated children's rows, from the block's to the generation's
-        blocks.append(drawn)
-    contestants, crosses, sbx, rows, genes, perturbation = map(np.concatenate, zip(*blocks))
-
-    first, second = contestants[:, 0::2], contestants[:, 1::2]
-    second = second + (second >= first)  # drawn among the other n - 1
-    # crowded comparison: lower rank wins, then larger crowding; ties go to the first drawn
-    first_wins = (ranks[first] < ranks[second]) | (
-        (ranks[first] == ranks[second]) & (crowding[first] >= crowding[second])
-    )
-    winners = np.where(first_wins, first, second).ravel()
-    np.take(parents, winners, axis=0, out=out, mode="clip")  # the indices are in range; "raise" would buffer out
-
+    size = config.population_size
+    pairs = size // 2
+    first = rng.integers(n, size=(pairs, 2))
+    rival = rng.integers(n - 1, size=(pairs, 2))
+    rival += rival >= first  # drawn among the other n - 1
+    crosses = rng.random(pairs) < config.crossover_prob
     crossing = 2 * np.flatnonzero(crosses)
-    for k in range(0, crossing.size, block_pairs):  # a block at a time: larger temporaries page-fault anew each time
-        pair_rows = crossing[k: k + block_pairs]
-        out[pair_rows], out[pair_rows + 1] = _sbx_children(
-            out[pair_rows], out[pair_rows + 1], sbx[k: k + block_pairs], SBX_ETA
-        )
+    sbx = rng.random((crossing.size, length))
+    rows, genes = np.nonzero(rng.random((size, length)) < config.mutation_prob)
+    perturbation = rng.random(rows.size)
+
+    # crowded comparison: lower rank wins, then larger crowding; ties go to the first contestant
+    first_wins = (ranks[first] < ranks[rival]) | ((ranks[first] == ranks[rival]) & (crowding[first] >= crowding[rival]))
+    winners = np.where(first_wins, first, rival).ravel()
+    np.take(parents, winners, axis=0, out=out, mode="clip")  # the indices are in range; "raise" would buffer out
+    out[crossing], out[crossing + 1] = _sbx_children(out[crossing], out[crossing + 1], sbx, SBX_ETA)
     out[rows, genes] = _perturb(out[rows, genes], perturbation, PM_ETA)
     copied = np.repeat(~crosses, 2)
     copied[rows] = False

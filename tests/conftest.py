@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from scnopt import DecodedNetwork, Instance, tiny_instance
+from scnopt import DecodedNetwork, EngineConfig, Instance, tiny_instance
+
+from oracles import reference_evolve
 
 
 class LineFrontProblem:
@@ -41,6 +45,19 @@ class RecordingProblem:
         objectives, violation = self.inner.evaluate(genotype)
         self.seen.append((np.array(objectives, dtype=float), float(violation)))
         return objectives, violation
+
+
+def reference_copies(config: EngineConfig) -> np.ndarray:
+    """Which children of the reference engine's first generation under
+    ``config`` are copies of a parent, on :class:`SometimesInfeasibleProblem`,
+    whose objectives determine the genes: each child's objectives compared
+    with the initial population's."""
+    problem = RecordingProblem(SometimesInfeasibleProblem())
+    reference_evolve(problem, replace(config, generations=1))
+    n = config.population_size
+    parents = np.array([o for o, _ in problem.seen[:n]])
+    children = np.array([o for o, _ in problem.seen[n:]])
+    return (children[:, None, :] == parents[None, :, :]).all(axis=2).any(axis=1)
 
 
 class ScalarOnlyProblem:

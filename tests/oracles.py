@@ -549,14 +549,33 @@ def reference_polynomial_mutation(genotype, config, rng):
 
 
 def reference_offspring(population, config, rng) -> list[np.ndarray]:
-    """Children pair by pair: two tournaments, SBX, then mutation of each child."""
+    """Children from the engine's six draws in its order (contestants, rivals,
+    coins, SBX uniforms, mutation masks, perturbation uniforms), with the
+    operators applied pair by pair: two tournaments by ``crowded_compare``,
+    SBX when the pair crosses, then mutation of each child's masked genes."""
+    n, length, pairs = len(population), population[0].genotype.shape[0], config.population_size // 2
+    contestants = rng.integers(n, size=(pairs, 2))
+    rivals = rng.integers(n - 1, size=(pairs, 2))
+    coins = rng.random(pairs) < config.crossover_prob
+    sbx_draws = iter(rng.random((int(coins.sum()), length)))
+    masks = rng.random((config.population_size, length)) < config.mutation_prob
+    perturbation_draws = iter(rng.random(int(masks.sum())).tolist())
     children = []
-    for _ in range(config.population_size // 2):
-        i = binary_tournament_select(population, rng)
-        j = binary_tournament_select(population, rng)
-        child1, child2 = reference_sbx_crossover(population[i].genotype, population[j].genotype, config, rng)
-        children.append(reference_polynomial_mutation(child1, config, rng))
-        children.append(reference_polynomial_mutation(child2, config, rng))
+    for pair in range(pairs):
+        winners = []
+        for i, j in zip(contestants[pair].tolist(), rivals[pair].tolist()):
+            if j >= i:
+                j += 1
+            winners.append(population[i if crowded_compare(population[i], population[j]) <= 0 else j].genotype)
+        if coins[pair]:
+            pair_children = reference_sbx_children(winners[0], winners[1], next(sbx_draws))
+        else:
+            pair_children = winners[0].copy(), winners[1].copy()
+        for child in pair_children:
+            mask = masks[len(children)]
+            u = np.zeros(length)
+            u[mask] = [next(perturbation_draws) for _ in range(int(mask.sum()))]
+            children.append(np.clip(np.where(mask, reference_mutated_genes(child, u), child), 0.0, 1.0))
     return children
 
 

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import copy
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
 from scnopt import EngineConfig, EvaluationError, SupplyChainProblem, evolve, generate_preset, nsga2
 
-from conftest import LineFrontProblem, RecordingProblem, ScalarOnlyProblem, SometimesInfeasibleProblem
+from conftest import (
+    LineFrontProblem,
+    RecordingProblem,
+    ScalarOnlyProblem,
+    SometimesInfeasibleProblem,
+    reference_copies,
+)
 from oracles import reference_evolve
 
 
@@ -143,12 +152,37 @@ def test_invalid_config_rejected():
 
 
 def test_probabilities_are_stored_as_python_floats():
-    # rng.random() < np.float32(p) compares in float32, while the raw-word
-    # coins compare in float64; a Python float makes every path compare alike.
+    # rng.random() < np.float32(p) compares in float32, while a float64 array
+    # of coins compares in float64; a Python float makes every path compare alike.
     config = EngineConfig(population_size=10, generations=1, crossover_prob=np.float32(0.6),
                           mutation_prob=np.float32(0.01))
     assert type(config.crossover_prob) is float and config.crossover_prob == float(np.float32(0.6))
     assert type(config.mutation_prob) is float and config.mutation_prob == float(np.float32(0.01))
+
+
+def test_config_is_frozen_and_replace_validates():
+    # an assignment would skip the checks and fail deep in variation
+    config = EngineConfig(population_size=8)
+    with pytest.raises(FrozenInstanceError):
+        config.population_size = 7
+    with pytest.raises(FrozenInstanceError):
+        config.mutation_prob = "x"
+    assert (config.population_size, config.mutation_prob) == (8, 0.01)
+    with pytest.raises(ValueError, match="population_size"):
+        replace(config, population_size=7)
+    with pytest.raises(ValueError, match="mutation_prob"):
+        replace(config, mutation_prob="x")
+    assert type(replace(config, mutation_prob=np.float32(0.5)).mutation_prob) is float
+
+
+def test_records_and_partitions_compare_by_identity():
+    # field-wise == would ask numpy for the truth value of an array
+    history = evolve(LineFrontProblem(), EngineConfig(population_size=8, generations=2, seed=2)).history
+    partition = nsga2.fast_nondominated_sort(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), np.zeros(3))
+    for holder in (*history, partition):
+        assert (holder == copy.copy(holder)) is False
+        assert holder == holder
+    assert (history[1] == history[2]) is False
 
 
 def assert_same_run(result, expected):
@@ -286,13 +320,13 @@ def test_batch_problem_is_not_called_when_every_child_is_a_copy():
 
 @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
 def test_fault_in_a_new_child_after_a_copy_names_the_child(batched):
-    n, config = 8, EngineConfig(population_size=8, generations=1, seed=5)
-    reference = RecordingProblem(SometimesInfeasibleProblem())
-    reference_evolve(reference, config)
-    parents = np.array([o for o, _ in reference.seen[:n]])
-    children = np.array([o for o, _ in reference.seen[n:]])
-    copied = (children[:, None, :] == parents[None, :, :]).all(axis=2).any(axis=1)
-    assert copied[0], "the seed must make the first child a copy"
+    n = 8
+    for seed in range(50):  # the first seed whose first child is a copy
+        config = EngineConfig(population_size=n, generations=1, seed=seed)
+        copied = reference_copies(config)
+        if copied[0]:
+            break
+    assert copied[0], "a seed must make the first child a copy"
     first_new = int(np.flatnonzero(~copied)[0])
     with pytest.raises(EvaluationError, match=rf"non-finite objective at genotype index {first_new}: \[nan, "):
         evolve(FirstChildFaultProblem(n, batched), config)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ import pytest
 from scnopt.cli import EXIT_OK, main
 
 RECORD_PATH = Path(__file__).with_name("golden_artifacts.json")
+WORKFLOW_PATH = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
 
 INSTANCES = ("desk", "sbc-scale")
 RUNS = {
@@ -92,6 +94,11 @@ def test_run_artifacts(run, produced, golden):
     np.testing.assert_allclose(values[:, 0], expected[:, 0], rtol=0, atol=COST_ATOL)
     np.testing.assert_allclose(values[:, 1], expected[:, 1], rtol=DELAY_RTOL, atol=0)
     np.testing.assert_allclose(values[:, 2], expected[:, 2], rtol=0, atol=DAYS_ATOL)
+
+
+def test_ci_pins_the_recorded_numpy(golden):
+    # only the CI leg on that numpy compares hashes; a re-record under another numpy moves the pin with it
+    assert re.findall(r'numpy: "==([^"]+)"', WORKFLOW_PATH.read_text()) == [golden["numpy"]]
 
 
 if __name__ == "__main__":

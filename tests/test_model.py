@@ -520,6 +520,15 @@ class TestInstanceImmutable:
         assert twin.currency == instance.currency
         assert np.array_equal(evaluate(g, twin)[0], expected[0])
 
+    def test_array_holders_compare_by_identity(self):
+        # field-wise == would ask numpy for the truth value of an array
+        instance = tiny_instance()
+        network = decode(np.full(instance.genotype_length, 0.7), instance)
+        for holder in (instance, network):
+            assert (holder == copy.copy(holder)) is False
+            assert holder == holder
+        assert {instance: "cached"}[instance] == "cached"
+
     def test_replaced_instance_has_its_own_derived_arrays(self):
         desk = generate_instance(
             GeneratorParams(n_suppliers=3, n_plants=2, n_dcs=3, n_retailers=8, n_periods=7)

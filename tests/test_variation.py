@@ -1,30 +1,25 @@
 """Simulated binary crossover and polynomial mutation contracts, per pair and over the mating pool.
 
 The per-pair contracts are checked on the references in ``oracles.py``;
-the engine's pooled variation must equal those references called pair by
-pair, bit for bit, so the contracts carry over to it.  That includes the
-draws it decodes from raw generator words and the generator state it leaves,
-so a numpy release that changes how ``integers`` or ``random`` consume the
-stream fails here.  The raw-word limits the coins and masks are compared
-against, the one-power operators at their branch points and bounds, and each
-child's source are checked on their own as well."""
+the engine's pooled variation must equal the reference offspring, which
+makes the same six generator calls and applies the operators pair by pair,
+bit for bit, so the contracts carry over to it.  That includes the generator
+state it leaves.  The one-power operators at their branch points and bounds,
+and each child's source, are checked on their own as well."""
 
 from __future__ import annotations
 
 import copy
-import json
-import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from scnopt import PM_ETA, SBX_ETA, EngineConfig, Individual, nsga2
+from scnopt import PM_ETA, SBX_ETA, EngineConfig, Individual
 from scnopt.nsga2 import _make_offspring, _perturb, _sbx_children
 
 from oracles import (
-    binary_tournament_select,
+    crowded_compare,
     reference_mutated_genes,
     reference_offspring,
     reference_polynomial_mutation,
@@ -165,147 +160,6 @@ class TestPooledVariation:
         assert pooled_rng.bit_generator.state == pair_rng.bit_generator.state
 
 
-@pytest.fixture
-def block_paths(monkeypatch):
-    """How ``_make_offspring`` drew each block, in order: "fast" (decoded from
-    raw words), "rejected" (a decode that found a Lemire rejection) or "loop"
-    (per-pair calls)."""
-    paths = []
-    decoded, per_pair = nsga2._decoded_draws, nsga2._per_pair_draws
-
-    def recording_decode(*args):
-        result = decoded(*args)
-        paths.append("rejected" if result is None else "fast")
-        return result
-
-    def recording_loop(*args):
-        paths.append("loop")
-        return per_pair(*args)
-
-    monkeypatch.setattr(nsga2, "_decoded_draws", recording_decode)
-    monkeypatch.setattr(nsga2, "_per_pair_draws", recording_loop)
-    return paths
-
-
-def _offspring_pair(n, length, make_rng, **overrides):
-    """``_make_offspring``'s children and generator next to the per-pair
-    reference's, each run on its own generator from ``make_rng()``."""
-    population = _population(n, length)
-    cfg = EngineConfig(population_size=n, **overrides)
-    pooled_rng, pair_rng = make_rng(), make_rng()
-    pooled = _pooled_offspring(population, cfg, pooled_rng)
-    expected = np.array(reference_offspring(population, cfg, pair_rng))
-    return pooled, pooled_rng, expected, pair_rng
-
-
-def _rejecting_rng(bound: int) -> np.random.Generator:
-    """A PCG64 generator whose next word has a high half that ``integers(bound)``
-    rejects: the low 32 bits of ``half * bound`` fall below
-    ``(2^32 - bound) mod bound``, so numpy draws another half."""
-    raw = np.random.PCG64(8).random_raw(1 << 20)
-    low_product = ((raw >> np.uint64(32)) * np.uint64(bound)) & np.uint64(0xFFFFFFFF)
-    rng = np.random.default_rng(8)
-    rng.bit_generator.advance(int(np.flatnonzero(low_product < (2**32 - bound) % bound)[0]))
-    return rng
-
-
-class TestRawWordDraws:
-    """The draws decoded from raw PCG64 words, and the per-pair fallback."""
-
-    @pytest.mark.parametrize("n, length", [(4, 1), (100, 30), (1290, 195)])
-    def test_buffered_half_on_entry(self, n, length, block_paths):
-        def make_rng():
-            rng = np.random.default_rng(n + length)
-            rng.integers(7)  # leaves the high half of a word buffered
-            return rng
-
-        pooled, pooled_rng, expected, pair_rng = _offspring_pair(n, length, make_rng, mutation_prob=0.05)
-        assert pooled_rng.bit_generator.state["has_uint32"] == 1
-        assert np.array_equal(pooled, expected)
-        assert pooled_rng.bit_generator.state == pair_rng.bit_generator.state
-        assert set(block_paths) == {"fast"}
-
-    def test_budget_splits_a_paper_scale_generation(self, block_paths):
-        pooled, pooled_rng, expected, pair_rng = _offspring_pair(
-            1290, 195, lambda: np.random.default_rng(11), mutation_prob=1 / 195
-        )
-        pairs_per_block = nsga2._BLOCK_WORDS // (3 + 5 * 195)
-        assert block_paths == ["fast"] * -(-645 // pairs_per_block)
-        assert len(block_paths) > 1
-        assert np.array_equal(pooled, expected)
-        assert pooled_rng.bit_generator.state == pair_rng.bit_generator.state
-
-    def test_forced_rejection_falls_back_for_that_block_only(self, monkeypatch, block_paths):
-        lemire, calls = nsga2._lemire, []
-
-        def reject_second_block(halves, bounds):
-            values, rejected = lemire(halves, bounds)
-            calls.append(rejected)
-            return values, rejected or len(calls) == 2
-
-        monkeypatch.setattr(nsga2, "_lemire", reject_second_block)
-        pooled, pooled_rng, expected, pair_rng = _offspring_pair(
-            200, 195, lambda: np.random.default_rng(5), mutation_prob=0.05
-        )
-        assert block_paths == ["fast", "rejected", "loop", "fast", "fast"]
-        assert not any(calls)
-        assert np.array_equal(pooled, expected)
-        assert pooled_rng.bit_generator.state == pair_rng.bit_generator.state
-
-    def test_real_rejection_flips_the_buffer_and_later_blocks_decode(self, block_paths):
-        # the first pair's second contestant, integers(n - 1), lands in the rejection zone
-        pooled, pooled_rng, expected, pair_rng = _offspring_pair(
-            1290, 30, lambda: _rejecting_rng(1289), mutation_prob=1 / 30
-        )
-        assert block_paths[:2] == ["rejected", "loop"]
-        assert set(block_paths[2:]) == {"fast"} and len(block_paths) > 3
-        assert pooled_rng.bit_generator.state["has_uint32"] == 1  # the redraw took one extra half
-        assert np.array_equal(pooled, expected)
-        assert pooled_rng.bit_generator.state == pair_rng.bit_generator.state
-
-    def test_other_bit_generators_draw_pair_by_pair(self, block_paths):
-        pooled, pooled_rng, expected, pair_rng = _offspring_pair(
-            100, 30, lambda: np.random.Generator(np.random.Philox(3)), mutation_prob=0.05
-        )
-        assert block_paths == ["loop"]
-        assert np.array_equal(pooled, expected)
-        # Philox's state holds arrays, which == does not compare as a whole
-        def state(rng):
-            return json.dumps(rng.bit_generator.state, sort_keys=True, default=lambda a: a.tolist())
-
-        assert state(pooled_rng) == state(pair_rng)
-
-
-# probabilities at the edges of the word comparison: none, the least double, one mantissa step, and all
-_EDGE_PROBABILITIES = [0.0, 5e-324, 2.0**-53, 0.01, 0.6, 1.0 - 2.0**-53, 1.0]
-
-
-class TestWordLimit:
-    """Coins and mutation masks compared as raw words: ``w < _word_limit(p)``
-    must be numpy's ``(w >> 11) * 2^-53 < p``, in the walk's Python ints and in
-    the block's uint64 pass alike."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(
-        p=st.one_of(st.sampled_from(_EDGE_PROBABILITIES), st.floats(0.0, 1.0)),
-        words=st.lists(st.integers(0, 2**64 - 1), max_size=8),
-    )
-    def test_integer_comparison_is_the_float_coin(self, p, words):
-        limit = nsga2._word_limit(p)
-        if limit is None:
-            assert p == 1.0
-            edges = [2**64 - 1]
-        else:
-            assert type(limit) is np.uint64
-            edges = [w for w in (int(limit) - 1, int(limit)) if 0 <= w < 2**64]
-        words = words + edges
-        expected = [(w >> 11) * 2.0**-53 < p for w in words]
-        block = np.array(words, dtype=np.uint64)
-        assert (np.ones(block.size, dtype=bool) if limit is None else block < limit).tolist() == expected
-        coin = math.inf if limit is None else int(limit)
-        assert [w < coin for w in words] == expected
-
-
 # SBX's branch point and the uniforms either side of it, and the extremes a uniform reaches
 _EDGE_UNIFORMS = [0.0, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53]
 _EDGE_GENES = [0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53, 0.3]
@@ -329,19 +183,22 @@ class TestOperatorBoundaries:
 
 
 def _replayed_sources(population: list[Individual], cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
-    """Each child's source replayed pair by pair on ``rng``: its tournament
-    winner when its pair did not cross and its mutation mask is empty, else -1."""
-    length = population[0].genotype.size
+    """Each child's source replayed from the engine's draws on ``rng``, in its
+    order: its tournament winner when its pair did not cross and its mutation
+    mask is empty, else -1."""
+    n, length, pairs = len(population), population[0].genotype.size, cfg.population_size // 2
+    contestants = rng.integers(n, size=(pairs, 2))
+    rivals = rng.integers(n - 1, size=(pairs, 2))
+    crosses = rng.random(pairs) < cfg.crossover_prob
+    rng.random((int(crosses.sum()), length))
+    masked = (rng.random((cfg.population_size, length)) < cfg.mutation_prob).any(axis=1)
     sources = []
-    for _ in range(cfg.population_size // 2):
-        winners = binary_tournament_select(population, rng), binary_tournament_select(population, rng)
-        crosses = rng.random() < cfg.crossover_prob
-        if crosses:
-            rng.random(length)
-        for winner in winners:
-            masked = (rng.random(length) < cfg.mutation_prob).any()
-            rng.random(length)
-            sources.append(-1 if crosses or masked else winner)
+    for pair in range(pairs):
+        for child, (i, j) in enumerate(zip(contestants[pair].tolist(), rivals[pair].tolist())):
+            if j >= i:
+                j += 1
+            winner = i if crowded_compare(population[i], population[j]) <= 0 else j
+            sources.append(-1 if crosses[pair] or masked[2 * pair + child] else winner)
     return np.array(sources)
 
 
@@ -366,17 +223,3 @@ class TestOnePass:
         assert np.array_equal(source, expected)
         if 0.0 < crossover_prob < 1.0:
             assert 0 < np.count_nonzero(source >= 0) < n  # copies and new children both occur
-
-    @pytest.mark.parametrize("mutation_prob", [0.0, 1.0])
-    def test_one_pair_last_block_with_a_buffered_half(self, mutation_prob, block_paths):
-        def make_rng():
-            rng = np.random.default_rng(68)
-            rng.integers(7)  # leaves the high half of a word buffered
-            return rng
-
-        assert 68 // 2 - nsga2._BLOCK_WORDS // (3 + 5 * 195) == 1  # the second block holds one pair
-        pooled, pooled_rng, expected, pair_rng = _offspring_pair(68, 195, make_rng, mutation_prob=mutation_prob)
-        assert block_paths == ["fast", "fast"]
-        assert pooled_rng.bit_generator.state["has_uint32"] == 1
-        assert np.array_equal(pooled, expected)
-        assert pooled_rng.bit_generator.state == pair_rng.bit_generator.state
