@@ -7,12 +7,18 @@ plot data).  ``scnopt generate`` writes a preset instance file.  Outputs are
 byte-identical across runs with identical flags; wall time is printed to the
 console only, never persisted.
 
+Before the search, ``scnopt run`` sets glibc's malloc to keep freed memory in
+the heap (``mallopt``; nothing is set under another C library), so that the
+numpy temporaries of paper-scale generations are not faulted in afresh each
+time.  The library functions leave the allocator alone.
+
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import sys
@@ -48,6 +54,21 @@ PAPER_PARAMS = {
     "crossover_prob": 0.6,
     "mutation_prob": 0.01,
 }
+
+# By default glibc's malloc maps each block of 128 KiB or more on its own
+# (raising that threshold to the largest such block freed so far) and gives the
+# top of the heap back to the OS once twice that threshold lies free there.  At
+# the paper's population 1290 each generation's numpy temporaries of 0.6-2 MB
+# are then faulted in afresh, page by page: about 1 400 minor faults per
+# variation call and 1 200 per evaluation call.  Fixed thresholds well above
+# those sizes keep the freed blocks in the heap for the rest of the run.  Both
+# are set because setting either one stops glibc's adjustment of the other:
+# over 30 paper-scale generations either alone faulted 12 to 48 times as often
+# as both.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 * 2**20
+_TRIM_THRESHOLD_BYTES = 64 * 2**20
 
 
 class _UsageError(Exception):
@@ -141,6 +162,21 @@ def resolve_engine_config(args: argparse.Namespace) -> EngineConfig:
     return EngineConfig(**search, seed=args.seed)
 
 
+def _keep_freed_memory() -> None:
+    """Set glibc's malloc to keep freed memory in the heap; do nothing elsewhere.
+
+    Called by ``cmd_run``, which owns its process, and not by ``evolve``, so
+    that a host application's allocator is left as it set it.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no process handle (Windows takes no None), or no mallopt
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         # one read: a pipe or FIFO gives its bytes once, and the report hashes the bytes parsed
@@ -169,6 +205,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "paper_params": bool(args.paper_params),
     }
 
+    _keep_freed_memory()
     started = time.perf_counter()
     result = evolve(problem, config)
     rows = front_rows(result.archive, instance)

@@ -674,7 +674,9 @@ def evolve(problem: Problem, config: EngineConfig) -> EvolutionResult:
     a deterministic function of the genotype.  ``history`` counts every child
     as evaluated, copies included.
     """
-    length = int(problem.genotype_length)
+    length = problem.genotype_length
+    if isinstance(length, bool) or not isinstance(length, (int, np.integer)):  # int() would take 3.7, True or "5"
+        raise ValueError(f"problem.genotype_length must be an integer, got {length!r}")
     if length < 1:
         raise ValueError("problem.genotype_length must be >= 1")
     n = config.population_size

@@ -124,6 +124,15 @@ def test_non_finite_objective_names_the_genotype_index():
         evolve(BrokenProblem(), EngineConfig(population_size=4, generations=1, seed=1))
 
 
+@pytest.mark.parametrize("length", [3.7, 2.0, True, "5", None])
+def test_non_integer_genotype_length_rejected(length):
+    # int() would run 3.7 with 3 genes, True with 1 and "5" with 5
+    problem = TwoBasinProblem()
+    problem.genotype_length = length
+    with pytest.raises(ValueError, match="genotype_length must be an integer"):
+        evolve(problem, EngineConfig(population_size=4, generations=1, seed=1))
+
+
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         EngineConfig(population_size=7, generations=1)  # odd
