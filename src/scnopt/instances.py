@@ -219,7 +219,10 @@ class GeneratorParams:
 
 
 PRESETS: dict[str, GeneratorParams] = {
-    # Small desk-sized network: enough structure for a visibly traded-off front.
+    # Small desk-sized network.  With one product it has a single true Pareto
+    # point (timing matched to each DC's demand is optimal in both cost and
+    # delay), so a run's exported front shows how far the search got, not a
+    # trade-off between the objectives.
     "desk": GeneratorParams(
         n_suppliers=3,
         n_plants=2,

@@ -346,7 +346,11 @@ def _sbx_children(p1: np.ndarray, p2: np.ndarray, u: np.ndarray, eta: float) -> 
     """Simulated binary crossover children of parents ``p1`` and ``p2`` (any
     equal shape) for uniform draws ``u``: genes blended with spread factor
     ``beta`` from the SBX distribution of index ``eta``, clamped to [0, 1]."""
-    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
+    low = u <= 0.5
+    # Both branches are finite for u in [0, 1), so each product with the 0/1
+    # mask is exact and the sum is the selected branch, bit for bit; a select
+    # on a random mask costs several times as much.
+    beta = (2.0 * u * low + 1.0 / (2.0 * (1.0 - u)) * ~low) ** (1.0 / (eta + 1.0))
     more, less = 1.0 + beta, 1.0 - beta
     child1 = 0.5 * (more * p1 + less * p2)
     child2 = 0.5 * (less * p1 + more * p2)
@@ -626,7 +630,8 @@ def _make_offspring(
     crosses = rng.random(pairs) < config.crossover_prob
     crossing = 2 * np.flatnonzero(crosses)
     sbx = rng.random((crossing.size, length))
-    rows, genes = np.nonzero(rng.random((size, length)) < config.mutation_prob)
+    # the flat positions in row-major order: a 2-D nonzero costs several times as much
+    rows, genes = np.divmod(np.flatnonzero(rng.random((size, length)) < config.mutation_prob), length)
     perturbation = rng.random(rows.size)
 
     # crowded comparison: lower rank wins, then larger crowding; ties go to the first contestant

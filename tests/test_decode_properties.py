@@ -226,26 +226,31 @@ def test_assigned_demand_keeps_its_bits_at_extreme_demand(case):
 def allocation_rows(draw, n_bins):
     """A capped-allocation row ``(total, weights, caps)`` of ``n_bins`` bins.
 
-    Its weights are all normal or zero, or all exact subnormals.
+    Its weights are all normal or zero, or all exact subnormals or zero.
+    Totals, weights and caps each draw -0.0 and exact 0.0 too.
     """
     def bins(elements):
         return draw(st.lists(elements, min_size=n_bins, max_size=n_bins))
 
-    total = draw(st.floats(-1.0, 300.0, allow_subnormal=False))
+    def or_zero(elements):
+        return st.one_of(st.sampled_from([0.0, -0.0]), elements)
+
+    total = draw(or_zero(st.floats(-1.0, 300.0, allow_subnormal=False)))
     if draw(st.booleans()):
-        weights = [k * SMALLEST_SUBNORMAL for k in bins(st.integers(0, 2**20))]
+        weights = bins(or_zero(st.integers(1, 2**20).map(lambda k: k * SMALLEST_SUBNORMAL)))
     else:
-        weights = bins(st.floats(0.0, 1.0, allow_subnormal=False))
-    return total, weights, bins(st.floats(0.0, 100.0, allow_subnormal=False))
+        weights = bins(or_zero(st.floats(0.0, 1.0, allow_subnormal=False)))
+    return total, weights, bins(or_zero(st.floats(0.0, 100.0, allow_subnormal=False)))
 
 
 @PROPERTY
 @given(st.integers(1, 12).flatmap(lambda n_bins: st.lists(allocation_rows(n_bins), min_size=1, max_size=6)))
 def test_allocation_matches_reference(rows):
     # The rows share one call but settle after different numbers of passes;
-    # from 8 bins the weight sums take numpy's pairwise order.
+    # from 8 bins the weight sums take numpy's pairwise order.  The call takes
+    # and returns bins-first (B, N) arrays, as the decoder passes them.
     totals, weights, caps = (np.array(column, dtype=float) for column in zip(*rows))
-    allocation = _allocate_rows(totals, weights, caps)
+    allocation = _allocate_rows(totals, np.ascontiguousarray(weights.T), np.ascontiguousarray(caps.T)).T
     for n in range(len(rows)):
         # The decoder scales weights that sum below the smallest normal by
         # 2**1022, which is exact; the reference allocates them unscaled.

@@ -21,7 +21,7 @@ from scnopt import (
     generate_instance,
     tiny_instance,
 )
-from scnopt.model import _allocate_rows, _any_last, _schedule_recursion, _sum_last
+from scnopt.model import _allocate_rows, _any_last, _schedule_recursion, _sum_bins, _sum_last
 
 from conftest import make_duo_instance
 
@@ -68,26 +68,45 @@ class TestGenotypeLength:
             assert stop == start
 
 
-@pytest.mark.parametrize("width", range(1, 13))
-def test_column_sums_are_numpys_trailing_axis_sums(width):
-    # Below 8 terms the columns add left to right from +0.0, as numpy's
-    # reduce does; from 8 terms numpy sums pairwise itself.  Compared as bits,
-    # so a -0.0 that numpy sums to +0.0 must come out +0.0 here too.
+def signed_rows(width):
+    """300 rows of ``width`` terms: wide-ranging magnitudes of both signs,
+    rows that cancel, all-(-0.0) rows, and rows mixing -0.0 in."""
     rng = np.random.default_rng(width)
     signs = rng.choice([-1.0, 1.0], (300, width))
     values = signs * 10.0 ** rng.uniform(-300.0, 300.0, (300, width))
     values[100:200] = signs[100:200] * rng.random((100, width)) * 10.0 ** rng.uniform(-300.0, 300.0, (100, 1))
     values[200:250] = -0.0
     values[250:] = np.where(rng.random((50, width)) < 0.5, -0.0, values[250:])
+    return values
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_column_sums_are_numpys_trailing_axis_sums(width):
+    # Below 8 terms the columns add left to right from +0.0, as numpy's
+    # reduce does; from 8 terms numpy sums pairwise itself.  Compared as bits,
+    # so a -0.0 that numpy sums to +0.0 must come out +0.0 here too.
+    values = signed_rows(width)
     for x in (values, values.reshape(30, 10, width), values[0], values[200]):
         assert _sum_last(x).tobytes() == x.sum(axis=-1).tobytes()
         mask = x > 0.0
         assert np.array_equal(_any_last(mask), mask.any(axis=-1))
 
 
+@pytest.mark.parametrize("width", range(1, 13))
+def test_bin_sums_are_numpys_trailing_axis_sums(width):
+    # The capped allocation sums bins-first (B, N) arrays over the bins.  Each
+    # column must get the bits numpy's .sum(axis=-1) gives the row of a
+    # C-contiguous (N, B) array: left to right from +0.0 below 8 bins,
+    # pairwise from 8.  (The strided view's x.T.sum(axis=-1) would add 8 or
+    # more bins in order, so the rows compared are contiguous.)
+    values = signed_rows(width)
+    for rows in (values, values[200:201], values[250:]):
+        assert _sum_bins(np.ascontiguousarray(rows.T)).tobytes() == rows.sum(axis=-1).tobytes()
+
+
 def allocate(total, weights, caps):
     """One row of the decoder's capped allocation, and the amount it left unplaced."""
-    allocation = _allocate_rows(np.array([total]), np.array([weights]), np.array([caps]))[0]
+    allocation = _allocate_rows(np.array([total]), np.array([weights]).T, np.array([caps]).T)[:, 0]
     return allocation, total - allocation.sum()
 
 
