@@ -364,26 +364,24 @@ def front_rows(archive: ParetoArchive, instance: Instance) -> list[tuple[float, 
     collide at that resolution are collapsed to the one with the best delay,
     so the exported rows stay mutually non-dominated after rounding.
     ``mean_delay_days`` is the total backlog expressed in multiples of the
-    mean per-period demand.
+    mean per-period demand; only the exported rows are decoded to get it.
     """
     if len(archive) == 0:
         raise ValueError("archive is empty; nothing to export")
-    mean_period_demand = instance.total_demand / instance.n_periods
-    members = sorted(archive.members, key=lambda m: (float(m.objectives[0]), float(m.objectives[1])))
-    backlog_totals = _row_sums(_decode_rows(np.array([m.genotype for m in members]), instance)[0].backlog)
-    rows: list[tuple[float, float, float]] = []
-    for m, backlog_total in zip(members, backlog_totals.tolist()):
-        days = backlog_total / mean_period_demand if mean_period_demand > 0 else 0.0
-        rows.append((float(m.objectives[0]), float(m.objectives[1]), days))
+    objectives = archive.objectives_array()
     # Archive rows ascend strictly in cost and descend strictly in delay, so
-    # within a rounded-cost group the last row carries the group's best delay.
-    collapsed: list[tuple[float, float, float]] = []
-    for row in rows:
-        if collapsed and round(collapsed[-1][0]) == round(row[0]):
-            collapsed[-1] = row
-        else:
-            collapsed.append(row)
-    return collapsed
+    # within a run of equal rounded costs (half to even, as round does) the
+    # last row carries the run's best delay.
+    order = np.lexsort((objectives[:, 1], objectives[:, 0]))
+    costs = np.round(objectives[order, 0])
+    kept = order[np.append(costs[1:] != costs[:-1], True)].tolist()
+    genotypes = np.array([archive.members[i].genotype for i in kept])
+    backlog_totals = _row_sums(_decode_rows(genotypes, instance)[0].backlog)
+    mean_period_demand = instance.total_demand / instance.n_periods
+    return [
+        (cost, delay, backlog_total / mean_period_demand if mean_period_demand > 0 else 0.0)
+        for (cost, delay), backlog_total in zip(objectives[kept, :2].tolist(), backlog_totals.tolist())
+    ]
 
 
 def save_front(rows: list[tuple[float, float, float]], path: str | Path) -> Path:

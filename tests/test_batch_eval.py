@@ -85,6 +85,15 @@ def test_rows_match_scalar_evaluate(preset, holding_on_backorder):
     assert_rows_equal(genotypes, instance, holding_on_backorder)
 
 
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_empty_batch_gives_empty_rows(preset):
+    instance = generate_preset(preset)
+    empty = np.empty((0, instance.genotype_length))
+    for objectives, violations in (evaluate_batch(empty, instance), SupplyChainProblem(instance).evaluate_batch(empty)):
+        assert objectives.shape == (0, 2)
+        assert violations.shape == (0,)
+
+
 @pytest.mark.parametrize("holding_on_backorder", [False, True])
 def test_capacity_pinned_splits_match_scalar(holding_on_backorder):
     desk = generate_preset("desk")

@@ -32,7 +32,7 @@ from scnopt import (
     evolve,
     tiny_instance,
 )
-from scnopt.model import ARRAY_SHAPES
+from scnopt.model import ARRAY_SHAPES, _decode_rows
 
 from oracles import reference_decode
 
@@ -515,6 +515,28 @@ class TestFrontExport:
         )
         rows = front_rows(archive, tiny)
         assert rows == [(220.0, 5.0, 1.0)]
+
+    def test_decodes_only_the_exported_rows(self, tiny, monkeypatch):
+        decoded = []
+
+        def counting(genotypes, instance):
+            decoded.append(len(genotypes))
+            return _decode_rows(genotypes, instance)
+
+        monkeypatch.setattr("scnopt.instances._decode_rows", counting)
+        rows = front_rows(self._archive(), tiny)  # two of its three members round to one cost
+        assert decoded == [len(rows)] == [2]
+
+    def test_half_unit_costs_round_to_even(self, tiny):
+        costs = [1999.5, 2000.5, 2001.5, 2002.4, 2002.5, 2003.5]  # round: 2000, 2000, 2002, 2002, 2002, 2004
+        rng = np.random.default_rng(2)
+        members = [
+            Individual(rng.random(tiny.genotype_length), objectives=np.array([cost, 10.0 - n]), violation=0.0)
+            for n, cost in enumerate(costs)
+        ]
+        rows = front_rows(ParetoArchive(members), tiny)
+        assert rows == reference_front_rows(members, tiny)
+        assert [row[0] for row in rows] == [2000.5, 2002.5, 2003.5]
 
     def test_header_constant(self):
         assert FRONT_CSV_HEADER == "total_cost,f2_raw,mean_delay_days"
