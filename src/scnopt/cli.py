@@ -37,7 +37,7 @@ from .instances import (
     save_front,
     save_instance,
 )
-from .metrics import hypervolume_2d
+from .metrics import _staircase_area
 from .model import SupplyChainProblem
 from .nsga2 import PM_ETA, SBX_ETA, EngineConfig, EvolutionResult, evolve
 
@@ -114,15 +114,16 @@ def build_report(result: EvolutionResult, config_echo: dict, front_path: str,
 
     The reference corner is the component-wise maximum over every archive
     snapshot plus one, so the hypervolume sequence is comparable across
-    generations (and non-decreasing, since the archive only improves).
+    generations (and non-decreasing, since the archive only improves).  Each
+    snapshot is an archive's staircase, ascending in cost and descending in
+    delay: its maxima are its last cost and its first delay, and its area is
+    summed as it stands.
     """
-    snapshots = [rec.archive_objectives for rec in result.history if rec.archive_objectives.size]
-    # Each objective's maximum over all snapshots, without stacking them; column by column, because
-    # numpy's max over axis 0 of an (n, 2) array is about 17 times slower at 40 000 rows.
-    reference = np.array([max(s[:, k].max() for s in snapshots) for k in (0, 1)]) + 1.0 if snapshots else None
+    ends = [(s[-1, 0], s[0, 1]) for s in (rec.archive_objectives for rec in result.history) if len(s)]
+    reference = np.max(ends, axis=0) + 1.0 if ends else None
     records = []
     for rec in result.history:
-        volume = hypervolume_2d(rec.archive_objectives, reference)  # 0.0 for an empty archive
+        volume = _staircase_area(rec.archive_objectives, reference)  # 0.0 for an empty archive
         best = rec.best_objectives
         records.append(
             {

@@ -359,22 +359,20 @@ def generate_preset(name: str, seed: int = 0) -> Instance:
 def front_rows(archive: ParetoArchive, instance: Instance) -> list[tuple[float, float, float]]:
     """Export-ready front rows ``(total_cost, f2_raw, mean_delay_days)``.
 
-    Rows ascend strictly in cost and descend strictly in delay.  Because the
-    CSV displays cost rounded to whole currency units, points whose costs
-    collide at that resolution are collapsed to the one with the best delay,
-    so the exported rows stay mutually non-dominated after rounding.
-    ``mean_delay_days`` is the total backlog expressed in multiples of the
-    mean per-period demand; only the exported rows are decoded to get it.
+    Rows come in the archive's order, ascending strictly in cost and
+    descending strictly in delay.  Because the CSV displays cost rounded to
+    whole currency units (half to even, as round does), points whose costs
+    collide at that resolution are collapsed to the last of them, which has
+    the best delay, so the exported rows stay mutually non-dominated after
+    rounding.  ``mean_delay_days`` is the total backlog expressed in
+    multiples of the mean per-period demand; only the exported rows are
+    decoded to get it.
     """
     if len(archive) == 0:
         raise ValueError("archive is empty; nothing to export")
     objectives = archive.objectives_array()
-    # Archive rows ascend strictly in cost and descend strictly in delay, so
-    # within a run of equal rounded costs (half to even, as round does) the
-    # last row carries the run's best delay.
-    order = np.lexsort((objectives[:, 1], objectives[:, 0]))
-    costs = np.round(objectives[order, 0])
-    kept = order[np.append(costs[1:] != costs[:-1], True)].tolist()
+    costs = np.round(objectives[:, 0])
+    kept = np.flatnonzero(np.append(costs[1:] != costs[:-1], True)).tolist()
     genotypes = np.array([archive.members[i].genotype for i in kept])
     backlog_totals = _row_sums(_decode_rows(genotypes, instance)[0].backlog)
     mean_period_demand = instance.total_demand / instance.n_periods

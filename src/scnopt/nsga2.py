@@ -20,7 +20,7 @@ generation, by six vectorized draws for selection and variation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
@@ -246,9 +246,9 @@ def _nondominated(points: np.ndarray) -> np.ndarray:
     (its first row), in lexicographic order of the vectors.
 
     For two objectives these are the distinct vectors whose f2 is below the
-    least f2 of the vectors before them, the running minimum
-    :func:`scnopt.metrics.hypervolume_2d` sweeps with.  More objectives take
-    the first Pareto front of the distinct vectors.
+    least f2 of the vectors before them: the staircase :class:`ParetoArchive`
+    keeps.  More objectives take the first Pareto front of the distinct
+    vectors.
     """
     order, ranked, head = _lexsorted(points)
     order, ranked = order[head], ranked[head]
@@ -401,16 +401,25 @@ def environmental_select(
     return survivors, ranks[survivors], _front_crowding(objectives[survivors], sizes)
 
 
-@dataclass
 class ParetoArchive:
     """All-time store of feasible, mutually non-dominated individuals.
 
-    Members are kept sorted by objective tuple; duplicate objective vectors
-    are kept once.
+    From any members it is given, it keeps the feasible ones that no other
+    dominates, one per objective vector (the earliest), sorted by objective
+    tuple: for two objectives a staircase, ascending strictly in f1 and
+    descending strictly in f2.  Readers take that order as given.
     """
 
-    members: list[Individual] = field(default_factory=list)
-    _objectives: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, members: Iterable[Individual] = ()) -> None:
+        pool = [m for m in members if m.feasible]
+        self._fold(pool, np.array([m.objectives for m in pool], dtype=float))
+
+    def _fold(self, pool: list[Individual], objectives: np.ndarray) -> ParetoArchive:
+        """Keep the ``pool`` members whose ``objectives`` rows :func:`_nondominated` keeps, in its order."""
+        keep = _nondominated(objectives).tolist() if pool else []
+        self.members = [pool[i] for i in keep]
+        self._objectives = objectives[keep] if pool else np.empty((0, 0))
+        return self
 
     def __len__(self) -> int:
         return len(self.members)
@@ -420,35 +429,23 @@ class ParetoArchive:
 
     def objectives_array(self) -> np.ndarray:
         """The members' objectives as one ``(n, M)`` array (``(0, 0)`` when
-        empty), built once per archive and shared by every caller: read it,
+        empty), built with the archive and shared by every caller: read it,
         do not write to it."""
-        if self._objectives is None:
-            self._objectives = (
-                np.array([m.objectives for m in self.members], dtype=float) if self.members else np.empty((0, 0))
-            )
         return self._objectives
 
 
 def update_archive(archive: ParetoArchive, candidates: Sequence[Individual]) -> ParetoArchive:
     """Fold feasible candidates into the archive, keeping the non-dominated set.
 
-    Infeasible candidates are ignored.  The result is a new archive whose
-    members are mutually non-dominated, sorted by objectives, with each
-    objective vector kept once: the earliest of equal vectors stays, archive
-    members before candidates and candidates in the order given.
+    Infeasible candidates are ignored.  The result is a new archive, folded as
+    :class:`ParetoArchive` folds, on the archive's objective matrix and the
+    candidates': the earliest of equal vectors stays, archive members first.
     """
     offered = [c for c in candidates if c.feasible]
-    pool = archive.members + offered
-    if not pool:
-        return ParetoArchive()
-    parts = [archive.objectives_array()] if archive.members else []
-    if offered:
-        parts.append(np.array([c.objectives for c in offered], dtype=float))
-    objectives = np.concatenate(parts)
-    keep = _nondominated(objectives)
-    result = ParetoArchive([pool[i] for i in keep.tolist()])
-    result._objectives = objectives[keep]
-    return result
+    objectives = np.array([c.objectives for c in offered], dtype=float)
+    if archive.members:
+        objectives = np.concatenate((archive.objectives_array(), objectives)) if offered else archive.objectives_array()
+    return ParetoArchive()._fold(archive.members + offered, objectives)
 
 
 def _archive_offers(genotypes: np.ndarray, objectives: np.ndarray, violations: np.ndarray) -> list[Individual]:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from scnopt import Individual, ParetoArchive, update_archive
 
-from oracles import oracle_dominates, oracle_nondominated
+from oracles import oracle_dominates, oracle_nondominated, reference_archive
 
 
 def ind(objectives, violation=0.0):
@@ -132,3 +132,28 @@ def test_fold_equals_the_brute_force_filter_over_every_offer(offers):
         cached = np.array([c.objectives for c in want]) if want else np.empty((0, 0))
         got = archive.objectives_array()
         assert got.shape == cached.shape and got.tobytes() == cached.tobytes()  # bit for bit, signed zeros too
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    members=st.integers(2, 3).flatmap(
+        lambda m: st.lists(
+            st.tuples(st.lists(GRID_VALUES, min_size=m, max_size=m), st.sampled_from([0.0, 0.0, 0.5])),
+            max_size=25,
+        )
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_constructor_folds_any_members(members, seed):
+    # infeasible, dominated, equal and shuffled members in; out come the
+    # members update_archive and the oracle keep, the earliest of equal vectors
+    given = [ind(objectives, violation) for objectives, violation in members]
+    given += [ind(m.objectives) for m in given[: len(given) // 3]]  # equal vectors, later
+    np.random.default_rng(seed).shuffle(given)
+    archive = ParetoArchive(given)
+    want = reference_archive([], given)
+    assert [id(m) for m in archive] == [id(m) for m in want]
+    assert [id(m) for m in archive] == [id(m) for m in update_archive(ParetoArchive(), given)]
+    cached = np.array([m.objectives for m in want]) if want else np.empty((0, 0))
+    got = archive.objectives_array()
+    assert got.shape == cached.shape and got.tobytes() == cached.tobytes()  # bit for bit, signed zeros too

@@ -17,7 +17,16 @@ import numpy as np
 import pytest
 
 import scnopt.cli
-from scnopt import FRONT_CSV_HEADER, generate_preset, load_instance, save_instance, tiny_instance
+from scnopt import (
+    FRONT_CSV_HEADER,
+    EngineConfig,
+    SupplyChainProblem,
+    evolve,
+    generate_preset,
+    load_instance,
+    save_instance,
+    tiny_instance,
+)
 from scnopt.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -29,6 +38,10 @@ from scnopt.cli import (
     main,
     resolve_engine_config,
 )
+from scnopt.instances import PRESETS, generate_instance
+
+from conftest import LineFrontProblem
+from oracles import reference_hypervolume_sweep
 
 
 @pytest.fixture
@@ -116,6 +129,32 @@ class TestRun:
         assert all(r["archive_size"] >= 1 for r in records)
         volumes = [r["hypervolume"] for r in records]
         assert all(b >= a for a, b in zip(volumes, volumes[1:]))
+
+    @pytest.mark.parametrize(
+        "problem, config, members",
+        [
+            (LineFrontProblem(), EngineConfig(population_size=12, generations=30, seed=5), 10),
+            # 3-product desk: its archive grows to hundreds of members
+            (
+                SupplyChainProblem(generate_instance(replace(PRESETS["desk"], n_products=3, seed=0))),
+                EngineConfig(population_size=200, generations=150, seed=1),
+                100,
+            ),
+        ],
+        ids=["line", "desk-3p"],
+    )
+    def test_report_hypervolumes_match_the_sweep_bit_for_bit(self, problem, config, members):
+        # build_report sums each snapshot as the archive ordered it, with a corner
+        # read off the snapshots' ends; check both against a per-point sweep and
+        # a corner taken from every snapshot's column maxima
+        result = evolve(problem, config)
+        report = scnopt.cli.build_report(result, {}, "front.csv", 0, 0.0)
+        snapshots = [rec.archive_objectives for rec in result.history]
+        assert len(result.archive) > members
+        corner = np.vstack([s for s in snapshots if s.size]).max(axis=0) + 1.0
+        volumes = [record["hypervolume"] for record in report.records]
+        assert volumes == [reference_hypervolume_sweep(s, corner) if s.size else 0.0 for s in snapshots]
+        assert all(volume > 0.0 for volume in volumes[1:])
 
     def test_byte_identical_reruns(self, tiny_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

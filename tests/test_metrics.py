@@ -71,12 +71,18 @@ class TestValidation:
             hypervolume_2d([(np.nan, 0.5)], (1.0, 1.0))
         with pytest.raises(ValueError, match="finite"):
             hypervolume_2d([(0.5, 0.5)], (np.inf, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            hypervolume_2d([], [np.nan, 1.0])  # an empty front does not excuse the reference
 
     def test_bad_shapes_raise(self):
         with pytest.raises(ValueError, match=r"\(n, 2\)"):
             hypervolume_2d([(0.1, 0.2, 0.3)], (1.0, 1.0))
         with pytest.raises(ValueError, match="two components"):
             hypervolume_2d([(0.1, 0.2)], (1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="two components"):
+            hypervolume_2d([], (1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            hypervolume_2d(np.empty((0, 5)), (1, 1))
 
 
 class TestAgainstOracle:
@@ -97,6 +103,20 @@ class TestAgainstOracle:
         for _ in range(300):
             n = int(rng.integers(1, 80))
             front = np.column_stack([np.sort(rng.random(n)), np.sort(rng.random(n))[::-1]])
-            points = np.concatenate([front, front[: n // 4], rng.random((n // 2, 2))])
+            k = int(rng.integers(n))
+            edges = np.array([
+                (0.0, ref[1]),  # first in sweep order, on the reference's delay
+                (ref[0], rng.random() * front[-1, 1]),  # on the reference's cost, below every delay
+                (ref[0], ref[1]),
+                (ref[0], front[k, 1]),
+                (front[k, 0], front[k, 1] + 0.05),  # equal cost, different delay
+                (front[k, 0], 0.5 * front[k, 1]),
+                (-0.0, front[0, 1]),  # -0.0 against 0.0, in either objective
+                (0.0, front[0, 1]),
+                (front[k, 0], -0.0),
+                (front[k, 0], 0.0),
+            ])
+            picked = edges[rng.random(len(edges)) < 0.4]
+            points = np.concatenate([front, front[: n // 4], rng.random((n // 2, 2)), picked, picked[::-1]])
             rng.shuffle(points)
             assert hypervolume_2d(points, ref) == reference_hypervolume_sweep(points, ref)
