@@ -13,7 +13,7 @@ arrays.  Sorting, selection and crowding take those arrays and return row
 indices.  :class:`Individual` objects are built only for archive members and,
 once at the end, for :attr:`EvolutionResult.population`.  All randomness flows
 through a single seeded generator consumed only by initialization and, each
-generation, by six vectorized draws for selection and variation
+generation, by seven vectorized draws for selection and variation
 (:func:`_make_offspring`).
 """
 
@@ -345,16 +345,32 @@ def crowding_distance(front_values: Sequence[np.ndarray] | np.ndarray) -> np.nda
 def _sbx_children(p1: np.ndarray, p2: np.ndarray, u: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Simulated binary crossover children of parents ``p1`` and ``p2`` (any
     equal shape) for uniform draws ``u``: genes blended with spread factor
-    ``beta`` from the SBX distribution of index ``eta``, clamped to [0, 1]."""
+    ``beta`` from the SBX distribution of index ``eta``, clamped to [0, 1].
+
+    The arithmetic is ``beta = (2u·low + 1/(2(1 − u))·¬low) ** (1/(eta + 1))``
+    and ``child = 0.5·(more·p + less·q)``, each step written into one of a few
+    reused temporaries in that order, so the bits are those of the plain
+    expressions."""
     low = u <= 0.5
     # Both branches are finite for u in [0, 1), so each product with the 0/1
     # mask is exact and the sum is the selected branch, bit for bit; a select
     # on a random mask costs several times as much.
-    beta = (2.0 * u * low + 1.0 / (2.0 * (1.0 - u)) * ~low) ** (1.0 / (eta + 1.0))
-    more, less = 1.0 + beta, 1.0 - beta
-    child1 = 0.5 * (more * p1 + less * p2)
-    child2 = 0.5 * (less * p1 + more * p2)
-    return np.clip(child1, 0.0, 1.0), np.clip(child2, 0.0, 1.0)
+    beta = np.multiply(u, 2.0)
+    beta *= low
+    upper = np.subtract(1.0, u)
+    upper *= 2.0
+    np.divide(1.0, upper, out=upper)
+    upper *= np.logical_not(low, out=low)
+    beta += upper
+    beta **= 1.0 / (eta + 1.0)
+    more, less = np.add(1.0, beta, out=upper), np.subtract(1.0, beta, out=beta)
+    child1, term = np.multiply(more, p1), np.multiply(less, p2)
+    child1 += term
+    child1 *= 0.5
+    child2 = np.multiply(less, p1, out=term)
+    child2 += np.multiply(more, p2, out=more)
+    child2 *= 0.5
+    return np.clip(child1, 0.0, 1.0, out=child1), np.clip(child2, 0.0, 1.0, out=child2)
 
 
 def _perturb(g: np.ndarray, u: np.ndarray, eta: float) -> np.ndarray:
@@ -407,7 +423,8 @@ class ParetoArchive:
     From any members it is given, it keeps the feasible ones that no other
     dominates, one per objective vector (the earliest), sorted by objective
     tuple: for two objectives a staircase, ascending strictly in f1 and
-    descending strictly in f2.  Readers take that order as given.
+    descending strictly in f2.  Readers take that order as given.  ``members``
+    is a tuple, so it cannot drift from the objective array built with it.
     """
 
     def __init__(self, members: Iterable[Individual] = ()) -> None:
@@ -417,7 +434,7 @@ class ParetoArchive:
     def _fold(self, pool: list[Individual], objectives: np.ndarray) -> ParetoArchive:
         """Keep the ``pool`` members whose ``objectives`` rows :func:`_nondominated` keeps, in its order."""
         keep = _nondominated(objectives).tolist() if pool else []
-        self.members = [pool[i] for i in keep]
+        self.members = tuple([pool[i] for i in keep])
         self._objectives = objectives[keep] if pool else np.empty((0, 0))
         return self
 
@@ -445,7 +462,7 @@ def update_archive(archive: ParetoArchive, candidates: Sequence[Individual]) -> 
     objectives = np.array([c.objectives for c in offered], dtype=float)
     if archive.members:
         objectives = np.concatenate((archive.objectives_array(), objectives)) if offered else archive.objectives_array()
-    return ParetoArchive()._fold(archive.members + offered, objectives)
+    return ParetoArchive()._fold([*archive.members, *offered], objectives)
 
 
 def _archive_offers(genotypes: np.ndarray, objectives: np.ndarray, violations: np.ndarray) -> list[Individual]:
@@ -597,7 +614,7 @@ def _make_offspring(
     return each child's source: the row of ``parents`` it is a bit-exact copy
     of, or -1 for a new genotype.  ``ranks`` and ``crowding`` are the parents'.
 
-    A generation makes six calls on ``rng``, in this order:
+    A generation makes seven calls on ``rng``, in this order:
 
     1. ``integers(n, size=(pairs, 2))``: the first contestant of each of a
        pair's two tournaments;
@@ -606,20 +623,29 @@ def _make_offspring(
     3. ``random(pairs) < crossover_prob``: the crossover coins;
     4. ``random((crossing, L))``: the SBX uniforms of the crossing pairs, in
        pair order;
-    5. ``random((population_size, L)) < mutation_prob``: the mutation masks,
-       one row per child;
-    6. ``random(masked)``: one perturbation uniform per masked gene, in
-       row-major order.
+    5. ``binomial(population_size * L, mutation_prob)``: the number ``k`` of
+       mutated genes in the generation;
+    6. ``choice(population_size * L, size=k, replace=False, shuffle=False)``:
+       which genes, as flat row-major positions in ``out``, then sorted;
+    7. ``random(k)``: one perturbation uniform per mutated gene, in row-major
+       order.
+
+    A Binomial(N·L, p) count and a uniform subset of that size mark each
+    gene independently with probability p, as a full ``(N, L)`` mask of
+    ``random() < p`` would, from about N·L·p draws instead of N·L.
 
     The operators then run once over the generation: the tournaments (lower
     rank wins, then larger crowding, ties to the first contestant), one gather
     of the winners into ``out``, SBX over the crossing pairs and polynomial
-    mutation of the masked genes.  Children are clamped to [0, 1].  A child of
-    a pair that does not cross, with an empty mutation mask, is its tournament
-    winner unchanged; its source is that winner.
+    mutation of the drawn genes.  Children are clamped to [0, 1].  A child of
+    a pair that does not cross, with no gene drawn, is its tournament winner
+    unchanged; its source is that winner.  ``out`` must be C-contiguous, so
+    that the mutation writes through its flat view.
     """
     n, length = parents.shape
     size = config.population_size
+    if not out.flags.c_contiguous:  # reshape would hand back a copy and the mutations would be lost
+        raise ValueError("out must be a C-contiguous array")
     pairs = size // 2
     first = rng.integers(n, size=(pairs, 2))
     rival = rng.integers(n - 1, size=(pairs, 2))
@@ -627,18 +653,19 @@ def _make_offspring(
     crosses = rng.random(pairs) < config.crossover_prob
     crossing = 2 * np.flatnonzero(crosses)
     sbx = rng.random((crossing.size, length))
-    # the flat positions in row-major order: a 2-D nonzero costs several times as much
-    rows, genes = np.divmod(np.flatnonzero(rng.random((size, length)) < config.mutation_prob), length)
-    perturbation = rng.random(rows.size)
+    mutated = rng.binomial(size * length, config.mutation_prob)
+    sites = np.sort(rng.choice(size * length, size=mutated, replace=False, shuffle=False))
+    perturbation = rng.random(mutated)
 
     # crowded comparison: lower rank wins, then larger crowding; ties go to the first contestant
     first_wins = (ranks[first] < ranks[rival]) | ((ranks[first] == ranks[rival]) & (crowding[first] >= crowding[rival]))
     winners = np.where(first_wins, first, rival).ravel()
     np.take(parents, winners, axis=0, out=out, mode="clip")  # the indices are in range; "raise" would buffer out
     out[crossing], out[crossing + 1] = _sbx_children(out[crossing], out[crossing + 1], sbx, SBX_ETA)
-    out[rows, genes] = _perturb(out[rows, genes], perturbation, PM_ETA)
+    flat = out.reshape(-1)
+    flat[sites] = _perturb(flat[sites], perturbation, PM_ETA)
     copied = np.repeat(~crosses, 2)
-    copied[rows] = False
+    copied[sites // length] = False
     return np.where(copied, winners, -1)
 
 

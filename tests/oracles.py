@@ -549,16 +549,17 @@ def reference_polynomial_mutation(genotype, config, rng):
 
 
 def reference_offspring(population, config, rng) -> list[np.ndarray]:
-    """Children from the engine's six draws in its order (contestants, rivals,
-    coins, SBX uniforms, mutation masks, perturbation uniforms), with the
-    operators applied pair by pair: two tournaments by ``crowded_compare``,
-    SBX when the pair crosses, then mutation of each child's masked genes."""
+    """Children from the engine's seven draws in its order (contestants, rivals,
+    coins, SBX uniforms, mutation count, mutation sites, perturbation uniforms),
+    with the operators applied pair by pair: two tournaments by
+    ``crowded_compare``, SBX when the pair crosses, then mutation of each
+    child's masked genes, the masks rebuilt from the drawn sites."""
     n, length, pairs = len(population), population[0].genotype.shape[0], config.population_size // 2
     contestants = rng.integers(n, size=(pairs, 2))
     rivals = rng.integers(n - 1, size=(pairs, 2))
     coins = rng.random(pairs) < config.crossover_prob
     sbx_draws = iter(rng.random((int(coins.sum()), length)))
-    masks = rng.random((config.population_size, length)) < config.mutation_prob
+    masks = reference_mutation_masks(config.population_size, length, config.mutation_prob, rng)
     perturbation_draws = iter(rng.random(int(masks.sum())).tolist())
     children = []
     for pair in range(pairs):
@@ -577,6 +578,16 @@ def reference_offspring(population, config, rng) -> list[np.ndarray]:
             u[mask] = [next(perturbation_draws) for _ in range(int(mask.sum()))]
             children.append(np.clip(np.where(mask, reference_mutated_genes(child, u), child), 0.0, 1.0))
     return children
+
+
+def reference_mutation_masks(size, length, mutation_prob, rng) -> np.ndarray:
+    """The ``(size, length)`` mutation masks of one generation from the
+    engine's two site draws: a Binomial(size·length, p) count, then that many
+    distinct flat row-major positions."""
+    count = rng.binomial(size * length, mutation_prob)
+    masks = np.zeros(size * length, dtype=bool)
+    masks[rng.choice(size * length, size=count, replace=False, shuffle=False)] = True
+    return masks.reshape(size, length)
 
 
 def reference_evaluate(genotypes, problem, expected_m):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from scnopt import Individual, ParetoArchive, update_archive
@@ -43,6 +44,18 @@ def test_duplicates_are_deduplicated():
         assert [m is first for m in archive] == [True]
         archive = update_archive(archive, [ind(row), ind(row)])
         assert [m is first for m in archive] == [True]
+
+
+def test_members_cannot_drift_from_the_objective_array():
+    # a dominated member appended to the members would count in len and
+    # iteration but not in objectives_array(), which export and the report read
+    archive = ParetoArchive([ind([1, 2]), ind([2, 1])])
+    assert len(archive) == len(archive.objectives_array()) == 2
+    with pytest.raises(AttributeError):
+        archive.members.append(ind([3, 3]))
+    folded = update_archive(archive, [ind([0, 3]), ind([3, 3])])
+    assert len(folded) == len(folded.objectives_array()) == 3
+    assert len(update_archive(folded, [])) == 3
 
 
 def test_members_sorted_by_objectives():

@@ -2,7 +2,7 @@
 
 The per-pair contracts are checked on the references in ``oracles.py``;
 the engine's pooled variation must equal the reference offspring, which
-makes the same six generator calls and applies the operators pair by pair,
+makes the same seven generator calls and applies the operators pair by pair,
 bit for bit, so the contracts carry over to it.  That includes the generator
 state it leaves.  The one-power operators at their branch points and bounds,
 and each child's source, are checked on their own as well."""
@@ -21,6 +21,7 @@ from scnopt.nsga2 import _make_offspring, _perturb, _sbx_children
 from oracles import (
     crowded_compare,
     reference_mutated_genes,
+    reference_mutation_masks,
     reference_offspring,
     reference_polynomial_mutation,
     reference_sbx_children,
@@ -134,11 +135,18 @@ def _population(n: int, length: int) -> list[Individual]:
     return population
 
 
+def _arrays(population: list[Individual]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The genotype, rank and crowding arrays of ``population``."""
+    return (
+        np.array([ind.genotype for ind in population]),
+        np.array([ind.rank for ind in population]),
+        np.array([ind.crowding for ind in population]),
+    )
+
+
 def _pooled_offspring(population: list[Individual], cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
     """``_make_offspring`` on the genotype, rank and crowding arrays of ``population``."""
-    genotypes = np.array([ind.genotype for ind in population])
-    ranks = np.array([ind.rank for ind in population])
-    crowding = np.array([ind.crowding for ind in population])
+    genotypes, ranks, crowding = _arrays(population)
     out = np.empty((cfg.population_size, genotypes.shape[1]))
     _make_offspring(genotypes, ranks, crowding, cfg, rng, out)
     return out
@@ -184,14 +192,14 @@ class TestOperatorBoundaries:
 
 def _replayed_sources(population: list[Individual], cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
     """Each child's source replayed from the engine's draws on ``rng``, in its
-    order: its tournament winner when its pair did not cross and its mutation
-    mask is empty, else -1."""
+    order: its tournament winner when its pair did not cross and none of its
+    genes was drawn for mutation, else -1."""
     n, length, pairs = len(population), population[0].genotype.size, cfg.population_size // 2
     contestants = rng.integers(n, size=(pairs, 2))
     rivals = rng.integers(n - 1, size=(pairs, 2))
     crosses = rng.random(pairs) < cfg.crossover_prob
     rng.random((int(crosses.sum()), length))
-    masked = (rng.random((cfg.population_size, length)) < cfg.mutation_prob).any(axis=1)
+    masked = reference_mutation_masks(cfg.population_size, length, cfg.mutation_prob, rng).any(axis=1)
     sources = []
     for pair in range(pairs):
         for child, (i, j) in enumerate(zip(contestants[pair].tolist(), rivals[pair].tolist())):
@@ -216,10 +224,104 @@ class TestOnePass:
         rng = np.random.default_rng(n + length)
         rng.integers(7)  # a buffered half, so the replay starts mid-word as well
         replay = copy.deepcopy(rng)
-        genotypes = np.array([ind.genotype for ind in population])
-        ranks, crowding = np.array([ind.rank for ind in population]), np.array([ind.crowding for ind in population])
+        genotypes, ranks, crowding = _arrays(population)
         source = _make_offspring(genotypes, ranks, crowding, cfg, rng, np.empty((n, length)))
         expected = _replayed_sources(population, cfg, replay)
         assert np.array_equal(source, expected)
         if 0.0 < crossover_prob < 1.0:
             assert 0 < np.count_nonzero(source >= 0) < n  # copies and new children both occur
+
+
+def _marked_mutations(population, cfg, rng, monkeypatch, out=None):
+    """``_make_offspring`` with polynomial mutation replaced by markers: the
+    ``i``-th gene handed to it becomes ``-1 - i``.  Returns the children, the
+    flat positions of the marked genes in row-major order, the markers read
+    there, the perturbation uniforms and the sources."""
+    uniforms = []
+
+    def marker(g, u, eta):
+        uniforms.append(u.copy())
+        return -1.0 - np.arange(g.size)
+
+    monkeypatch.setattr("scnopt.nsga2._perturb", marker)
+    genotypes, ranks, crowding = _arrays(population)
+    if out is None:
+        out = np.empty((cfg.population_size, genotypes.shape[1]))
+    source = _make_offspring(genotypes, ranks, crowding, cfg, rng, out)
+    flat = out.ravel()
+    sites = np.flatnonzero(flat < 0.0)
+    (u,) = uniforms
+    return out, sites, (-1.0 - flat[sites]).astype(int), u, source
+
+
+class TestMutationSites:
+    """The genes polynomial mutation changes: each gene of the generation
+    independently with probability ``mutation_prob``, written in place."""
+
+    @pytest.mark.parametrize("n, length, mutation_prob", [(4, 5, 0.3), (100, 30, 0.01), (1290, 195, 0.01), (100, 62, 0.5)])
+    def test_sites_are_increasing_distinct_and_in_range(self, n, length, mutation_prob, monkeypatch):
+        cfg = EngineConfig(population_size=n, mutation_prob=mutation_prob)
+        out, sites, markers, u, source = _marked_mutations(_population(n, length), cfg, np.random.default_rng(n), monkeypatch)
+        # every gene handed to the mutation is written back once, at its own
+        # place: the k-th marker at the k-th site in row-major order
+        assert u.size > 0 and np.array_equal(markers, np.arange(u.size))
+        assert sites.size == np.unique(sites).size == u.size
+        assert 0 <= sites[0] and sites[-1] < n * length
+        assert np.all(source[sites // length] == -1)
+
+    @pytest.mark.parametrize("mutation_prob, cells", [(0.0, 0), (1.0, 6 * 10)])
+    def test_probability_zero_draws_no_site_and_one_every_gene(self, mutation_prob, cells, monkeypatch):
+        cfg = EngineConfig(population_size=6, crossover_prob=0.0, mutation_prob=mutation_prob)
+        out, sites, markers, u, source = _marked_mutations(_population(6, 10), cfg, np.random.default_rng(1), monkeypatch)
+        assert sites.size == u.size == cells
+        assert np.array_equal(sites, np.arange(cells))
+        assert np.all(source >= 0) if cells == 0 else np.all(source == -1)
+
+    def test_each_gene_mutates_with_the_stated_probability(self, monkeypatch):
+        # 20 000 generations of 6 children x 10 genes at p = 0.1.  A gene's
+        # frequency has standard error sqrt(p(1 - p) / 20 000) = 0.0021; the
+        # count per generation is Binomial(60, 0.1), mean 6 and variance 5.4,
+        # whose sample mean and variance have standard errors 0.016 and 0.055.
+        # Each bound is five standard errors.
+        generations, n, length, p = 20_000, 6, 10, 0.1
+        cfg = EngineConfig(population_size=n, crossover_prob=0.0, mutation_prob=p)
+        monkeypatch.setattr("scnopt.nsga2._perturb", lambda g, u, eta: np.full(g.shape, -1.0))
+        genotypes, ranks, crowding = _arrays(_population(n, length))
+        rng, out = np.random.default_rng(20), np.empty((n, length))
+        hits, counts = np.zeros((n, length)), np.empty(generations)
+        for g in range(generations):
+            _make_offspring(genotypes, ranks, crowding, cfg, rng, out)
+            mutated = out < 0.0
+            hits += mutated
+            counts[g] = np.count_nonzero(mutated)
+        assert np.abs(hits / generations - p).max() < 5 * np.sqrt(p * (1 - p) / generations)
+        assert abs(counts.mean() - n * length * p) < 5 * 0.016
+        assert abs(counts.var(ddof=1) - n * length * p * (1 - p)) < 5 * 0.055
+
+    def test_mutations_land_in_the_children_half_of_the_engine_buffer(self, monkeypatch):
+        n, length = 100, 30
+        cfg = EngineConfig(population_size=n, mutation_prob=0.05)
+        buffer = np.full((2 * n, length), 2.0)
+        out, sites, markers, u, source = _marked_mutations(
+            _population(n, length), cfg, np.random.default_rng(3), monkeypatch, out=buffer[n:]
+        )
+        assert out.base is buffer
+        assert np.all(buffer[:n] == 2.0)
+        assert np.count_nonzero(buffer < 0.0) == np.count_nonzero(out < 0.0) == u.size > 0
+
+    def test_a_strided_out_is_refused(self):
+        genotypes, ranks, crowding = _arrays(_population(10, 5))
+        strided = np.empty((5, 10)).T  # a flat view of it would be a copy
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _make_offspring(genotypes, ranks, crowding, config(mutation_prob=0.5), np.random.default_rng(0), strided)
+
+    def test_the_stream_of_seed_zero_at_paper_scale(self, monkeypatch):
+        # The draws' output, recorded under numpy 2.4.6: fails on a numpy
+        # whose binomial or choice gives another stream.
+        cfg = EngineConfig(population_size=1290, mutation_prob=0.01)
+        out, sites, markers, u, source = _marked_mutations(
+            _population(1290, 195), cfg, np.random.default_rng(0), monkeypatch
+        )
+        assert sites.size == 2477
+        assert sites[:8].tolist() == [128, 134, 394, 528, 617, 637, 748, 770]
+        assert u[:4].tolist() == [0.15852867942045568, 0.5066261108566293, 0.6149084967582047, 0.018260073573698743]
