@@ -37,7 +37,6 @@ from .instances import (
     save_front,
     save_instance,
 )
-from .metrics import _staircase_area
 from .model import SupplyChainProblem
 from .nsga2 import PM_ETA, SBX_ETA, EngineConfig, EvolutionResult, evolve
 
@@ -112,19 +111,22 @@ def build_report(result: EvolutionResult, config_echo: dict, front_path: str,
                  front_size: int, wall_time_s: float) -> RunReport:
     """Assemble the run report, computing hypervolume against one fixed reference.
 
-    The reference corner is the component-wise maximum over every archive
-    snapshot plus one, so the hypervolume sequence is comparable across
-    generations (and non-decreasing, since the archive only improves).  Each
-    snapshot is an archive's staircase, ascending in cost and descending in
-    delay: its maxima are its last cost and its first delay, and its area is
-    summed as it stands.
+    The reference corner is the maximum of every record's ``worst_objectives``
+    plus one, so the hypervolume sequence is comparable across generations
+    (and non-decreasing, since the archive only improves).  Each volume is the
+    box from the record's ``best_objectives`` to that corner minus its
+    ``undominated_area``, as ``hypervolume_2d`` computes it from the points.
+    A run with other than two objectives raises ``ValueError``.
     """
-    ends = [(s[-1, 0], s[0, 1]) for s in (rec.archive_objectives for rec in result.history) if len(s)]
-    reference = np.max(ends, axis=0) + 1.0 if ends else None
+    m = result.population[0].objectives.size
+    if m != 2:
+        raise ValueError(f"build_report needs two objectives (total cost, delay), the run had {m}")
+    worst = [rec.worst_objectives for rec in result.history if rec.worst_objectives is not None]
+    r1, r2 = np.max(worst, axis=0) + 1.0 if worst else (None, None)
     records = []
     for rec in result.history:
-        volume = _staircase_area(rec.archive_objectives, reference)  # 0.0 for an empty archive
         best = rec.best_objectives
+        volume = 0.0 if best is None else float((r1 - best[0]) * (r2 - best[1]) - rec.undominated_area)
         records.append(
             {
                 "generation": rec.generation,

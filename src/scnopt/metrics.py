@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nsga2 import _nondominated
+from .nsga2 import _nondominated, _undominated_area
 
 __all__ = ["hypervolume_2d"]
 
@@ -14,9 +14,9 @@ __all__ = ["hypervolume_2d"]
 def hypervolume_2d(front: Sequence[Sequence[float]] | np.ndarray, ref_point: Sequence[float]) -> float:
     """Hypervolume (area) dominated by a bi-objective minimization front.
 
-    The front's staircase, its distinct non-dominated points in the order
-    :class:`scnopt.nsga2.ParetoArchive` keeps them, is summed by one sweep;
-    dominated and duplicate points therefore contribute nothing.
+    The box from the front's best point to ``ref_point``, minus the part of its
+    staircase's own box it leaves undominated (``nsga2._undominated_area``, as
+    ``report.json`` takes it); dominated and duplicate points add nothing.
 
     Args:
         front: iterable of ``(f1, f2)`` points, may be empty.
@@ -36,15 +36,7 @@ def hypervolume_2d(front: Sequence[Sequence[float]] | np.ndarray, ref_point: Seq
         raise ValueError("front and ref_point must be finite")
     if np.any(points > ref):
         raise ValueError("every front point must weakly dominate the reference point")
-    return _staircase_area(points[_nondominated(points)], ref)
-
-
-def _staircase_area(stairs: np.ndarray, ref: np.ndarray) -> float:
-    """Area that ``stairs``, ascending strictly in f1 and descending strictly in
-    f2, dominates up to ``ref``.  Each point adds the rectangle between itself,
-    the f2 before it (``ref``'s for the first) and ``ref``; cumsum adds them
-    one by one in sweep order, as a per-point sweep does."""
-    if len(stairs) == 0:
+    if len(points) == 0:
         return 0.0
-    f1, f2 = stairs.T
-    return float(np.cumsum((ref[0] - f1) * (np.concatenate(([ref[1]], f2[:-1])) - f2))[-1])
+    stairs = points[_nondominated(points)]
+    return float((ref[0] - stairs[0, 0]) * (ref[1] - stairs[-1, 1]) - _undominated_area(stairs))

@@ -476,19 +476,31 @@ def _archive_offers(genotypes: np.ndarray, objectives: np.ndarray, violations: n
     return [Individual._checked(g, o, 0.0) for g, o in zip(genotypes[rows], objectives[rows])]
 
 
+def _undominated_area(stairs: np.ndarray) -> float:
+    """Area of the bounding box of a 2-D staircase that none of its points
+    dominates, ``Σ_k (f1[k+1] − f1[k])·(f2[k] − f2[-1])`` added in order (cumsum).
+    The volume dominated up to a corner ``r`` is ``(r1 − f1[0])·(r2 − f2[-1])`` minus this."""
+    f1, f2 = stairs.T
+    return float(np.cumsum((f1[1:] - f1[:-1]) * (f2[:-1] - f2[-1]))[-1]) if len(stairs) > 1 else 0.0
+
+
 @dataclass(eq=False)
 class GenerationRecord:
-    """Progress snapshot after one generation has been folded into the archive.
+    """Progress after one generation has been folded into the archive.
 
     ``evaluations`` counts the children scored so far, copies of a tournament
-    winner included, not the calls made to the problem.
+    winner included, not the calls made to the problem.  ``best_objectives``
+    and ``worst_objectives`` are the archive's column minima and maxima, and
+    ``undominated_area`` its :func:`_undominated_area` (``None`` unless two
+    objectives): a few numbers however large the archive, ``None`` while empty.
     """
 
     generation: int
     evaluations: int
     archive_size: int
     best_objectives: np.ndarray | None
-    archive_objectives: np.ndarray
+    worst_objectives: np.ndarray | None
+    undominated_area: float | None
 
 
 @dataclass
@@ -671,14 +683,13 @@ def _make_offspring(
 
 def _record(generation: int, evaluations: int, archive: ParetoArchive) -> GenerationRecord:
     objectives = archive.objectives_array()
-    best = objectives.min(axis=0) if len(archive) else None
-    return GenerationRecord(
-        generation=generation,
-        evaluations=evaluations,
-        archive_size=len(archive),
-        best_objectives=best,
-        archive_objectives=objectives,
-    )
+    best = worst = area = None
+    if len(archive) and objectives.shape[1] == 2:  # a staircase: its column minima and maxima are its ends
+        (f1, f2), area = objectives.T, _undominated_area(objectives)
+        best, worst = np.array((f1[0], f2[-1])), np.array((f1[-1], f2[0]))
+    elif len(archive):
+        best, worst = objectives.min(axis=0), objectives.max(axis=0)
+    return GenerationRecord(generation, evaluations, len(archive), best, worst, area)
 
 
 def evolve(problem: Problem, config: EngineConfig) -> EvolutionResult:

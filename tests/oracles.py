@@ -153,20 +153,30 @@ def oracle_hypervolume_2d(points, ref) -> float:
     return area
 
 
-def reference_hypervolume_sweep(points, ref) -> float:
-    """Bi-objective hypervolume by the per-point sweep ``hypervolume_2d`` ran
-    before it worked on arrays: its area must equal this one bit for bit."""
-    points = np.asarray(points, dtype=float)
-    ref = np.asarray(ref, dtype=float)
-    order = np.lexsort((points[:, 1], points[:, 0]))
+def reference_undominated_area(stairs) -> float:
+    """The area of the staircase's bounding box that no step dominates,
+    ``Σ_k (f1[k+1] − f1[k])·(f2[k] − f2[-1])``, added left to right in plain
+    Python: ``nsga2._undominated_area`` must equal it bit for bit."""
+    stairs = [(float(a), float(b)) for a, b in stairs]
     area = 0.0
-    best_f2 = ref[1]
-    for i in order:
-        f1, f2 = points[i]
-        if f2 < best_f2:
-            area += (ref[0] - f1) * (best_f2 - f2)
-            best_f2 = f2
-    return float(area)
+    for (a, b), (c, _) in zip(stairs, stairs[1:]):
+        area += (c - a) * (b - stairs[-1][1])
+    return area
+
+
+def reference_hypervolume_2d(points, ref) -> float:
+    """Bi-objective hypervolume in plain Python as ``report.json`` and
+    ``hypervolume_2d`` compute it: the staircase (the points in lexicographic
+    order whose f2 is below every f2 before them), the box from its best point
+    to ``ref``, minus its undominated area."""
+    stairs: list[tuple[float, float]] = []
+    for p in sorted((float(a), float(b)) for a, b in points):
+        if not stairs or p[1] < stairs[-1][1]:
+            stairs.append(p)
+    if not stairs:
+        return 0.0
+    box = (float(ref[0]) - stairs[0][0]) * (float(ref[1]) - stairs[-1][1])
+    return box - reference_undominated_area(stairs)
 
 
 def enumerate_reference_front(instance, build_network, eval_cost, eval_delay, check, grid):
@@ -674,7 +684,8 @@ def reference_evolve(problem, config) -> EvolutionResult:
             evaluations=config.population_size * (generation + 1),
             archive_size=len(members),
             best_objectives=objectives.min(axis=0) if members else None,
-            archive_objectives=objectives,
+            worst_objectives=objectives.max(axis=0) if members else None,
+            undominated_area=reference_undominated_area(objectives) if members and m == 2 else None,
         ))
 
     record(0)

@@ -24,6 +24,7 @@ from scnopt import (
     evolve,
     generate_preset,
     load_instance,
+    nsga2,
     save_instance,
     tiny_instance,
 )
@@ -41,7 +42,50 @@ from scnopt.cli import (
 from scnopt.instances import PRESETS, generate_instance
 
 from conftest import LineFrontProblem
-from oracles import reference_hypervolume_sweep
+from oracles import reference_hypervolume_2d
+
+
+REPORT_RUNS = {  # problem, engine config, and a size the final archive exceeds
+    "line": (LineFrontProblem(), EngineConfig(population_size=12, generations=30, seed=5), 10),
+    # 3-product desk: its archive grows to hundreds of members
+    "desk-3p": (
+        SupplyChainProblem(generate_instance(replace(PRESETS["desk"], n_products=3, seed=0))),
+        EngineConfig(population_size=200, generations=150, seed=1),
+        100,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def report_runs():
+    """Evolve a ``REPORT_RUNS`` case once per module; return the result and each
+    generation's archive objectives, captured as its record was taken."""
+    runs = {}
+
+    def run(case):
+        if case not in runs:
+            problem, config, _ = REPORT_RUNS[case]
+            snapshots, record = [], nsga2._record
+
+            def capturing_record(generation, evaluations, archive):
+                snapshots.append(archive.objectives_array())
+                return record(generation, evaluations, archive)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(nsga2, "_record", capturing_record)
+                runs[case] = evolve(problem, config), snapshots
+        return runs[case]
+
+    return run
+
+
+class ThreeObjectiveProblem:
+    """Sum, spread and first gene of a 3-gene genotype, always feasible."""
+
+    genotype_length = 3
+
+    def evaluate(self, g):
+        return [g.sum(), g.max() - g.min(), g[0]], 0.0
 
 
 @pytest.fixture
@@ -130,31 +174,35 @@ class TestRun:
         volumes = [r["hypervolume"] for r in records]
         assert all(b >= a for a, b in zip(volumes, volumes[1:]))
 
-    @pytest.mark.parametrize(
-        "problem, config, members",
-        [
-            (LineFrontProblem(), EngineConfig(population_size=12, generations=30, seed=5), 10),
-            # 3-product desk: its archive grows to hundreds of members
-            (
-                SupplyChainProblem(generate_instance(replace(PRESETS["desk"], n_products=3, seed=0))),
-                EngineConfig(population_size=200, generations=150, seed=1),
-                100,
-            ),
-        ],
-        ids=["line", "desk-3p"],
-    )
-    def test_report_hypervolumes_match_the_sweep_bit_for_bit(self, problem, config, members):
-        # build_report sums each snapshot as the archive ordered it, with a corner
-        # read off the snapshots' ends; check both against a per-point sweep and
-        # a corner taken from every snapshot's column maxima
-        result = evolve(problem, config)
+    @pytest.mark.parametrize("case", list(REPORT_RUNS))
+    def test_report_hypervolumes_match_the_sweep_bit_for_bit(self, case, report_runs):
+        # build_report's corner comes from the records' maxima and each volume from
+        # a record's few numbers; check both against the plain-Python formula on
+        # the archive as each record was taken, with a corner from every snapshot
+        result, snapshots = report_runs(case)
         report = scnopt.cli.build_report(result, {}, "front.csv", 0, 0.0)
-        snapshots = [rec.archive_objectives for rec in result.history]
-        assert len(result.archive) > members
+        assert len(result.archive) > REPORT_RUNS[case][2]
         corner = np.vstack([s for s in snapshots if s.size]).max(axis=0) + 1.0
         volumes = [record["hypervolume"] for record in report.records]
-        assert volumes == [reference_hypervolume_sweep(s, corner) if s.size else 0.0 for s in snapshots]
+        assert volumes == [reference_hypervolume_2d(s, corner) if s.size else 0.0 for s in snapshots]
         assert all(volume > 0.0 for volume in volumes[1:])
+
+    def test_history_does_not_grow_with_the_archive(self, report_runs):
+        result, snapshots = report_runs("desk-3p")
+        assert len(result.archive) > 100
+        for rec, snapshot in zip(result.history, snapshots, strict=True):
+            arrays = [value for value in vars(rec).values() if isinstance(value, np.ndarray)]
+            assert [a.shape for a in arrays] == [(2,), (2,)]  # best and worst objectives
+            assert type(rec.undominated_area) is float
+            assert np.array_equal(rec.worst_objectives, snapshot.max(axis=0))
+
+    def test_report_needs_two_objectives(self):
+        result = evolve(ThreeObjectiveProblem(), EngineConfig(population_size=8, generations=3, seed=2))
+        last = result.history[-1]
+        assert last.undominated_area is None
+        assert np.array_equal(last.worst_objectives, result.archive.objectives_array().max(axis=0))
+        with pytest.raises(ValueError, match="two objectives .* had 3"):
+            scnopt.cli.build_report(result, {}, "front.csv", 0, 0.0)
 
     def test_byte_identical_reruns(self, tiny_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

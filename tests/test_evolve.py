@@ -77,19 +77,22 @@ def test_history_has_one_record_per_generation_plus_initial():
 def test_archive_only_improves_and_never_readmits_dominated_points(monkeypatch):
     problem = RecordingProblem(TwoBasinProblem())
     calls_by_generation = []  # evaluate calls made when each generation's record is taken
+    snapshots = []  # each generation's archive objectives, as the record is taken
     record = nsga2._record
 
-    def counting_record(*args):
+    def counting_record(generation, evaluations, archive):
         calls_by_generation.append(len(problem.seen))
-        return record(*args)
+        snapshots.append(archive.objectives_array())
+        return record(generation, evaluations, archive)
 
     monkeypatch.setattr(nsga2, "_record", counting_record)
     result = evolve(problem, EngineConfig(population_size=10, generations=15, seed=11))
-    for rec in result.history:
+    assert len(snapshots) == len(result.history) == 16
+    for generation, snapshot in enumerate(snapshots):
         seen_so_far = [
-            obj for obj, violation in problem.seen[: calls_by_generation[rec.generation]] if violation == 0.0
+            obj for obj, violation in problem.seen[: calls_by_generation[generation]] if violation == 0.0
         ]
-        for point in rec.archive_objectives:
+        for point in snapshot:
             assert not any(
                 bool(np.all(p <= point) and np.any(p < point)) for p in seen_so_far
             )
@@ -207,7 +210,8 @@ def assert_same_run(result, expected):
     for a, b in zip(result.history, expected.history):
         assert (a.generation, a.evaluations, a.archive_size) == (b.generation, b.evaluations, b.archive_size)
         assert np.array_equal(a.best_objectives, b.best_objectives)
-        assert np.array_equal(a.archive_objectives, b.archive_objectives)
+        assert np.array_equal(a.worst_objectives, b.worst_objectives)
+        assert a.undominated_area == b.undominated_area
 
 
 @pytest.mark.parametrize(
