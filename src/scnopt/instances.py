@@ -246,6 +246,10 @@ PRESETS: dict[str, GeneratorParams] = {
         capacity_slack=1.4,
     ),
 }
+# desk with three products: the products share each DC's timing weights but
+# not its demand profile, so no timing zeroes every product's stock and
+# backlog at once, and cost and delay can trade off.
+PRESETS["desk-3p"] = replace(PRESETS["desk"], n_products=3)
 
 
 def tiny_instance() -> Instance:
@@ -347,7 +351,7 @@ def generate_instance(params: GeneratorParams) -> Instance:
 
 
 def generate_preset(name: str, seed: int = 0) -> Instance:
-    """Instance for a named preset: ``tiny`` (fixed fixture), ``desk``, ``sbc-scale``."""
+    """Instance for a named preset: ``tiny`` (fixed fixture), ``desk``, ``desk-3p``, ``sbc-scale``."""
     if name == "tiny":
         return tiny_instance()
     if name not in PRESETS:

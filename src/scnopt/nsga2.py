@@ -538,40 +538,6 @@ def _check_rows(objectives: np.ndarray, violations: np.ndarray, indices: np.ndar
     raise EvaluationError(f"invalid constraint violation at genotype index {indices[k]}: {float(violations[k])}")
 
 
-def _walk_rows(rows: Iterable[tuple], m: int | None, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Objectives and violations of ``(objectives, violation)`` ``rows`` that
-    did not stack as one block of ``m`` objectives, converted one row at a
-    time in row order.  At the first row that does not convert (objectives
-    by ``np.asarray``, the violation by ``float``) or whose objectives are not
-    a vector of ``m`` (at least 2) entries, the rows before it are checked as
-    a block and then that row's fault is raised."""
-    objective_list: list[np.ndarray] = []
-    violation_list: list[float] = []
-    for k, row in enumerate(rows):
-        try:
-            objectives, violation = row
-            objectives, violation = np.asarray(objectives, dtype=float), float(violation)
-            if objectives.ndim != 1 or objectives.size < 2:
-                raise EvaluationError(
-                    f"genotype index {indices[k]}: expected >= 2 objectives, got shape {objectives.shape}"
-                )
-            if m is not None and objectives.size != m:
-                raise EvaluationError(
-                    f"genotype index {indices[k]}: objective count changed from {m} to {objectives.size}"
-                )
-        except Exception as error:  # whatever row k raises, it comes after the faults of the rows before it
-            fault = error
-            break
-        m = objectives.size
-        objective_list.append(objectives)
-        violation_list.append(violation)
-    else:
-        return np.array(objective_list), np.array(violation_list)
-    if k:
-        _check_rows(np.array(objective_list), np.array(violation_list), indices)
-    raise fault
-
-
 def _evaluate_batch(
     genotypes: np.ndarray, problem: Problem, m: int | None, indices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -581,13 +547,14 @@ def _evaluate_batch(
 
     A problem with ``evaluate_batch`` answers in one call, whose output must
     have those shapes; any other problem answers with one ``evaluate`` call
-    per row, stacked once.  The block is checked at once.  Only when the rows
-    do not stack, or give the wrong objective count, are they walked in row
-    order (:func:`_walk_rows`), so faults are raised in the order a
-    row-by-row check would find them.  Errors name row ``k`` as
-    ``indices[k]``, its index in the generation.  ``genotypes`` goes to the
-    problem and is not read again: the engine made those genes and clipped
-    them to [0, 1].
+    per row, stacked once.  The block is checked at once.  Rows that do not
+    stack, or give the wrong objective count, hold a fault: each row is then
+    checked in full before the next, in row order (objectives converted by
+    ``np.asarray``, the violation by ``float``, then the objective count,
+    then :func:`_check_rows`), and the first fault raises, as a row-by-row
+    check would find it.  Errors name row ``k`` as ``indices[k]``, its index
+    in the generation.  ``genotypes`` goes to the problem and is not read
+    again: the engine made those genes and clipped them to [0, 1].
     """
     batch = getattr(problem, "evaluate_batch", None)
     if batch is None:
@@ -595,7 +562,7 @@ def _evaluate_batch(
         try:
             objectives = np.array([o for o, _ in rows], dtype=float)
             violations = np.array([float(v) for _, v in rows])
-        except Exception:  # some row does not convert; the walk finds the first
+        except Exception:  # some row does not convert; the loop below finds the first
             objectives = None
     else:
         n = len(genotypes)
@@ -608,7 +575,15 @@ def _evaluate_batch(
             )
         rows = zip(objectives, violations)
     if objectives is None or objectives.ndim != 2 or objectives.shape[1] < 2 or m not in (None, objectives.shape[1]):
-        objectives, violations = _walk_rows(rows, m, indices)
+        for k, (row, violation) in enumerate(rows):
+            row, violation = np.asarray(row, dtype=float), float(violation)
+            if row.ndim != 1 or row.size < 2:
+                raise EvaluationError(f"genotype index {indices[k]}: expected >= 2 objectives, got shape {row.shape}")
+            if m is not None and row.size != m:
+                raise EvaluationError(f"genotype index {indices[k]}: objective count changed from {m} to {row.size}")
+            m = row.size
+            _check_rows(row[None], np.array([violation]), indices[k:])
+        raise EvaluationError("the problem's rows did not stack, yet no row has a fault")
     _check_rows(objectives, violations, indices)
     return objectives, violations
 

@@ -303,7 +303,21 @@ def test_unconvertible_violation_raises_what_float_raises(violation):
     with pytest.raises(TypeError) as reference_error:
         reference_evolve(problems[1], config)
     assert str(engine_error.value) == str(reference_error.value)
-    assert problems[0].calls == problems[1].calls == config.population_size  # the walk calls evaluate no more
+    assert problems[0].calls == problems[1].calls == config.population_size  # the row-order check calls evaluate no more
+
+
+def test_unconvertible_violation_comes_before_its_rows_non_finite_objective():
+    # a row's objectives and violation are both converted before either is checked
+    config = EngineConfig(population_size=8, generations=1, seed=1)
+    problems = [ScalarFaultProblem({2: (np.array([np.nan, 1.0]), "x")}) for _ in range(2)]
+    with pytest.raises(ValueError) as engine_error:
+        evolve(problems[0], config)
+    with pytest.raises(ValueError) as reference_error:
+        reference_evolve(problems[1], config)
+    with pytest.raises(ValueError) as float_error:
+        float("x")
+    assert type(engine_error.value) is type(reference_error.value) is ValueError
+    assert str(engine_error.value) == str(reference_error.value) == str(float_error.value)
 
 
 def test_block_check_rejects_exactly_what_individual_rejects():

@@ -39,7 +39,6 @@ from scnopt.cli import (
     main,
     resolve_engine_config,
 )
-from scnopt.instances import PRESETS, generate_instance
 
 from conftest import LineFrontProblem
 from oracles import reference_hypervolume_2d
@@ -49,7 +48,7 @@ REPORT_RUNS = {  # problem, engine config, and a size the final archive exceeds
     "line": (LineFrontProblem(), EngineConfig(population_size=12, generations=30, seed=5), 10),
     # 3-product desk: its archive grows to hundreds of members
     "desk-3p": (
-        SupplyChainProblem(generate_instance(replace(PRESETS["desk"], n_products=3, seed=0))),
+        SupplyChainProblem(generate_preset("desk-3p")),
         EngineConfig(population_size=200, generations=150, seed=1),
         100,
     ),
