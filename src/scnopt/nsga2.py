@@ -101,6 +101,8 @@ class Individual:
         if not np.all((self.genotype >= 0.0) & (self.genotype <= 1.0)):  # NaN fails both comparisons
             raise ValueError("genotype coordinates must lie in [0, 1]")
         self.objectives = np.asarray(self.objectives, dtype=float)
+        if self.objectives.ndim != 1 or self.objectives.size == 0:
+            raise ValueError("objectives must be a non-empty one-dimensional vector")
         if not np.all(np.isfinite(self.objectives)):
             raise ValueError("objectives must be finite")
         if not (math.isfinite(self.violation) and self.violation >= 0.0):
@@ -391,16 +393,15 @@ def environmental_select(
     """Elitist (mu + lambda) truncation of the points ``objectives (N, M)``,
     ``violations (N,)`` (parents, then offspring) to ``n_survivors``.
 
-    Returns the survivors' row indices, ranks and crowding distances.  Whole
-    fronts are admitted in rank order, each in row order (a stable argsort of
-    the ranks); the front that overflows is cut by descending crowding
-    distance within it, ties to the lower row index, and its kept members
-    follow in that order.  The sort stops at that front.  Survivors keep their
-    combined ranks: every dominator of a kept member lies in an earlier front,
-    and earlier fronts are kept whole, so sorting the survivors alone would
-    give the same ranks.  Crowding is taken once over the survivors, each
-    front on its own (:func:`_front_crowding`), the cut front's kept members
-    in kept order.
+    Returns the survivors' row indices, every row's rank from the sort (0
+    past the front where it stopped) and the survivors' crowding distances.
+    Whole fronts are admitted in rank order, each in row order (a stable
+    argsort of the ranks); the front that overflows is cut by descending
+    crowding distance within it, ties to the lower row index, and its kept
+    members follow in that order.  ``ranks[survivors]`` are the survivors'
+    own ranks: a kept member's dominators lie in earlier fronts, kept whole.
+    Crowding is taken once over the survivors, each front on its own
+    (:func:`_front_crowding`), the cut front's kept members in kept order.
     """
     objectives = np.asarray(objectives, dtype=float)
     if not 1 <= n_survivors <= len(objectives):
@@ -414,7 +415,7 @@ def environmental_select(
         sizes[-1] -= survivors.size - n_survivors
         kept = cut[np.argsort(-crowding_distance(objectives[cut]), kind="stable")[: sizes[-1]]]  # ties to lower index
         survivors = np.concatenate((survivors[: n_survivors - sizes[-1]], kept))
-    return survivors, ranks[survivors], _front_crowding(objectives[survivors], sizes)
+    return survivors, ranks, _front_crowding(objectives[survivors], sizes)
 
 
 class ParetoArchive:
@@ -465,14 +466,13 @@ def update_archive(archive: ParetoArchive, candidates: Sequence[Individual]) -> 
     return ParetoArchive()._fold([*archive.members, *offered], objectives)
 
 
-def _archive_offers(genotypes: np.ndarray, objectives: np.ndarray, violations: np.ndarray) -> list[Individual]:
-    """The rows of one generation that can enter the archive, as Individuals:
-    its feasible rows that no other feasible row dominates, one per distinct
-    objective vector.  Any other row is dominated by, or equal to, one that
-    comes earlier in the archive's pool."""
-    rows = np.flatnonzero(violations == 0.0)
-    if rows.size:
-        rows = rows[_nondominated(objectives[rows])]
+def _archive_offers(
+    genotypes: np.ndarray, objectives: np.ndarray, violations: np.ndarray, ranks: np.ndarray
+) -> list[Individual]:
+    """The feasible rows of rank 1, as Individuals.  A member weakly dominates
+    every feasible row seen before, so any other feasible row is strictly
+    dominated by a member or an offer, and the fold keeps the first of equals."""
+    rows = np.flatnonzero((ranks == 1) & (violations == 0.0))
     return [Individual._checked(g, o, 0.0) for g, o in zip(genotypes[rows], objectives[rows])]
 
 
@@ -680,8 +680,8 @@ def evolve(problem: Problem, config: EngineConfig) -> EvolutionResult:
 
     Parents fill the top half of one ``(2N, L)`` genotype buffer and children
     are written straight into its bottom half; the survivors are gathered
-    back to the top with one fancy index.  Only the children's own feasible
-    first front is offered to the archive.
+    back to the top with one fancy index.  Only the children of combined rank
+    1 that are feasible are offered to the archive.
 
     Only new children are evaluated: a child copied unchanged from its
     tournament winner (its pair did not cross and no gene mutated) takes the
@@ -701,10 +701,9 @@ def evolve(problem: Problem, config: EngineConfig) -> EvolutionResult:
     rng.random(out=parents)
     objectives, violations = _evaluate_batch(parents.copy(), problem, None, np.arange(n))
     # all n points survive; the initial population keeps its row order
-    order, ranked, crowded = environmental_select(objectives, violations, n)
-    ranks, crowding = np.empty(n, dtype=int), np.empty(n)
-    ranks[order], crowding[order] = ranked, crowded
-    archive = update_archive(ParetoArchive(), _archive_offers(parents, objectives, violations))
+    order, ranks, crowded = environmental_select(objectives, violations, n)
+    crowding = crowded[np.argsort(order)]
+    archive = update_archive(ParetoArchive(), _archive_offers(parents, objectives, violations, ranks))
     history = [_record(0, n, archive)]
 
     for generation in range(1, config.generations + 1):
@@ -716,12 +715,12 @@ def evolve(problem: Problem, config: EngineConfig) -> EvolutionResult:
             child_objectives[fresh], child_violations[fresh] = _evaluate_batch(
                 children[fresh], problem, objectives.shape[1], fresh
             )
-        archive = update_archive(archive, _archive_offers(children, child_objectives, child_violations))
         objectives = np.concatenate((objectives, child_objectives))
         violations = np.concatenate((violations, child_violations))
         survivors, ranks, crowding = environmental_select(objectives, violations, n)
+        archive = update_archive(archive, _archive_offers(children, child_objectives, child_violations, ranks[n:]))
         parents[:] = genotypes[survivors]
-        objectives, violations = objectives[survivors], violations[survivors]
+        objectives, violations, ranks = objectives[survivors], violations[survivors], ranks[survivors]
         history.append(_record(generation, n * (generation + 1), archive))
 
     population = [

@@ -34,3 +34,9 @@ class TestIndividualValues:
         # NaN compares false with both bounds, so the check must ask that each gene lies inside them
         with pytest.raises(ValueError, match=r"genotype coordinates must lie in \[0, 1\]"):
             Individual(np.array([0.5, gene]), objectives=np.zeros(2))
+
+    @pytest.mark.parametrize("objectives", [1.0, [], [[0.0, 0.0]]], ids=["scalar", "empty", "row-matrix"])
+    def test_objectives_that_no_archive_can_hold_rejected(self, objectives):
+        # each would construct, then fail inside the archive's fold far from its cause
+        with pytest.raises(ValueError, match="objectives must be a non-empty one-dimensional vector"):
+            Individual(np.zeros(2), objectives=objectives)

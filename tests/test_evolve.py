@@ -17,7 +17,7 @@ from conftest import (
     SometimesInfeasibleProblem,
     reference_copies,
 )
-from oracles import reference_evolve
+from oracles import oracle_dominates, oracle_sort, reference_evolve
 
 
 class TwoBasinProblem:
@@ -354,3 +354,71 @@ def test_copy_rule_matches_the_reference_engine(crossover_prob, mutation_prob, b
         population_size=16, generations=12, seed=23, crossover_prob=crossover_prob, mutation_prob=mutation_prob
     )
     assert_same_run(evolve(problem, config), reference_evolve(problem, config))
+
+
+@pytest.mark.parametrize(
+    "problem, shadows",
+    [
+        (LineFrontProblem(), False),  # no point on the line dominates another
+        (SometimesInfeasibleProblem(), True),
+        (SupplyChainProblem(generate_preset("desk")), True),
+    ],
+    ids=["line", "sometimes-infeasible", "desk-batched"],
+)
+def test_archive_offers_are_the_feasible_children_of_combined_rank_one(problem, shadows, monkeypatch):
+    # Each generation offers the archive exactly its feasible children in the
+    # first front of parents plus children, in row order; the initial
+    # population offers its own feasible first front.  A child that only a
+    # parent dominates is not offered: a member already dominates it.
+    sorted_rows, offers = [], []
+    select, fold = nsga2.environmental_select, nsga2.update_archive
+
+    def logged_select(objectives, violations, n_survivors):
+        sorted_rows.append((objectives.copy(), violations.copy()))
+        return select(objectives, violations, n_survivors)
+
+    def logged_fold(archive, candidates):
+        offers.append(candidates)
+        return fold(archive, candidates)
+
+    monkeypatch.setattr(nsga2, "environmental_select", logged_select)
+    monkeypatch.setattr(nsga2, "update_archive", logged_fold)
+    config = EngineConfig(population_size=12, generations=10, seed=4)
+    n = config.population_size
+    evolve(problem, config)
+    assert len(sorted_rows) == len(offers) == config.generations + 1
+
+    shadowed = 0  # feasible children no other child dominates, dominated by a parent
+    for (objectives, violations), candidates in zip(sorted_rows, offers):
+        first_front = set(oracle_sort(objectives, violations)[0])
+        tail = range(len(objectives) - n, len(objectives))  # the children; the whole initial population
+        expected = [k for k in tail if k in first_front and violations[k] == 0.0]
+        assert [c.objectives.tolist() for c in candidates] == objectives[expected].tolist()
+        assert all(c.violation == 0.0 for c in candidates)
+        if len(objectives) == n:
+            continue
+        feasible = np.flatnonzero(violations == 0.0)
+        parents, children = feasible[feasible < n], feasible[feasible >= n]
+        for k in children:
+            if not any(oracle_dominates(objectives[j], objectives[k]) for j in children) and any(
+                oracle_dominates(objectives[j], objectives[k]) for j in parents
+            ):
+                shadowed += 1
+                assert k not in expected
+    assert (shadowed > 0) == shadows
+
+
+def test_one_pareto_fold_per_generation(monkeypatch):
+    # the archive fold is the only Pareto filter a generation runs: the offers
+    # come from the selection's sort
+    calls = []
+    nondominated = nsga2._nondominated
+
+    def counted(points):
+        calls.append(len(points))
+        return nondominated(points)
+
+    monkeypatch.setattr(nsga2, "_nondominated", counted)
+    config = EngineConfig(population_size=12, generations=10, seed=4)
+    evolve(LineFrontProblem(), config)
+    assert len(calls) == config.generations + 1

@@ -119,13 +119,17 @@ class TestEnvironmentalSelect:
         # interior member (index 2, the middle of three evenly spaced interior
         # points) must be dropped.
         rows = [(0.0, 4.0), (1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (4.0, 0.0), (9, 9), (9, 10), (10, 9)]
-        survivors, ranks, crowding = environmental_select(np.array(rows, dtype=float), np.zeros(8), 4)
+        objectives, violations = np.array(rows, dtype=float), np.zeros(8)
+        survivors, ranks, crowding = environmental_select(objectives, violations, 4)
         kept = sorted(rows[i] for i in survivors)
         # boundaries (0,4) and (4,0) kept; interior ties broken toward lower index
         assert ((0.0, 4.0)) in kept and ((4.0, 0.0)) in kept
         assert len(kept) == 4
         assert (9.0, 9.0) not in kept
-        assert ranks.tolist() == [1, 1, 1, 1]
+        assert ranks[survivors].tolist() == [1, 1, 1, 1]
+        # every row's rank from the sort, which stops with the first front: the rows past it read 0
+        assert ranks.tolist() == [1, 1, 1, 1, 1, 0, 0, 0]
+        assert ranks.tolist() == fast_nondominated_sort(objectives, violations, stop=4).ranks.tolist()
 
     def test_never_drops_rank1_while_keeping_worse(self):
         rng = np.random.default_rng(17)
@@ -153,6 +157,7 @@ class TestEnvironmentalSelect:
     def test_survivors_carry_fresh_ranks(self):
         # Survivors carry exactly what sorting them alone would give: the
         # ranks of the combined sort, and crowding over their own fronts.
+        # Every row given carries its rank from that sort, stopped at n.
         rng = np.random.default_rng(41)
         cut_fronts = {"feasible": 0, "infeasible": 0}
         for trial in range(240):
@@ -175,7 +180,8 @@ class TestEnvironmentalSelect:
             for rank, front in enumerate(oracle_sort(kept_objectives, kept_violations), start=1):
                 for i, distance in zip(front, oracle_crowding(kept_objectives[front])):
                     fresh_ranks[i], fresh_crowding[i] = rank, distance
-            assert ranks.tolist() == fresh_ranks
+            assert ranks[survivors].tolist() == fresh_ranks
+            assert ranks.tolist() == fast_nondominated_sort(objectives, violations, stop=n).ranks.tolist()
             assert crowding.tolist() == fresh_crowding
         assert min(cut_fronts.values()) >= 20
 
