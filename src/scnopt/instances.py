@@ -377,8 +377,7 @@ def front_rows(archive: ParetoArchive, instance: Instance) -> list[tuple[float, 
     objectives = archive.objectives_array()
     costs = np.round(objectives[:, 0])
     kept = np.flatnonzero(np.append(costs[1:] != costs[:-1], True)).tolist()
-    genotypes = np.array([archive.members[i].genotype for i in kept])
-    backlog_totals = _row_sums(_decode_rows(genotypes, instance)[0].backlog)
+    backlog_totals = _row_sums(_decode_rows(archive.genotypes_array()[kept], instance)[0].backlog)
     mean_period_demand = instance.total_demand / instance.n_periods
     return [
         (cost, delay, backlog_total / mean_period_demand if mean_period_demand > 0 else 0.0)

@@ -10,17 +10,18 @@ The population lives in arrays.  Genotypes fill the top half of one
 ``(2N, L)`` buffer whose bottom half takes each generation's children;
 objectives ``(N, M)``, violations, ranks and crowding ``(N,)`` are plain
 arrays.  Sorting, selection and crowding take those arrays and return row
-indices.  :class:`Individual` objects are built only for archive members and,
-once at the end, for :attr:`EvolutionResult.population`.  All randomness flows
-through a single seeded generator consumed only by initialization and, each
-generation, by seven vectorized draws for selection and variation
-(:func:`_make_offspring`).
+indices; the archive is two such matrices.  :class:`Individual` objects are
+built for :attr:`EvolutionResult.population` at the end and for archive
+members on read.  All randomness flows through a single seeded generator
+consumed only by initialization and, each generation, by seven vectorized
+draws for selection and variation (:func:`_make_offspring`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
@@ -83,9 +84,8 @@ class Problem(Protocol):
 class Individual:
     """One candidate solution: genotype plus its evaluation results.
 
-    The engine builds these for archive members and for the final population
-    only.  ``rank`` and ``crowding`` are set on the final population and stay
-    ``None`` on archive members.
+    The engine builds the final population's, with ``rank`` and ``crowding``
+    set, and archive members' on read, where both stay ``None``.
     """
 
     genotype: np.ndarray
@@ -419,61 +419,72 @@ def environmental_select(
 
 
 class ParetoArchive:
-    """All-time store of feasible, mutually non-dominated individuals.
-
-    From any members it is given, it keeps the feasible ones that no other
-    dominates, one per objective vector (the earliest), sorted by objective
-    tuple: for two objectives a staircase, ascending strictly in f1 and
-    descending strictly in f2.  Readers take that order as given.  ``members``
-    is a tuple, so it cannot drift from the objective array built with it.
+    """All-time store of feasible, mutually non-dominated points as two
+    read-only matrices, genotypes ``(n, L)`` and objectives ``(n, M)``, both
+    ``(0, 0)`` when empty.  Of members of one genotype length and objective
+    count, it keeps the feasible ones no other dominates, the earliest of each
+    objective vector, sorted by objective tuple: for two objectives a
+    staircase, ascending strictly in f1 and descending strictly in f2.
+    Readers take that order as given.
     """
 
     def __init__(self, members: Iterable[Individual] = ()) -> None:
-        pool = [m for m in members if m.feasible]
-        self._fold(pool, np.array([m.objectives for m in pool], dtype=float))
+        pool, matrices = [m for m in members if m.feasible], []
+        for what in ("genotype", "objectives"):
+            if len(lengths := {len(getattr(m, what)) for m in pool}) > 1:
+                raise ValueError(f"archive members' {what} lengths differ: {sorted(lengths)}")
+            matrices.append(np.array([getattr(m, what) for m in pool], dtype=float) if pool else np.empty((0, 0)))
+        self._hold(*matrices, _nondominated(matrices[1]) if pool else [])
 
-    def _fold(self, pool: list[Individual], objectives: np.ndarray) -> ParetoArchive:
-        """Keep the ``pool`` members whose ``objectives`` rows :func:`_nondominated` keeps, in its order."""
-        keep = _nondominated(objectives).tolist() if pool else []
-        self.members = tuple([pool[i] for i in keep])
-        self._objectives = objectives[keep] if pool else np.empty((0, 0))
+    def _hold(self, genotypes: np.ndarray, objectives: np.ndarray, keep) -> ParetoArchive:
+        """Hold rows ``keep`` of the two matrices, folded and ordered already, read-only."""
+        self._genotypes, self._objectives = genotypes[keep], objectives[keep]
+        self._genotypes.flags.writeable = self._objectives.flags.writeable = False
         return self
 
+    @cached_property
+    def members(self) -> tuple[Individual, ...]:
+        """The rows as Individuals (violation 0) that view the matrices, built on first read."""
+        return tuple([Individual._checked(g, o, 0.0) for g, o in zip(self._genotypes, self._objectives)])
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._objectives)
 
     def __iter__(self):
         return iter(self.members)
 
+    def genotypes_array(self) -> np.ndarray:
+        """The members' genotypes, one read-only row each."""
+        return self._genotypes
+
     def objectives_array(self) -> np.ndarray:
-        """The members' objectives as one ``(n, M)`` array (``(0, 0)`` when
-        empty), built with the archive and shared by every caller: read it,
-        do not write to it."""
+        """The members' objectives, one read-only row each."""
         return self._objectives
 
 
-def update_archive(archive: ParetoArchive, candidates: Sequence[Individual]) -> ParetoArchive:
-    """Fold feasible candidates into the archive, keeping the non-dominated set.
-
-    Infeasible candidates are ignored.  The result is a new archive, folded as
-    :class:`ParetoArchive` folds, on the archive's objective matrix and the
-    candidates': the earliest of equal vectors stays, archive members first.
-    """
-    offered = [c for c in candidates if c.feasible]
-    objectives = np.array([c.objectives for c in offered], dtype=float)
-    if archive.members:
-        objectives = np.concatenate((archive.objectives_array(), objectives)) if offered else archive.objectives_array()
-    return ParetoArchive()._fold([*archive.members, *offered], objectives)
+def update_archive(archive: ParetoArchive, offers: ParetoArchive) -> ParetoArchive:
+    """A new archive of the rows :func:`_nondominated` keeps of ``archive``'s
+    objective matrix stacked over ``offers``', each matrix gathered once: the
+    earliest of equal vectors stays, archive members first."""
+    if not (parts := [a for a in (archive, offers) if len(a)]):
+        return ParetoArchive()
+    objectives = np.concatenate([a.objectives_array() for a in parts])
+    genotypes = np.concatenate([a.genotypes_array() for a in parts])
+    return ParetoArchive()._hold(genotypes, objectives, _nondominated(objectives))
 
 
 def _archive_offers(
     genotypes: np.ndarray, objectives: np.ndarray, violations: np.ndarray, ranks: np.ndarray
-) -> list[Individual]:
-    """The feasible rows of rank 1, as Individuals.  A member weakly dominates
+) -> ParetoArchive:
+    """The feasible rows of rank 1 as an archive: mutually non-dominated, so
+    one lexsort keeps the first row of each vector.  A member weakly dominates
     every feasible row seen before, so any other feasible row is strictly
     dominated by a member or an offer, and the fold keeps the first of equals."""
     rows = np.flatnonzero((ranks == 1) & (violations == 0.0))
-    return [Individual._checked(g, o, 0.0) for g, o in zip(genotypes[rows], objectives[rows])]
+    if not rows.size:
+        return ParetoArchive()
+    order, _, head = _lexsorted(objectives[rows])
+    return ParetoArchive()._hold(genotypes, objectives, rows[order[head]])
 
 
 def _undominated_area(stairs: np.ndarray) -> float:

@@ -366,10 +366,11 @@ def test_copy_rule_matches_the_reference_engine(crossover_prob, mutation_prob, b
     ids=["line", "sometimes-infeasible", "desk-batched"],
 )
 def test_archive_offers_are_the_feasible_children_of_combined_rank_one(problem, shadows, monkeypatch):
-    # Each generation offers the archive exactly its feasible children in the
-    # first front of parents plus children, in row order; the initial
-    # population offers its own feasible first front.  A child that only a
-    # parent dominates is not offered: a member already dominates it.
+    # Each generation offers the archive its feasible children in the first
+    # front of parents plus children, as a staircase: the first row of each
+    # vector, in lexicographic order.  The initial population offers its own
+    # feasible first front.  A child that only a parent dominates is not
+    # offered: a member already dominates it.
     sorted_rows, offers = [], []
     select, fold = nsga2.environmental_select, nsga2.update_archive
 
@@ -393,7 +394,11 @@ def test_archive_offers_are_the_feasible_children_of_combined_rank_one(problem, 
         first_front = set(oracle_sort(objectives, violations)[0])
         tail = range(len(objectives) - n, len(objectives))  # the children; the whole initial population
         expected = [k for k in tail if k in first_front and violations[k] == 0.0]
-        assert [c.objectives.tolist() for c in candidates] == objectives[expected].tolist()
+        first_rows = {}  # -0.0 and 0.0 make one key, as they make one vector
+        for k in expected:
+            first_rows.setdefault(tuple(objectives[k].tolist()), k)
+        staircase = [first_rows[vector] for vector in sorted(first_rows)]
+        assert candidates.objectives_array().tobytes() == objectives[staircase].tobytes()
         assert all(c.violation == 0.0 for c in candidates)
         if len(objectives) == n:
             continue
@@ -422,3 +427,41 @@ def test_one_pareto_fold_per_generation(monkeypatch):
     config = EngineConfig(population_size=12, generations=10, seed=4)
     evolve(LineFrontProblem(), config)
     assert len(calls) == config.generations + 1
+
+
+def test_archive_rows_are_its_own_matrix():
+    # every member's genotype is a row of the archive's own (n, L) matrix,
+    # not a view that keeps its generation's whole offer matrix alive
+    problem = SupplyChainProblem(generate_preset("desk-3p"))
+    result = evolve(problem, EngineConfig(population_size=60, generations=20, seed=1))
+    genotypes = result.archive.genotypes_array()
+    n, length = len(result.archive), problem.genotype_length
+    assert n > 1 and genotypes.shape == (n, length)
+    assert genotypes.nbytes == n * length * 8
+    assert genotypes.base is None or genotypes.base.nbytes == genotypes.nbytes
+    for k, member in enumerate(result.archive.members):
+        assert member.genotype.base is genotypes and np.shares_memory(member.genotype, genotypes[k])
+        assert member.genotype.tobytes() == genotypes[k].tobytes()
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [LineFrontProblem(), SometimesInfeasibleProblem(), SupplyChainProblem(generate_preset("desk"))],
+    ids=["line", "sometimes-infeasible", "desk-batched"],
+)
+def test_no_individual_built_before_the_final_population(problem, monkeypatch):
+    # with no caller reading archive members, the only Individuals a run
+    # builds are those of its final population
+    built = []
+    checked = nsga2.Individual._checked.__func__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args[0])
+        return checked(cls, *args, **kwargs)
+
+    monkeypatch.setattr(nsga2.Individual, "_checked", classmethod(counted))
+    config = EngineConfig(population_size=12, generations=10, seed=4)
+    result = evolve(problem, config)
+    assert len(built) == config.population_size
+    assert all(g is p.genotype for g, p in zip(built, result.population))
+    assert len(result.archive) > 0
