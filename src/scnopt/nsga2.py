@@ -297,9 +297,24 @@ def fast_nondominated_sort(
     return FrontPartition(ranks)
 
 
+def _one_front_crowding(values: np.ndarray) -> np.ndarray:
+    """:func:`crowding_distance` of the rows of ``values``, one front of
+    finite values: one stable argsort per objective."""
+    distance = np.zeros(len(values))
+    for column in values.T:
+        order = np.argsort(column, kind="stable")
+        ranked = column[order]
+        span = ranked[-1] - ranked[0]
+        if span > 0.0:
+            distance[order[1:-1]] += (ranked[2:] - ranked[:-2]) / span
+        distance[order[0]] = distance[order[-1]] = np.inf
+    return distance
+
+
 def _front_crowding(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Crowding distance of each row of ``values`` within its front, the fronts
-    being consecutive runs of ``sizes`` rows (each at least 1).
+    being consecutive runs of ``sizes`` rows (each at least 1); for two or more
+    fronts, where a pass per front would cost a sort per front and objective.
 
     One pass per objective covers every front: a stable lexsort by (front,
     value) sorts each front's points by that objective, ties in row order.
@@ -307,8 +322,8 @@ def _front_crowding(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     ``(f[i+1] - f[i-1]) / (f_max - f_min)``, and the front's two boundary
     points get ``+inf``.  An objective with zero spread on a front adds
     nothing to its interior points.  A point adds the same terms in the same
-    order as when its front is taken alone, so the bits do not depend on
-    which fronts share the pass.
+    order as when its front is taken alone (:func:`_one_front_crowding`), so
+    the bits do not depend on which fronts share the pass.
     """
     n, m = values.shape
     ends = np.cumsum(sizes)
@@ -328,20 +343,23 @@ def _front_crowding(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def crowding_distance(front_values: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Crowding distance of each point within one front.
+    """Crowding distance of each point within one front, finite values only.
 
-    Per objective, points are sorted and each interior point accumulates the
-    normalized gap between its neighbors,
-    ``(f[i+1] - f[i-1]) / (f_max - f_min)``; the two boundary points get
-    ``+inf``.  An objective with zero spread contributes nothing to interior
-    points.
+    Per objective, points are sorted (a stable argsort, ties in row order)
+    and each interior point accumulates the normalized gap between its
+    neighbors, ``(f[i+1] - f[i-1]) / (f_max - f_min)``; the two boundary
+    points get ``+inf``.  An objective with zero spread contributes nothing
+    to interior points.  :func:`environmental_select` runs the same kernel,
+    :func:`_one_front_crowding`, on survivors that form one front.
     """
     values = np.asarray(front_values, dtype=float)
     if values.ndim != 2:
         raise ValueError("front_values must be a sequence of objective vectors")
     if len(values) == 0:
         raise ValueError("front must be nonempty")
-    return _front_crowding(values, np.array([len(values)]))
+    if not np.isfinite(values).all():  # a NaN sorts last and an inf makes inf - inf
+        raise ValueError("front values must be finite")
+    return _one_front_crowding(values)
 
 
 def _sbx_children(p1: np.ndarray, p2: np.ndarray, u: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -400,8 +418,11 @@ def environmental_select(
     crowding distance within it, ties to the lower row index, and its kept
     members follow in that order.  ``ranks[survivors]`` are the survivors'
     own ranks: a kept member's dominators lie in earlier fronts, kept whole.
-    Crowding is taken once over the survivors, each front on its own
-    (:func:`_front_crowding`), the cut front's kept members in kept order.
+    Crowding is taken once over the survivors, each front on its own, the
+    cut front's kept members in kept order: by :func:`_one_front_crowding`
+    when the survivors form one front, else by :func:`_front_crowding` in one
+    pass over all of them.  The cut itself is one :func:`crowding_distance`
+    call.
     """
     objectives = np.asarray(objectives, dtype=float)
     if not 1 <= n_survivors <= len(objectives):
@@ -415,7 +436,9 @@ def environmental_select(
         sizes[-1] -= survivors.size - n_survivors
         kept = cut[np.argsort(-crowding_distance(objectives[cut]), kind="stable")[: sizes[-1]]]  # ties to lower index
         survivors = np.concatenate((survivors[: n_survivors - sizes[-1]], kept))
-    return survivors, ranks, _front_crowding(objectives[survivors], sizes)
+    values = objectives[survivors]
+    crowding = _one_front_crowding(values) if sizes.size == 1 else _front_crowding(values, sizes)
+    return survivors, ranks, crowding
 
 
 class ParetoArchive:
@@ -441,6 +464,12 @@ class ParetoArchive:
         self._genotypes, self._objectives = genotypes[keep], objectives[keep]
         self._genotypes.flags.writeable = self._objectives.flags.writeable = False
         return self
+
+    @classmethod
+    def _of(cls, genotypes: np.ndarray, objectives: np.ndarray, keep) -> ParetoArchive:
+        """An archive of rows ``keep`` of the two matrices, folded and ordered
+        already, built without :meth:`__init__`'s pass over a member list."""
+        return cls.__new__(cls)._hold(genotypes, objectives, keep)
 
     @cached_property
     def members(self) -> tuple[Individual, ...]:
@@ -470,7 +499,7 @@ def update_archive(archive: ParetoArchive, offers: ParetoArchive) -> ParetoArchi
         return ParetoArchive()
     objectives = np.concatenate([a.objectives_array() for a in parts])
     genotypes = np.concatenate([a.genotypes_array() for a in parts])
-    return ParetoArchive()._hold(genotypes, objectives, _nondominated(objectives))
+    return ParetoArchive._of(genotypes, objectives, _nondominated(objectives))
 
 
 def _archive_offers(
@@ -484,7 +513,7 @@ def _archive_offers(
     if not rows.size:
         return ParetoArchive()
     order, _, head = _lexsorted(objectives[rows])
-    return ParetoArchive()._hold(genotypes, objectives, rows[order[head]])
+    return ParetoArchive._of(genotypes, objectives, rows[order[head]])
 
 
 def _undominated_area(stairs: np.ndarray) -> float:

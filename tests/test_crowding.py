@@ -103,3 +103,22 @@ def test_segment_crowding_equals_the_formula_per_front(fronts):
     got = _front_crowding(np.array([row for front in fronts for row in front]), np.array([len(f) for f in fronts]))
     want = np.array([d for front in fronts for d in oracle_crowding(front)])
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    front=st.integers(1, 3).flatmap(
+        lambda m: st.lists(st.lists(GRID_VALUES, min_size=m, max_size=m), min_size=1, max_size=12)
+    )
+)
+def test_crowding_distance_equals_the_formula(front):
+    # the one-front kernel gives the literal crowding, bit for bit
+    assert np.array_equal(crowding_distance(np.array(front)), np.array(oracle_crowding(front)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_raise(bad):
+    front = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
+    front[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        crowding_distance(front)

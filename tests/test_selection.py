@@ -158,13 +158,18 @@ class TestEnvironmentalSelect:
         # Survivors carry exactly what sorting them alone would give: the
         # ranks of the combined sort, and crowding over their own fronts.
         # Every row given carries its rank from that sort, stopped at n.
+        # Survivors that form one front and survivors over several take
+        # different crowding code; both must meet the oracle.
         rng = np.random.default_rng(41)
         cut_fronts = {"feasible": 0, "infeasible": 0}
+        survivor_fronts = {"one": 0, "several": 0}
         for trial in range(240):
             n = int(rng.integers(2, 16)) * 2
             m = int(rng.integers(2, 4))
             infeasible_fraction = (0.0, 0.4, 0.8, 1.0)[trial % 4]
             objectives, violations = combined_population(rng, n, m, infeasible_fraction, tie_grid=2)
+            if trial % 3 == 0:  # a constant coordinate sum: the feasible points form one front
+                objectives[:, -1] = m - objectives[:, :-1].sum(axis=1)
             for k in rng.choice(n, size=n // 2, replace=False):  # duplicate rows
                 twin = int(rng.integers(n))
                 objectives[n + k], violations[n + k] = objectives[twin], violations[twin]
@@ -183,7 +188,9 @@ class TestEnvironmentalSelect:
             assert ranks[survivors].tolist() == fresh_ranks
             assert ranks.tolist() == fast_nondominated_sort(objectives, violations, stop=n).ranks.tolist()
             assert crowding.tolist() == fresh_crowding
+            survivor_fronts["one" if np.unique(ranks[survivors]).size == 1 else "several"] += 1
         assert min(cut_fronts.values()) >= 20
+        assert min(survivor_fronts.values()) >= 20
 
     def test_size_mismatch_raises(self):
         rng = np.random.default_rng(43)
