@@ -139,11 +139,6 @@ class Instance:
         return _read_only(self.demand.sum(axis=2).T.copy())
 
     @cached_property
-    def _demand_matrix(self) -> np.ndarray:
-        """``(I, P*T)`` view of the demand, for the assigned-demand matmul."""
-        return self.demand.reshape(self.n_retailers, -1)
-
-    @cached_property
     def _product_budget(self) -> np.ndarray:
         """``(K,)`` plant capacity in product units."""
         return _read_only(self.plant_capacity / self.utilization)
@@ -155,8 +150,19 @@ class Instance:
 
     @cached_property
     def _scales(self) -> np.ndarray:
-        """The seven constraint families' scales (:func:`_constraint_scales`)."""
-        return _read_only(_constraint_scales(self))
+        """Positive scales that normalize :func:`check_constraints` excess, one
+        per family in :data:`CONSTRAINT_FAMILIES` order: the capacity each
+        family's excess is measured in, or 1 where that capacity is 0."""
+        scales = np.array([
+            self.dc_capacity.mean(),
+            self.backorder_limit.mean(),
+            self.total_demand / self.n_dcs,
+            self.supplier_capacity.mean(),
+            self.plant_capacity.mean(),
+            self.plant_capacity.mean(),
+            1.0,
+        ])
+        return _read_only(np.where(scales > 0.0, scales, 1.0))
 
     @property
     def dimensions(self) -> tuple[int, int, int, int, int, int]:
@@ -358,24 +364,6 @@ def eval_delay(network: DecodedNetwork) -> float:
     return float(_delay_rows(_network_row(network, None))[0])
 
 
-# The capacity each family's excess is measured in, as a function of the instance.
-_FAMILY_SCALES = (
-    lambda instance: instance.dc_capacity.mean(),
-    lambda instance: instance.backorder_limit.mean(),
-    lambda instance: instance.total_demand / instance.n_dcs,
-    lambda instance: instance.supplier_capacity.mean(),
-    lambda instance: instance.plant_capacity.mean(),
-    lambda instance: instance.plant_capacity.mean(),
-    lambda instance: 1.0,
-)
-
-
-def _constraint_scales(instance: Instance) -> np.ndarray:
-    """Positive scales that normalize :func:`check_constraints` excess, one per family."""
-    scales = np.array([scale(instance) for scale in _FAMILY_SCALES])
-    return np.where(scales > 0.0, scales, 1.0)
-
-
 def check_constraints(
     network: DecodedNetwork,
     instance: Instance,
@@ -534,7 +522,8 @@ def _decode_rows(
     Arrays that depend on the instance alone (the layout, the horizon
     demand, the plant budgets) are its cached properties, built once per
     instance.  Each row's per-period demand at its DCs is one matmul of its
-    one-hot assignment with the demand, stacked over the rows.
+    one-hot assignment with the demand, read as an ``(I, P*T)`` view,
+    stacked over the rows.
 
     Also returns the flow totals the constraint scorer reads: product into
     each DC and demand out of it, both ``(N, P, J)``, and each plant's
@@ -561,7 +550,7 @@ def _decode_rows(
     # The assignment is one-hot, so every product is exact and each cell adds
     # its DC's retailers' demand in retailer order: the bits of the reference
     # decoder's einsum, which takes several times as long.
-    assigned_demand = np.matmul(assignment.astype(float), instance._demand_matrix)  # (N, J, P*T)
+    assigned_demand = np.matmul(assignment.astype(float), instance.demand.reshape(i, -1))  # (N, J, P*T)
     assigned_demand = assigned_demand.reshape(n, j, p, t).transpose(0, 2, 1, 3)  # (N, P, J, T)
 
     product_flow = np.zeros((n, p, k, j))

@@ -272,7 +272,8 @@ def fast_nondominated_sort(
     (:func:`_pareto_ranks`); infeasible points follow with one rank per
     distinct violation value, in ascending order.  With ``stop``, the sort
     ends with the front that places the ``stop``-th point; later points keep
-    rank 0.
+    rank 0.  Raises ``ValueError`` for a non-finite objective or a violation
+    that is not finite and nonnegative.
     """
     objectives = np.asarray(objectives, dtype=float)
     violations = np.asarray(violations, dtype=float)
@@ -283,6 +284,10 @@ def fast_nondominated_sort(
         raise ValueError("stop must be at least 1")
     if objectives.ndim != 2 or violations.shape != (n,):
         raise ValueError("objectives must be an (N, M) array and violations an (N,) array")
+    if not np.isfinite(objectives).all():
+        raise ValueError("objectives must be finite")
+    if not (np.isfinite(violations).all() and violations.min() >= 0.0):
+        raise ValueError("violations must be finite and nonnegative")
     stop = n if stop is None else min(stop, n)
     feasible = violations == 0.0
     ranks = np.zeros(n, dtype=int)
@@ -422,7 +427,8 @@ def environmental_select(
     cut front's kept members in kept order: by :func:`_one_front_crowding`
     when the survivors form one front, else by :func:`_front_crowding` in one
     pass over all of them.  The cut itself is one :func:`crowding_distance`
-    call.
+    call.  Points the sort rejects (non-finite objectives, a violation that
+    is not finite and nonnegative) raise its ``ValueError``.
     """
     objectives = np.asarray(objectives, dtype=float)
     if not 1 <= n_survivors <= len(objectives):
@@ -554,26 +560,18 @@ class EvolutionResult:
     history: list[GenerationRecord]
 
 
-def _row_faults(objectives: np.ndarray, violations: np.ndarray) -> np.ndarray:
-    """Per-row faults of a problem's output, the checks :class:`Individual`
-    makes of it: non-finite objectives and a non-finite or negative violation,
-    as a ``(2, N)`` boolean array in that order."""
-    return np.stack([
-        ~np.isfinite(objectives).all(axis=1),
-        ~(np.isfinite(violations) & (violations >= 0.0)),
-    ])
-
-
 def _check_rows(objectives: np.ndarray, violations: np.ndarray, indices: np.ndarray) -> None:
     """Raise :class:`EvaluationError` for the first row of a problem's output
-    with a fault, its objectives checked before its violation, naming it by
-    its entry of ``indices``."""
-    faults = _row_faults(objectives, violations)
-    bad = np.flatnonzero(faults.any(axis=0))
+    with a fault, naming it by its entry of ``indices``.  The faults are those
+    :class:`Individual` rejects: a non-finite objective, checked first, and a
+    non-finite or negative violation."""
+    bad_objectives = ~np.isfinite(objectives).all(axis=1)
+    bad_violations = ~(np.isfinite(violations) & (violations >= 0.0))
+    bad = np.flatnonzero(bad_objectives | bad_violations)
     if not bad.size:
         return
     k = int(bad[0])
-    if faults[0, k]:
+    if bad_objectives[k]:
         raise EvaluationError(f"non-finite objective at genotype index {indices[k]}: {objectives[k].tolist()}")
     raise EvaluationError(f"invalid constraint violation at genotype index {indices[k]}: {float(violations[k])}")
 

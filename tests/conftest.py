@@ -72,11 +72,6 @@ class ScalarOnlyProblem:
 
 
 @pytest.fixture
-def line_problem():
-    return LineFrontProblem()
-
-
-@pytest.fixture
 def tiny():
     return tiny_instance()
 

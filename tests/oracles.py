@@ -38,7 +38,7 @@ from scnopt import (
     Individual,
     ParetoArchive,
 )
-from scnopt.model import _EXCESS_RTOL, _constraint_scales
+from scnopt.model import _EXCESS_RTOL
 
 
 def oracle_dominates(a, b) -> bool:
@@ -455,7 +455,17 @@ def reference_check_constraints(
 
     excess[6] = np.abs(network.assignment.sum(axis=0) - 1).sum()
 
-    scales = _constraint_scales(instance)
+    # Each family's excess is measured in the capacity it draws on; a zero capacity scales by 1.
+    scales = np.array([
+        instance.dc_capacity.mean(),                # dc_holding_capacity: mean DC holding capacity
+        instance.backorder_limit.mean(),            # backorder_limit: mean permitted backlog
+        instance.demand.sum() / instance.n_dcs,     # dc_flow_balance: horizon demand per DC
+        instance.supplier_capacity.mean(),          # supplier_capacity: mean supplier capacity
+        instance.plant_capacity.mean(),             # plant_raw_balance: mean plant capacity
+        instance.plant_capacity.mean(),             # plant_capacity: mean plant capacity
+        1.0,                                        # single_assignment: a count of retailers
+    ])
+    scales = np.where(scales > 0.0, scales, 1.0)
     excess = np.where(excess > _EXCESS_RTOL * scales, excess, 0.0)
     total = float((excess / scales).sum())
     return excess, total

@@ -22,7 +22,6 @@ from scnopt import (
     evaluate,
     evolve,
     fast_nondominated_sort,
-    save_instance,
     tiny_instance,
 )
 from scnopt.cli import EXIT_OK, main

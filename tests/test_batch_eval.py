@@ -21,7 +21,7 @@ from scnopt import (
     generate_preset,
 )
 from scnopt.instances import PRESETS
-from scnopt.nsga2 import _row_faults
+from scnopt.nsga2 import _check_rows
 
 from conftest import reference_copies
 from oracles import ReferenceSupplyChainProblem, reference_evaluate_genotype, reference_evolve
@@ -332,13 +332,21 @@ def test_block_check_rejects_exactly_what_individual_rejects():
         for values in (objectives, violations):
             spots = rng.random(values.shape) < 0.08
             values[spots] = rng.choice(specials, size=int(spots.sum()))
-        rejected = _row_faults(objectives, violations).any(axis=0)
+        faults = {}  # row -> the start of the block check's message for it
         for k in range(n):
             try:
                 Individual(genotypes[k], objectives=objectives[k], violation=float(violations[k]))
-            except ValueError:
-                assert rejected[k], (trial, k)
-                rejected_rows += 1
+            except ValueError as error:
+                faults[k] = "non-finite objective" if "objectives" in str(error) else "invalid constraint violation"
+                with pytest.raises(EvaluationError, match=f"^{faults[k]} at genotype index {k}:"):
+                    _check_rows(objectives[k : k + 1], violations[k : k + 1], [k])
             else:
-                assert not rejected[k], (trial, k)
+                _check_rows(objectives[k : k + 1], violations[k : k + 1], [k])
+        rejected_rows += len(faults)
+        if faults:
+            first = min(faults)
+            with pytest.raises(EvaluationError, match=f"^{faults[first]} at genotype index {first}:"):
+                _check_rows(objectives, violations, np.arange(n))
+        else:
+            _check_rows(objectives, violations, np.arange(n))
     assert rejected_rows > 100

@@ -17,7 +17,9 @@ that the batch decoder balances its flows on subnormal genes as well.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from scnopt import (
     evaluate_batch,
     generate_instance,
 )
-from scnopt.model import _allocate_rows, _decode_rows, _network_row
+from scnopt.model import _EXCESS_RTOL, _allocate_rows, _decode_rows, _network_row
 
 from oracles import (
     reference_allocate_with_caps,
@@ -300,6 +302,20 @@ def test_constraint_scores_match_reference(case, edits, factor, seed):
             expected_excess, expected_total = reference_check_constraints(network, instance)
             assert np.array_equal(excess, expected_excess)
             assert total == expected_total
+
+
+def test_oracles_import_no_private_callable_from_the_package():
+    # the reference scorer states its own scales and formulas; a private
+    # helper shared with the package would hide a fault in both at once
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    private = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "scnopt" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "scnopt":
+            private |= {(node.module, alias.name) for alias in node.names if alias.name.startswith("_")}
+    assert private == {("scnopt.model", "_EXCESS_RTOL")}
+    assert type(_EXCESS_RTOL) is float
 
 
 def cost_terms(network, instance, holding_on_backorder):

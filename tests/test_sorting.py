@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scnopt import Individual, fast_nondominated_sort
+from scnopt import Individual, environmental_select, fast_nondominated_sort
 from scnopt.nsga2 import _pareto_ranks
 
 from conftest import random_population
@@ -56,6 +56,39 @@ def test_empty_population_raises():
 def test_mismatched_violations_raise():
     with pytest.raises(ValueError):
         fast_nondominated_sort(np.zeros((3, 2)), np.zeros(2))
+
+
+FAULTY_POINTS = {
+    # (objective of row 1, violation of row 1, the message's start)
+    "nan-objective": (np.nan, 0.0, "objectives must be finite"),
+    "inf-objective": (np.inf, 0.0, "objectives must be finite"),
+    "minus-inf-objective": (-np.inf, 0.0, "objectives must be finite"),
+    "nan-violation": (1.0, np.nan, "violations must be finite and nonnegative"),
+    "inf-violation": (1.0, np.inf, "violations must be finite and nonnegative"),
+    "negative-violation": (1.0, -1.0, "violations must be finite and nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", FAULTY_POINTS)
+@pytest.mark.parametrize("call", ["sort", "stopped-sort", "select"])
+def test_faulty_points_raise(case, call):
+    # one faulty row among points that would otherwise rank [1, 2, 1, 1, 2, 3]
+    f1, violation, message = FAULTY_POINTS[case]
+    objectives = np.array([[0.0, 3.0], [f1, 2.0], [2.0, 1.0], [3.0, 0.0], [5.0, 5.0], [6.0, 6.0]])
+    violations = np.zeros(6)
+    violations[1] = violation
+    run = {
+        "sort": lambda: fast_nondominated_sort(objectives, violations),
+        "stopped-sort": lambda: fast_nondominated_sort(objectives, violations, stop=1),
+        "select": lambda: environmental_select(objectives, violations, 5),
+    }[call]
+    with pytest.raises(ValueError, match=message):
+        run()
+
+
+def test_negative_zero_violation_is_feasible():
+    partition = fast_nondominated_sort(*from_objectives([(1, 2), (2, 1), (0, 0)], violations=[0.0, -0.0, 0.5]))
+    assert partition.ranks.tolist() == [1, 1, 2]
 
 
 def test_unevaluated_member_raises():
