@@ -3,9 +3,9 @@
 ``scnopt run`` evolves a Pareto front for one instance file and writes three
 artifacts into the output directory: ``front.csv`` (the front), ``report.json``
 (config echo plus per-generation progress), and ``front.dat`` (two-column
-plot data).  ``scnopt generate`` writes a preset instance file.  Outputs are
-byte-identical across runs with identical flags; wall time is printed to the
-console only, never persisted.
+plot data).  ``scnopt generate`` writes a preset instance file, making any
+missing parent directories.  Outputs are byte-identical across runs with
+identical flags; wall time is printed to the console only, never persisted.
 
 Before the search, ``scnopt run`` sets glibc's malloc to keep freed memory in
 the heap (``mallopt``; nothing is set under another C library), so that the
@@ -118,7 +118,7 @@ def build_report(result: EvolutionResult, config_echo: dict, front_path: str,
     ``undominated_area``, as ``hypervolume_2d`` computes it from the points.
     A run with other than two objectives raises ``ValueError``.
     """
-    m = result.population[0].objectives.size
+    m = result.objectives.shape[1]
     if m != 2:
         raise ValueError(f"build_report needs two objectives (total cost, delay), the run had {m}")
     worst = [rec.worst_objectives for rec in result.history if rec.worst_objectives is not None]
@@ -236,6 +236,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
         instance = generate_preset(args.preset, seed=args.seed)
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         path = save_instance(instance, args.out)
     except (ValidationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

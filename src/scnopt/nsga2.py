@@ -10,19 +10,19 @@ The population lives in arrays.  Genotypes fill the top half of one
 ``(2N, L)`` buffer whose bottom half takes each generation's children;
 objectives ``(N, M)``, violations, ranks and crowding ``(N,)`` are plain
 arrays.  Sorting, selection and crowding take those arrays and return row
-indices; the archive is two such matrices.  :class:`Individual` objects are
-built for :attr:`EvolutionResult.population` at the end and for archive
-members on read.  All randomness flows through a single seeded generator
-consumed only by initialization and, each generation, by seven vectorized
-draws for selection and variation (:func:`_make_offspring`).
+indices; the archive is two such matrices, and :class:`EvolutionResult`
+gives the final population as five arrays.  :class:`Individual` records are
+built only for archive members on read.  All randomness flows through a
+single seeded generator consumed only by initialization and, each
+generation, by seven vectorized draws for selection and variation
+(:func:`_make_offspring`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -80,52 +80,13 @@ class Problem(Protocol):
         ...
 
 
-@dataclass(eq=False)
-class Individual:
-    """One candidate solution: genotype plus its evaluation results.
-
-    The engine builds the final population's, with ``rank`` and ``crowding``
-    set, and archive members' on read, where both stay ``None``.
-    """
+class Individual(NamedTuple):
+    """One archive member as :attr:`ParetoArchive.members` gives it on read:
+    read-only views of its genotype and objective rows, and its violation, 0."""
 
     genotype: np.ndarray
     objectives: np.ndarray
-    violation: float = 0.0
-    rank: int | None = None
-    crowding: float | None = None
-
-    def __post_init__(self) -> None:
-        self.genotype = np.asarray(self.genotype, dtype=float)
-        if self.genotype.ndim != 1:
-            raise ValueError("genotype must be a one-dimensional vector")
-        if not np.all((self.genotype >= 0.0) & (self.genotype <= 1.0)):  # NaN fails both comparisons
-            raise ValueError("genotype coordinates must lie in [0, 1]")
-        self.objectives = np.asarray(self.objectives, dtype=float)
-        if self.objectives.ndim != 1 or self.objectives.size == 0:
-            raise ValueError("objectives must be a non-empty one-dimensional vector")
-        if not np.all(np.isfinite(self.objectives)):
-            raise ValueError("objectives must be finite")
-        if not (math.isfinite(self.violation) and self.violation >= 0.0):
-            raise ValueError("constraint violation must be finite and nonnegative")
-
-    @classmethod
-    def _checked(
-        cls,
-        genotype: np.ndarray,
-        objectives: np.ndarray,
-        violation: float,
-        rank: int | None = None,
-        crowding: float | None = None,
-    ) -> Individual:
-        """An Individual from values whose checks have already passed."""
-        ind = cls.__new__(cls)
-        ind.genotype, ind.objectives, ind.violation = genotype, objectives, violation
-        ind.rank, ind.crowding = rank, crowding
-        return ind
-
-    @property
-    def feasible(self) -> bool:
-        return self.violation == 0.0
+    violation: float
 
 
 # Distribution indices of SBX crossover and polynomial mutation.
@@ -449,21 +410,26 @@ def environmental_select(
 
 class ParetoArchive:
     """All-time store of feasible, mutually non-dominated points as two
-    read-only matrices, genotypes ``(n, L)`` and objectives ``(n, M)``, both
-    ``(0, 0)`` when empty.  Of members of one genotype length and objective
-    count, it keeps the feasible ones no other dominates, the earliest of each
-    objective vector, sorted by objective tuple: for two objectives a
-    staircase, ascending strictly in f1 and descending strictly in f2.
-    Readers take that order as given.
+    read-only matrices, genotypes ``(n, L)`` and objectives ``(n, M)``.
+
+    ``ParetoArchive(genotypes, objectives)`` takes the rows of feasible points
+    and keeps those no other row dominates, the earliest of each objective
+    vector, sorted by objective tuple: for two objectives a staircase,
+    ascending strictly in f1 and descending strictly in f2.  Readers take that
+    order as given.  It raises ``ValueError`` for matrices that are not 2-D or
+    differ in row count, a gene outside [0, 1] or NaN, and a non-finite or
+    missing objective.  ``ParetoArchive()`` is empty, both matrices ``(0, 0)``.
     """
 
-    def __init__(self, members: Iterable[Individual] = ()) -> None:
-        pool, matrices = [m for m in members if m.feasible], []
-        for what in ("genotype", "objectives"):
-            if len(lengths := {len(getattr(m, what)) for m in pool}) > 1:
-                raise ValueError(f"archive members' {what} lengths differ: {sorted(lengths)}")
-            matrices.append(np.array([getattr(m, what) for m in pool], dtype=float) if pool else np.empty((0, 0)))
-        self._hold(*matrices, _nondominated(matrices[1]) if pool else [])
+    def __init__(self, genotypes: np.ndarray = np.empty((0, 0)), objectives: np.ndarray = np.empty((0, 0))) -> None:
+        genotypes, objectives = np.asarray(genotypes, dtype=float), np.asarray(objectives, dtype=float)
+        if genotypes.ndim != 2 or objectives.ndim != 2 or len(genotypes) != len(objectives):
+            raise ValueError(f"need (n, L) genotypes and (n, M) objectives, not {genotypes.shape} and {objectives.shape}")
+        if not np.all((genotypes >= 0.0) & (genotypes <= 1.0)):  # NaN fails both comparisons
+            raise ValueError("genotype coordinates must lie in [0, 1]")
+        if not np.isfinite(objectives).all() or objectives.shape[1] == 0 < len(objectives):
+            raise ValueError("objectives must be finite, at least one per row")
+        self._hold(genotypes, objectives, _nondominated(objectives) if len(objectives) else [])
 
     def _hold(self, genotypes: np.ndarray, objectives: np.ndarray, keep) -> ParetoArchive:
         """Hold rows ``keep`` of the two matrices, folded and ordered already, read-only."""
@@ -474,13 +440,13 @@ class ParetoArchive:
     @classmethod
     def _of(cls, genotypes: np.ndarray, objectives: np.ndarray, keep) -> ParetoArchive:
         """An archive of rows ``keep`` of the two matrices, folded and ordered
-        already, built without :meth:`__init__`'s pass over a member list."""
+        already, built without :meth:`__init__`'s checks and fold."""
         return cls.__new__(cls)._hold(genotypes, objectives, keep)
 
     @cached_property
     def members(self) -> tuple[Individual, ...]:
         """The rows as Individuals (violation 0) that view the matrices, built on first read."""
-        return tuple([Individual._checked(g, o, 0.0) for g, o in zip(self._genotypes, self._objectives)])
+        return tuple([Individual(g, o, 0.0) for g, o in zip(self._genotypes, self._objectives)])
 
     def __len__(self) -> int:
         return len(self._objectives)
@@ -551,20 +517,25 @@ class GenerationRecord:
 
 @dataclass
 class EvolutionResult:
-    """What :func:`evolve` returns.  ``population`` is the final population in
-    the engine's row order, with ranks and crowding set, built once at the
-    end of the run."""
+    """What :func:`evolve` returns.  The final population is five arrays in
+    the engine's row order: ``genotypes (N, L)``, ``objectives (N, M)``,
+    ``violations (N,)``, ``ranks (N,)`` (1-based fronts) and ``crowding (N,)``
+    (within each front)."""
 
-    population: list[Individual]
+    genotypes: np.ndarray
+    objectives: np.ndarray
+    violations: np.ndarray
+    ranks: np.ndarray
+    crowding: np.ndarray
     archive: ParetoArchive
     history: list[GenerationRecord]
 
 
 def _check_rows(objectives: np.ndarray, violations: np.ndarray, indices: np.ndarray) -> None:
     """Raise :class:`EvaluationError` for the first row of a problem's output
-    with a fault, naming it by its entry of ``indices``.  The faults are those
-    :class:`Individual` rejects: a non-finite objective, checked first, and a
-    non-finite or negative violation."""
+    with a fault, naming it by its entry of ``indices``.  The faults are a
+    non-finite objective, checked first, and a non-finite or negative
+    violation."""
     bad_objectives = ~np.isfinite(objectives).all(axis=1)
     bad_violations = ~(np.isfinite(violations) & (violations >= 0.0))
     bad = np.flatnonzero(bad_objectives | bad_violations)
@@ -706,7 +677,7 @@ def _record(generation: int, evaluations: int, archive: ParetoArchive) -> Genera
 
 
 def evolve(problem: Problem, config: EngineConfig) -> EvolutionResult:
-    """Run the full generational loop and return population, archive, and history.
+    """Run the full generational loop; return the final population's arrays, the archive and the history.
 
     The initial population is sampled uniformly from [0, 1]^L, evaluated, and
     ranked; each generation then produces ``population_size`` children via
@@ -761,8 +732,4 @@ def evolve(problem: Problem, config: EngineConfig) -> EvolutionResult:
         objectives, violations, ranks = objectives[survivors], violations[survivors], ranks[survivors]
         history.append(_record(generation, n * (generation + 1), archive))
 
-    population = [
-        Individual._checked(g, o, v, r, c)
-        for g, o, v, r, c in zip(parents.copy(), objectives, violations.tolist(), ranks.tolist(), crowding.tolist())
-    ]
-    return EvolutionResult(population=population, archive=archive, history=history)
+    return EvolutionResult(parents.copy(), objectives, violations, ranks, crowding, archive, history)

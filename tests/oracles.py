@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from scnopt import (
     GenotypeLayout,
     PM_ETA,
     SBX_ETA,
-    Individual,
     ParetoArchive,
 )
 from scnopt.model import _EXCESS_RTOL
@@ -501,7 +501,26 @@ class ReferenceSupplyChainProblem:
 # Per-pair selection and variation, and the reference engine
 
 
-def crowded_compare(a: Individual, b: Individual) -> int:
+@dataclass(eq=False)
+class Point:
+    """One point of the reference engine: its genotype, objectives and
+    violation, and the rank and crowding the oracles write onto it."""
+
+    genotype: np.ndarray
+    objectives: np.ndarray
+    violation: float = 0.0
+    rank: int | None = None
+    crowding: float | None = None
+
+
+def archive_of(points) -> ParetoArchive:
+    """The package's archive built from the genotypes and objectives of ``points``."""
+    if not points:
+        return ParetoArchive()
+    return ParetoArchive(np.array([p.genotype for p in points]), np.array([p.objectives for p in points]))
+
+
+def crowded_compare(a: Point, b: Point) -> int:
     """Total order used by tournaments: lower rank first, then larger crowding.
 
     Returns -1 if ``a`` precedes ``b``, 1 if ``b`` precedes ``a``, 0 on a tie.
@@ -626,7 +645,7 @@ def reference_evaluate(genotypes, problem, expected_m):
                 f"violations of shape {violations.shape} for {n} genotypes"
             )
         raw = zip(objectives, violations)
-    individuals = []
+    points = []
     m = expected_m
     for k, (objectives, violation) in enumerate(raw):
         objectives, violation = np.asarray(objectives, dtype=float), float(violation)
@@ -636,12 +655,22 @@ def reference_evaluate(genotypes, problem, expected_m):
             m = objectives.size
         elif objectives.size != m:
             raise EvaluationError(f"genotype index {k}: objective count changed from {m} to {objectives.size}")
-        if not np.all(np.isfinite(objectives)):
-            raise EvaluationError(f"non-finite objective at genotype index {k}: {objectives.tolist()}")
-        if not math.isfinite(violation) or violation < 0.0:
-            raise EvaluationError(f"invalid constraint violation at genotype index {k}: {violation}")
-        individuals.append(Individual(genotypes[k], objectives=objectives, violation=violation))
-    return individuals, m
+        if fault := reference_row_fault(objectives, violation):
+            shown = objectives.tolist() if fault == "non-finite objective" else violation
+            raise EvaluationError(f"{fault} at genotype index {k}: {shown}")
+        points.append(Point(genotypes[k], objectives, violation))
+    return points, m
+
+
+def reference_row_fault(objectives, violation) -> str | None:
+    """What is wrong with one evaluated row, objectives checked first:
+    ``"non-finite objective"``, ``"invalid constraint violation"`` (not
+    finite, or negative), or ``None``."""
+    if not all(math.isfinite(x) for x in objectives):
+        return "non-finite objective"
+    if not math.isfinite(violation) or violation < 0.0:
+        return "invalid constraint violation"
+    return None
 
 
 def reference_rank_and_crowd(members, fronts) -> None:
@@ -704,4 +733,12 @@ def reference_evolve(problem, config) -> EvolutionResult:
         population = reference_select(population, offspring, config.population_size)
         members = reference_archive(members, offspring)
         record(generation)
-    return EvolutionResult(population=population, archive=ParetoArchive(members), history=history)
+    return EvolutionResult(
+        genotypes=np.array([p.genotype for p in population]),
+        objectives=np.array([p.objectives for p in population]),
+        violations=np.array([p.violation for p in population]),
+        ranks=np.array([p.rank for p in population]),
+        crowding=np.array([p.crowding for p in population]),
+        archive=archive_of(members),
+        history=history,
+    )

@@ -8,18 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scnopt import Individual, ParetoArchive, update_archive
-from scnopt.nsga2 import _nondominated
+from scnopt import ParetoArchive, fast_nondominated_sort, update_archive
+from scnopt.nsga2 import _archive_offers, _nondominated
 
-from oracles import oracle_dominates, oracle_nondominated, reference_archive
+from oracles import Point, archive_of, oracle_dominates, oracle_nondominated, reference_archive
 
 
 def ind(objectives, violation=0.0, gene=0.0):
-    return Individual(np.full(1, gene), objectives=np.asarray(objectives, float), violation=violation)
+    return Point(np.full(1, gene), np.asarray(objectives, float), violation)
 
 
 def offer(*candidates):
-    return ParetoArchive(candidates)
+    """The feasible candidates as an archive: the engine offers feasible rows only."""
+    return archive_of([c for c in candidates if c.violation == 0.0])
 
 
 def kept_genes(archive):
@@ -27,9 +28,16 @@ def kept_genes(archive):
 
 
 def test_infeasible_candidates_never_enter():
-    archive = update_archive(ParetoArchive(), offer(ind([1, 1], violation=0.5)))
+    # with no feasible row the rows of least violation take rank 1, and the engine offers none of them
+    genotypes, objectives, violations = np.array([[0.1], [0.2]]), np.array([[1.0, 1.0], [0.0, 2.0]]), np.full(2, 0.5)
+    ranks = fast_nondominated_sort(objectives, violations).ranks
+    assert ranks.tolist() == [1, 1]
+    archive = update_archive(ParetoArchive(), _archive_offers(genotypes, objectives, violations, ranks))
     assert len(archive) == 0
     assert archive.objectives_array().shape == archive.genotypes_array().shape == (0, 0)
+    violations[1] = 0.0  # now feasible, and the only row offered
+    ranks = fast_nondominated_sort(objectives, violations).ranks
+    assert kept_genes(update_archive(ParetoArchive(), _archive_offers(genotypes, objectives, violations, ranks))) == [0.2]
 
 
 def test_dominated_candidates_are_rejected():
@@ -59,15 +67,17 @@ def test_duplicates_are_deduplicated():
 
 def test_members_cannot_drift_from_the_objective_array():
     # members are views of the two matrices, which no caller can write
-    archive = ParetoArchive([ind([1, 2], gene=0.5), ind([2, 1], gene=0.25)])
+    archive = offer(ind([1, 2], gene=0.5), ind([2, 1], gene=0.25))
     assert len(archive) == len(archive.objectives_array()) == len(archive.members) == 2
     with pytest.raises(AttributeError):
-        archive.members.append(ind([3, 3]))
+        archive.members.append(archive.members[0])
+    with pytest.raises(AttributeError):
+        archive.members[0].violation = 1.0
     for matrix in (archive.objectives_array(), archive.genotypes_array(), archive.members[0].genotype):
         with pytest.raises(ValueError, match="read-only"):
             matrix[0] = 0.0
     assert [m.genotype.tolist() for m in archive] == archive.genotypes_array().tolist() == [[0.5], [0.25]]
-    assert all(m.violation == 0.0 and m.rank is None and m.crowding is None for m in archive)
+    assert all(m.violation == 0.0 and m._fields == ("genotype", "objectives", "violation") for m in archive)
     folded = update_archive(archive, offer(ind([0, 3]), ind([3, 3])))
     assert len(folded) == len(folded.objectives_array()) == len(folded.genotypes_array()) == 3
     assert len(update_archive(folded, ParetoArchive())) == 3
@@ -81,18 +91,16 @@ def test_members_sorted_by_objectives():
     assert costs == sorted(costs)
 
 
-@pytest.mark.parametrize(
-    "lengths, counts, message",
-    [((1, 2), (2, 2), r"genotype lengths differ: \[1, 2\]"), ((2, 2), (2, 3), r"objectives lengths differ: \[2, 3\]")],
-    ids=["genotype-length", "objective-count"],
-)
-def test_members_of_different_shapes_rejected(lengths, counts, message):
-    # named at construction, not as numpy's inhomogeneous-shape error or a fold failure
-    members = [Individual(np.zeros(n), objectives=np.full(m, float(k))) for k, (n, m) in enumerate(zip(lengths, counts))]
-    with pytest.raises(ValueError, match=message):
-        ParetoArchive(members)
-    members[1].violation = 1.0  # an infeasible member is dropped before the matrices are built
-    assert len(ParetoArchive(members)) == 1
+@pytest.mark.parametrize("lengths, counts", [((1, 2), (2, 2)), ((2, 2), (2, 3))], ids=["genotype-length", "objective-count"])
+def test_members_of_different_shapes_rejected(lengths, counts):
+    # rows of different lengths make no matrix, and row counts must agree: both
+    # raise at construction, not as a fold failure
+    genotypes, objectives = [np.zeros(n) for n in lengths], [np.full(m, float(k)) for k, m in enumerate(counts)]
+    with pytest.raises(ValueError):
+        ParetoArchive(genotypes, objectives)
+    with pytest.raises(ValueError, match=r"need \(n, L\) genotypes and \(n, M\) objectives, not \(1, \d\) and \(2, \d\)"):
+        ParetoArchive(genotypes[1][None], np.array(objectives[:1] * 2))
+    assert len(ParetoArchive(genotypes[1][None], objectives[1][None])) == 1
 
 
 def test_matches_brute_force_on_random_streams_bi_objective():
@@ -108,7 +116,7 @@ def test_matches_brute_force_on_random_streams_bi_objective():
                 batch.append(ind(objectives, violation))
                 if violation == 0.0:
                     all_feasible.append(objectives)
-            archive = update_archive(archive, ParetoArchive(batch))
+            archive = update_archive(archive, offer(*batch))
             got = sorted(tuple(m.objectives) for m in archive)
             keep = oracle_nondominated(all_feasible) if all_feasible else []
             want = sorted({tuple(all_feasible[i]) for i in keep})
@@ -122,7 +130,7 @@ def test_matches_brute_force_three_objectives():
     for _round in range(8):
         batch = [ind(np.round(rng.random(3) * 5) / 5) for _ in range(10)]
         seen.extend(m.objectives for m in batch)
-        archive = update_archive(archive, ParetoArchive(batch))
+        archive = update_archive(archive, offer(*batch))
     got = sorted(tuple(m.objectives) for m in archive)
     keep = oracle_nondominated(seen)
     want = sorted({tuple(seen[i]) for i in keep})
@@ -136,7 +144,7 @@ def test_monotone_no_archived_point_ever_dominated_by_history():
     for _round in range(10):
         batch = [ind(rng.random(2)) for _ in range(8)]
         inserted.extend(m.objectives for m in batch)
-        archive = update_archive(archive, ParetoArchive(batch))
+        archive = update_archive(archive, offer(*batch))
         for member in archive:
             assert not any(oracle_dominates(p, member.objectives) for p in inserted)
 
@@ -155,12 +163,12 @@ def members_of(m, max_size):
 
 
 def distinct_genes(rows, genes):
-    """Individuals of the (objectives, violation) ``rows``, each with its own gene."""
+    """Points of the (objectives, violation) ``rows``, each with its own gene."""
     return [ind(objectives, violation, gene=next(genes)) for objectives, violation in rows]
 
 
 def assert_same_rows(archive, want):
-    """The archive holds the Individuals ``want``, in order, bit for bit (signed zeros too)."""
+    """The archive holds the points ``want``, in order, bit for bit (signed zeros too)."""
     for got, rows in ((archive.objectives_array(), [m.objectives for m in want]),
                       (archive.genotypes_array(), [m.genotype for m in want])):
         expected = np.array(rows) if want else np.empty((0, 0))
@@ -174,11 +182,11 @@ def test_fold_equals_the_brute_force_filter_over_every_offer(offers):
     # the earliest of equal vectors, sorted by objective tuple
     genes = itertools.count(0.0, 1e-3)
     archive = ParetoArchive()
-    history: list[Individual] = []
+    history: list[Point] = []
     for batch in offers:
         candidates = distinct_genes(batch, genes)
-        archive = update_archive(archive, ParetoArchive(candidates))
-        history.extend(c for c in candidates if c.feasible)
+        archive = update_archive(archive, offer(*candidates))
+        history.extend(c for c in candidates if c.violation == 0.0)
         keep = [history[i] for i in oracle_nondominated([c.objectives for c in history])]
         assert_same_rows(archive, sorted(keep, key=lambda c: tuple(c.objectives.tolist())))
 
@@ -191,7 +199,7 @@ def test_update_equals_nondominated_over_the_archive_first_stack(sides):
     # the archive-first stack in both matrices, each vector keeping its
     # earliest row's genotype and bits
     genes = itertools.count(0.0, 1e-3)
-    a, b = (ParetoArchive(distinct_genes(rows, genes)) for rows in sides)
+    a, b = (offer(*distinct_genes(rows, genes)) for rows in sides)
     folded = update_archive(a, b)
     parts = [side for side in (a, b) if len(side)]
     if not parts:
@@ -211,12 +219,12 @@ def test_update_equals_nondominated_over_the_archive_first_stack(sides):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(members=st.integers(2, 3).flatmap(lambda m: members_of(m, 25)), seed=st.integers(0, 2**16))
 def test_constructor_folds_any_members(members, seed):
-    # infeasible, dominated, equal and shuffled members in; out come the
-    # members update_archive and the oracle keep, the earliest of equal vectors
+    # dominated, equal and shuffled feasible rows in; out come the rows
+    # update_archive and the oracle keep, the earliest of equal vectors
     genes = itertools.count(0.0, 1e-3)
-    given = distinct_genes(members, genes)
+    given = [m for m in distinct_genes(members, genes) if m.violation == 0.0]
     given += [ind(m.objectives, gene=next(genes)) for m in given[: len(given) // 3]]  # equal vectors, later
     np.random.default_rng(seed).shuffle(given)
-    archive = ParetoArchive(given)
+    archive = archive_of(given)
     assert_same_rows(archive, reference_archive([], given))
     assert_same_rows(update_archive(ParetoArchive(), archive), reference_archive([], given))

@@ -12,7 +12,6 @@ from scnopt import (
     EngineConfig,
     EvaluationError,
     GenotypeLayout,
-    Individual,
     SupplyChainProblem,
     decode,
     evaluate_batch,
@@ -24,7 +23,7 @@ from scnopt.instances import PRESETS
 from scnopt.nsga2 import _check_rows
 
 from conftest import reference_copies
-from oracles import ReferenceSupplyChainProblem, reference_evaluate_genotype, reference_evolve
+from oracles import ReferenceSupplyChainProblem, reference_evaluate_genotype, reference_evolve, reference_row_fault
 
 PRESET_NAMES = ("tiny", "desk", "sbc-scale")
 
@@ -152,10 +151,8 @@ def test_evolve_batched_matches_scalar_only_wrapper():
     batched = evolve(SupplyChainProblem(instance), config)
     scalar = evolve(ReferenceSupplyChainProblem(instance), config)
     assert np.array_equal(batched.archive.objectives_array(), scalar.archive.objectives_array())
-    for name in ("genotype", "objectives", "violation"):
-        a = np.array([getattr(ind, name) for ind in batched.population])
-        b = np.array([getattr(ind, name) for ind in scalar.population])
-        assert np.array_equal(a, b), name
+    for name in ("genotypes", "objectives", "violations", "ranks", "crowding"):
+        assert np.array_equal(getattr(batched, name), getattr(scalar, name)), name
 
 
 class BatchProblem:
@@ -321,24 +318,23 @@ def test_unconvertible_violation_comes_before_its_rows_non_finite_objective():
 
 
 def test_block_check_rejects_exactly_what_individual_rejects():
-    # genotypes stay in [0, 1], as the engine's clipped genes do; the check covers what the problem returns
+    # per row, _check_rows raises exactly when the reference engine's per-row
+    # check (reference_row_fault) finds a fault, with that fault's message
     rng = np.random.default_rng(21)
     specials = np.array([np.nan, np.inf, -np.inf, -1e-300, -0.0, 0.0, 1.0, 1.0 + 1e-16, 1.5, -2.0])
     rejected_rows = 0
     for trial in range(200):
-        n, length, m = int(rng.integers(1, 12)), int(rng.integers(1, 5)), int(rng.integers(2, 4))
-        genotypes, objectives, violations = rng.random((n, length)), rng.random((n, m)), rng.random(n)
+        n, m = int(rng.integers(1, 12)), int(rng.integers(2, 4))
+        objectives, violations = rng.random((n, m)), rng.random(n)
         violations[rng.random(n) < 0.3] = 0.0
         for values in (objectives, violations):
             spots = rng.random(values.shape) < 0.08
             values[spots] = rng.choice(specials, size=int(spots.sum()))
         faults = {}  # row -> the start of the block check's message for it
         for k in range(n):
-            try:
-                Individual(genotypes[k], objectives=objectives[k], violation=float(violations[k]))
-            except ValueError as error:
-                faults[k] = "non-finite objective" if "objectives" in str(error) else "invalid constraint violation"
-                with pytest.raises(EvaluationError, match=f"^{faults[k]} at genotype index {k}:"):
+            if fault := reference_row_fault(objectives[k], float(violations[k])):
+                faults[k] = fault
+                with pytest.raises(EvaluationError, match=f"^{fault} at genotype index {k}:"):
                     _check_rows(objectives[k : k + 1], violations[k : k + 1], [k])
             else:
                 _check_rows(objectives[k : k + 1], violations[k : k + 1], [k])

@@ -130,9 +130,16 @@ class TestGenerate:
         assert "usage error" in capsys.readouterr().err
 
     def test_unwritable_out_is_runtime_error(self, tmp_path, capsys):
-        out = tmp_path / "missing-dir" / "x.json"
+        (tmp_path / "a-file").write_text("")
+        out = tmp_path / "a-file" / "x.json"  # its parent cannot be made: a file holds the name
         assert main(["generate", "--preset", "tiny", "--out", str(out)]) == EXIT_RUNTIME
         assert "cannot write" in capsys.readouterr().err
+
+    def test_missing_parent_directories_are_created(self, tmp_path):
+        # as scnopt run creates its --out directory
+        out = tmp_path / "missing" / "deeper" / "x.json"
+        assert main(["generate", "--preset", "tiny", "--out", str(out)]) == EXIT_OK
+        assert load_instance(out).dimensions == tiny_instance().dimensions
 
 
 class TestRun:

@@ -42,30 +42,26 @@ def test_deterministic_for_fixed_seed():
     a = evolve(TwoBasinProblem(), cfg)
     b = evolve(TwoBasinProblem(), cfg)
     assert np.array_equal(a.archive.objectives_array(), b.archive.objectives_array())
-    for ind_a, ind_b in zip(a.population, b.population):
-        assert np.array_equal(ind_a.genotype, ind_b.genotype)
-        assert np.array_equal(ind_a.objectives, ind_b.objectives)
+    assert np.array_equal(a.genotypes, b.genotypes)
+    assert np.array_equal(a.objectives, b.objectives)
 
 
 def test_different_seeds_explore_differently():
     a = evolve(TwoBasinProblem(), EngineConfig(population_size=12, generations=4, seed=1))
     b = evolve(TwoBasinProblem(), EngineConfig(population_size=12, generations=4, seed=2))
-    assert not np.array_equal(
-        np.array([i.genotype for i in a.population]),
-        np.array([i.genotype for i in b.population]),
-    )
+    assert not np.array_equal(a.genotypes, b.genotypes)
 
 
 def test_zero_generations_returns_initial_population():
     cfg = EngineConfig(population_size=8, generations=0, seed=5)
     result = evolve(LineFrontProblem(), cfg)
-    assert len(result.population) == 8
+    assert len(result.genotypes) == 8
     assert len(result.history) == 1
     assert result.history[0].generation == 0
     assert result.history[0].evaluations == 8
     # archive equals the feasible non-dominated subset (everything, deduped)
     assert len(result.archive) <= 8
-    assert all(ind.rank is not None for ind in result.population)
+    assert result.ranks.min() >= 1
 
 
 def test_history_has_one_record_per_generation_plus_initial():
@@ -100,7 +96,8 @@ def test_archive_only_improves_and_never_readmits_dominated_points(monkeypatch):
 
 def test_population_size_is_constant():
     result = evolve(TwoBasinProblem(), EngineConfig(population_size=14, generations=5, seed=13))
-    assert len(result.population) == 14
+    assert len(result.genotypes) == len(result.objectives) == len(result.violations) == 14
+    assert len(result.ranks) == len(result.crowding) == 14
 
 
 def test_infeasible_region_is_evacuated():
@@ -108,9 +105,8 @@ def test_infeasible_region_is_evacuated():
         SometimesInfeasibleProblem(),
         EngineConfig(population_size=20, generations=30, seed=17),
     )
-    feasible = [ind for ind in result.population if ind.feasible]
-    assert len(feasible) >= 18  # constraint-domination pushes the population left
-    assert all(member.feasible for member in result.archive)
+    assert np.count_nonzero(result.violations == 0.0) >= 18  # constraint-domination pushes the population left
+    assert all(member.violation == 0.0 for member in result.archive)
 
 
 def test_toy_line_front_is_covered():
@@ -197,12 +193,13 @@ def test_records_and_partitions_compare_by_identity():
     assert (history[1] == history[2]) is False
 
 
+# the final population's arrays in an EvolutionResult
+POPULATION_ARRAYS = ("genotypes", "objectives", "violations", "ranks", "crowding")
+
+
 def assert_same_run(result, expected):
-    assert len(result.population) == len(expected.population)
-    for a, b in zip(result.population, expected.population):
-        assert np.array_equal(a.genotype, b.genotype)
-        assert np.array_equal(a.objectives, b.objectives)
-        assert (a.violation, a.rank, a.crowding) == (b.violation, b.rank, b.crowding)
+    for name in POPULATION_ARRAYS:
+        assert np.array_equal(getattr(result, name), getattr(expected, name)), name
     assert len(result.archive) == len(expected.archive)
     for a, b in zip(result.archive, expected.archive):
         assert np.array_equal(a.genotype, b.genotype) and np.array_equal(a.objectives, b.objectives)
@@ -449,19 +446,25 @@ def test_archive_rows_are_its_own_matrix():
     [LineFrontProblem(), SometimesInfeasibleProblem(), SupplyChainProblem(generate_preset("desk"))],
     ids=["line", "sometimes-infeasible", "desk-batched"],
 )
-def test_no_individual_built_before_the_final_population(problem, monkeypatch):
-    # with no caller reading archive members, the only Individuals a run
-    # builds are those of its final population
+def test_a_run_builds_no_individual(problem, monkeypatch):
+    # the final population is five arrays, and with no caller reading archive
+    # members a run builds no Individual at all
     built = []
-    checked = nsga2.Individual._checked.__func__
+    record = nsga2.Individual
 
-    def counted(cls, *args, **kwargs):
-        built.append(args[0])
-        return checked(cls, *args, **kwargs)
+    def counted(*args):
+        built.append(args)
+        return record(*args)
 
-    monkeypatch.setattr(nsga2.Individual, "_checked", classmethod(counted))
+    monkeypatch.setattr(nsga2, "Individual", counted)
     config = EngineConfig(population_size=12, generations=10, seed=4)
     result = evolve(problem, config)
-    assert len(built) == config.population_size
-    assert all(g is p.genotype for g, p in zip(built, result.population))
-    assert len(result.archive) > 0
+    assert built == []
+    n, length = config.population_size, problem.genotype_length
+    shapes = [getattr(result, name).shape for name in POPULATION_ARRAYS]
+    assert shapes == [(n, length), (n, 2), (n,), (n,), (n,)]
+    expected = reference_evolve(problem, config)
+    for name in POPULATION_ARRAYS:
+        got, want = getattr(result, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert len(result.archive.members) == len(built) == len(result.archive) > 0  # the count sees a read

@@ -17,7 +17,6 @@ from scnopt import (
     FRONT_CSV_HEADER,
     EngineConfig,
     GeneratorParams,
-    Individual,
     Instance,
     ParetoArchive,
     ValidationError,
@@ -485,13 +484,7 @@ class TestFrontExport:
         late = np.array([1, 1, 1, 1, 1, 0.0, 1.0])   # backlog 5 -> 1.00 demand-days
         early = np.array([1, 1, 1, 1, 1, 1.0, 0.0])  # stock-early, zero backlog
         jit = np.ones(7)
-        return ParetoArchive(
-            members=[
-                Individual(late, objectives=np.array([2000.2, 9.0]), violation=0.0),
-                Individual(early, objectives=np.array([2000.4, 7.0]), violation=0.0),
-                Individual(jit, objectives=np.array([2101.6, 3.0]), violation=0.0),
-            ]
-        )
+        return ParetoArchive(np.array([late, early, jit]), np.array([[2000.2, 9.0], [2000.4, 7.0], [2101.6, 3.0]]))
 
     def test_rows_sorted_and_rounded_collisions_collapsed(self, tiny):
         rows = front_rows(self._archive(), tiny)
@@ -504,15 +497,7 @@ class TestFrontExport:
         )
 
     def test_backlog_days_column(self, tiny):
-        archive = ParetoArchive(
-            members=[
-                Individual(
-                    np.array([1, 1, 1, 1, 1, 0.0, 1.0]),
-                    objectives=np.array([220.0, 5.0]),
-                    violation=0.0,
-                )
-            ]
-        )
+        archive = ParetoArchive(np.array([[1, 1, 1, 1, 1, 0.0, 1.0]]), np.array([[220.0, 5.0]]))
         rows = front_rows(archive, tiny)
         assert rows == [(220.0, 5.0, 1.0)]
 
@@ -530,12 +515,10 @@ class TestFrontExport:
     def test_half_unit_costs_round_to_even(self, tiny):
         costs = [1999.5, 2000.5, 2001.5, 2002.4, 2002.5, 2003.5]  # round: 2000, 2000, 2002, 2002, 2002, 2004
         rng = np.random.default_rng(2)
-        members = [
-            Individual(rng.random(tiny.genotype_length), objectives=np.array([cost, 10.0 - n]), violation=0.0)
-            for n, cost in enumerate(costs)
-        ]
-        rows = front_rows(ParetoArchive(members), tiny)
-        assert rows == reference_front_rows(members, tiny)
+        genotypes = rng.random((len(costs), tiny.genotype_length))
+        objectives = np.array([[cost, 10.0 - n] for n, cost in enumerate(costs)])
+        rows = front_rows(ParetoArchive(genotypes, objectives), tiny)
+        assert rows == reference_front_rows(genotypes, objectives, tiny)
         assert [row[0] for row in rows] == [2000.5, 2002.5, 2003.5]
 
     def test_header_constant(self):
@@ -546,13 +529,13 @@ class TestFrontExport:
             front_rows(ParetoArchive(), tiny)
 
 
-def reference_front_rows(members, instance):
-    """Front rows from each member decoded on its own by the reference decoder."""
+def reference_front_rows(genotypes, objectives, instance):
+    """Front rows from each point, a genotype row and its objective row,
+    decoded on its own by the reference decoder."""
     mean_period_demand = instance.total_demand / instance.n_periods
     rows = sorted(
-        (float(m.objectives[0]), float(m.objectives[1]),
-         float(reference_decode(m.genotype, instance).backlog.sum()) / mean_period_demand)
-        for m in members
+        (float(o[0]), float(o[1]), float(reference_decode(g, instance).backlog.sum()) / mean_period_demand)
+        for g, o in zip(genotypes, objectives)
     )
     # the last row of each rounded-cost group carries its best delay
     return list({round(row[0]): row for row in rows}.values())
@@ -574,23 +557,26 @@ class TestFrontRowsMatchReferenceDecoder:
     def test_run_archive(self, run_archives, name):
         instance, archive = run_archives[name]
         assert len(archive) > 10
-        assert front_rows(archive, instance) == reference_front_rows(archive.members, instance)
+        rows = reference_front_rows(archive.genotypes_array(), archive.objectives_array(), instance)
+        assert front_rows(archive, instance) == rows
 
     @pytest.mark.parametrize("name", ["desk", "sbc-scale"])
     def test_one_member(self, run_archives, name):
         instance, archive = run_archives[name]
-        member = archive.members[len(archive) // 2]
-        rows = front_rows(ParetoArchive([member]), instance)
-        assert rows == reference_front_rows([member], instance)
+        member = slice(len(archive) // 2, len(archive) // 2 + 1)
+        genotypes, objectives = archive.genotypes_array()[member], archive.objectives_array()[member]
+        rows = front_rows(ParetoArchive(genotypes, objectives), instance)
+        assert rows == reference_front_rows(genotypes, objectives, instance)
         assert len(rows) == 1
 
     @pytest.mark.parametrize("name", ["desk", "sbc-scale"])
     def test_members_out_of_objective_order(self, run_archives, name):
         instance, archive = run_archives[name]
-        shuffled = list(archive.members)
-        np.random.default_rng(4).shuffle(shuffled)
-        assert [m.objectives[0] for m in shuffled] != sorted(m.objectives[0] for m in shuffled)
-        assert front_rows(ParetoArchive(shuffled), instance) == reference_front_rows(archive.members, instance)
+        shuffled = np.random.default_rng(4).permutation(len(archive))
+        genotypes, objectives = archive.genotypes_array(), archive.objectives_array()
+        assert objectives[shuffled, 0].tolist() != sorted(objectives[shuffled, 0])
+        rows = front_rows(ParetoArchive(genotypes[shuffled], objectives[shuffled]), instance)
+        assert rows == reference_front_rows(genotypes, objectives, instance)
 
 
 class TestUpstreamCapacity:

@@ -9,10 +9,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from scnopt import Individual, environmental_select, fast_nondominated_sort
+from scnopt import environmental_select, fast_nondominated_sort
 
 from conftest import random_population
 from oracles import (
+    Point,
     binary_tournament_select,
     crowded_compare,
     oracle_crowding,
@@ -22,10 +23,7 @@ from oracles import (
 
 
 def ranked(rank, crowding, objectives=(0.0, 0.0)):
-    member = Individual(np.zeros(1), objectives=np.asarray(objectives, float))
-    member.rank = rank
-    member.crowding = crowding
-    return member
+    return Point(np.zeros(1), np.asarray(objectives, float), rank=rank, crowding=crowding)
 
 
 class TestCrowdedCompare:
@@ -45,7 +43,7 @@ class TestCrowdedCompare:
         assert crowded_compare(ranked(2, np.inf), ranked(2, np.inf)) == 0
 
     def test_unset_rank_raises(self):
-        bare = Individual(np.zeros(1), objectives=np.zeros(2))
+        bare = Point(np.zeros(1), np.zeros(2))
         with pytest.raises(ValueError):
             crowded_compare(bare, ranked(1, 1.0))
 

@@ -15,10 +15,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from scnopt import PM_ETA, SBX_ETA, EngineConfig, Individual
+from scnopt import PM_ETA, SBX_ETA, EngineConfig
 from scnopt.nsga2 import _make_offspring, _perturb, _sbx_children
 
 from oracles import (
+    Point,
     crowded_compare,
     reference_mutated_genes,
     reference_mutation_masks,
@@ -119,7 +120,7 @@ class TestPolynomialMutation:
 
 
 @lru_cache(maxsize=None)
-def _population(n: int, length: int) -> list[Individual]:
+def _population(n: int, length: int) -> list[Point]:
     """Ranked individuals with rank ties, crowding ties and infinite crowding,
     and genes that sit exactly on the box's bounds."""
     rng = np.random.default_rng(n * 1000 + length)
@@ -128,14 +129,13 @@ def _population(n: int, length: int) -> list[Individual]:
     genotypes[rng.random((n, length)) < 0.05] = 1.0
     population = []
     for k in range(n):
-        ind = Individual(genotypes[k], objectives=np.zeros(2))
-        ind.rank = int(rng.integers(1, 4))
-        ind.crowding = float(rng.choice([0.25, 0.5, np.inf, rng.random()]))
-        population.append(ind)
+        rank = int(rng.integers(1, 4))
+        crowding = float(rng.choice([0.25, 0.5, np.inf, rng.random()]))
+        population.append(Point(genotypes[k], np.zeros(2), rank=rank, crowding=crowding))
     return population
 
 
-def _arrays(population: list[Individual]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _arrays(population: list[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The genotype, rank and crowding arrays of ``population``."""
     return (
         np.array([ind.genotype for ind in population]),
@@ -144,7 +144,7 @@ def _arrays(population: list[Individual]) -> tuple[np.ndarray, np.ndarray, np.nd
     )
 
 
-def _pooled_offspring(population: list[Individual], cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
+def _pooled_offspring(population: list[Point], cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
     """``_make_offspring`` on the genotype, rank and crowding arrays of ``population``."""
     genotypes, ranks, crowding = _arrays(population)
     out = np.empty((cfg.population_size, genotypes.shape[1]))
@@ -190,7 +190,7 @@ class TestOperatorBoundaries:
         assert _same_bits(_perturb(g, u, PM_ETA), np.clip(reference_mutated_genes(g, u), 0.0, 1.0))
 
 
-def _replayed_sources(population: list[Individual], cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
+def _replayed_sources(population: list[Point], cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
     """Each child's source replayed from the engine's draws on ``rng``, in its
     order: its tournament winner when its pair did not cross and none of its
     genes was drawn for mutation, else -1."""
