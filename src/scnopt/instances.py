@@ -2,9 +2,10 @@
 
 Instances are stored as a single JSON document with explicit dimensions and
 dense nested arrays, one per entry of :data:`scnopt.model.ARRAY_SHAPES` in
-its order.  Loading validates shapes and every instance invariant up front
-and reports all problems at once.  The generator is fully deterministic for a
-given parameter set: the same seed always yields a byte-identical file.
+its order.  Loading checks the document's structure, then every field (in
+:class:`~scnopt.model.Instance`) and every invariant, each reporting all its
+problems at once.  The generator is fully deterministic for a given parameter
+set: the same seed always yields a byte-identical file.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ARRAY_SHAPES, Instance, _decode_rows, _row_sums
+from .model import ARRAY_SHAPES, Instance, ValidationError, _decode_rows, _row_sums
 from .nsga2 import ParetoArchive
 
 __all__ = [
-    "ValidationError",
     "GeneratorParams",
     "PRESETS",
     "FORMAT_NAME",
@@ -41,21 +41,13 @@ FRONT_CSV_HEADER = "total_cost,f2_raw,mean_delay_days"
 _DIMENSION_KEYS = ("suppliers", "plants", "dcs", "retailers", "products", "periods")
 
 
-class ValidationError(ValueError):
-    """Instance content failed validation; ``problems`` lists every issue."""
-
-    def __init__(self, message: str, problems: list[str] | None = None) -> None:
-        self.problems = problems or []
-        if self.problems:
-            message = message + ":\n  - " + "\n  - ".join(self.problems)
-        super().__init__(message)
-
-
 def load_instance(path: str | Path) -> Instance:
     """Load and validate an instance JSON file.
 
-    Raises :class:`ValidationError` with parse context on malformed JSON and
-    with the full list of violated invariants on bad content.
+    Raises :class:`ValidationError`: with parse context on malformed JSON; on
+    a structural fault (not an object, another format or version, missing
+    fields or dimensions, dimensions not an object); listing every malformed
+    field as :class:`Instance` reports them; and listing every violated invariant.
     """
     return _read_instance(path)[1]
 
@@ -97,69 +89,20 @@ def _read_instance(path: str | Path) -> tuple[bytes, Instance]:
     missing_dims = [k for k in _DIMENSION_KEYS if k not in dims]
     if missing_dims:
         raise ValidationError(f"instance file {path} is missing dimensions", missing_dims)
-    # int() would truncate 7.9 to 7 (and bool is an int), so accept only JSON integers.
-    non_integer = [
-        f"{k}: {dims[k]!r}"
-        for k in _DIMENSION_KEYS
-        if isinstance(dims[k], bool) or not isinstance(dims[k], int)
-    ]
-    if non_integer:
-        raise ValidationError(f"instance file {path} has non-integer dimensions", non_integer)
-    # float() would read true as 1.0 and "2" as 2.0, so accept only JSON numbers.
-    utilization = raw["utilization"]
-    if isinstance(utilization, bool) or not isinstance(utilization, (int, float)):
-        raise ValidationError(
-            f"instance file {path}: utilization must be a JSON number, got {utilization!r}"
-        )
-
-    # str() would write any JSON value as text, so accept only JSON strings.
-    metadata = {key: raw[key] for key in ("currency", "time_unit") if key in raw}
-    non_strings = [f"{key}: {value!r}" for key, value in metadata.items() if not isinstance(value, str)]
-    if non_strings:
-        raise ValidationError(f"instance file {path} has metadata that is not a JSON string", non_strings)
-
-    # Instance converts array entries with np.array(..., dtype=float), which would do the same.
-    non_numbers = []
-    for name in ARRAY_SHAPES:
-        entries = _non_numbers(raw[name])
-        if entries:
-            non_numbers.append(f"{name}: {entries[0]!r}")
-    if non_numbers:
-        raise ValidationError(f"instance file {path} has array entries that are not JSON numbers", non_numbers)
-
     try:
         instance = Instance(
-            n_suppliers=dims["suppliers"],
-            n_plants=dims["plants"],
-            n_dcs=dims["dcs"],
-            n_retailers=dims["retailers"],
-            n_products=dims["products"],
-            n_periods=dims["periods"],
-            utilization=utilization,
-            **metadata,
+            *(dims[key] for key in _DIMENSION_KEYS),  # in the order of Instance's leading n_* fields
+            utilization=raw["utilization"],
+            **{key: raw[key] for key in ("currency", "time_unit") if key in raw},
             **{name: raw[name] for name in ARRAY_SHAPES},
         )
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ValidationError(f"instance file {path} has malformed content: {err}") from err
+    except ValidationError as err:
+        raise ValidationError(f"instance file {path} has malformed content", err.problems) from err
 
     problems = instance.invariant_problems()
     if problems:
         raise ValidationError(f"instance file {path} violates invariants", problems)
     return data, instance
-
-
-def _non_numbers(value) -> list:
-    """Entries of a nested JSON array that are not numbers, in document order.
-
-    A stack instead of recursion: a parsed array can nest deeper than Python's call depth."""
-    found, stack = [], [value]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, list):
-            stack.extend(reversed(item))
-        elif isinstance(item, bool) or not isinstance(item, (int, float)):
-            found.append(item)
-    return found
 
 
 def save_instance(instance: Instance, path: str | Path) -> Path:

@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
+    "ValidationError",
     "Instance",
     "GenotypeLayout",
     "DecodedNetwork",
@@ -73,6 +74,19 @@ _EXCESS_RTOL = 1e-9
 
 _SMALLEST_NORMAL = np.finfo(float).tiny
 
+_DIMENSION_FIELDS = ("n_suppliers", "n_plants", "n_dcs", "n_retailers", "n_products", "n_periods")
+
+
+class ValidationError(ValueError):
+    """Instance content failed validation; ``problems`` lists every issue.  Raised by
+    :class:`Instance` and by :func:`scnopt.instances.load_instance`."""
+
+    def __init__(self, message: str, problems: list[str] | None = None) -> None:
+        self.problems = problems or []
+        if self.problems:
+            message = message + ":\n  - " + "\n  - ".join(self.problems)
+        super().__init__(message)
+
 
 @dataclass(frozen=True, eq=False)
 class Instance:
@@ -86,6 +100,14 @@ class Instance:
     derives its own.  ``utilization`` (> 0) is the raw-material units
     consumed per product unit.  ``currency`` and ``time_unit`` are display
     metadata only.  Instances compare and hash by identity.
+
+    Construction checks every field before it stores any, and raises one
+    :class:`ValidationError` listing every problem: each ``n_*`` an integer
+    (not a bool), ``currency`` and ``time_unit`` strings, ``utilization`` a
+    number and each array field nested lists, tuples or numpy arrays of
+    numbers (a bool, string or None is not one) of its :data:`ARRAY_SHAPES`
+    shape, all within the double range.  :meth:`invariant_problems` checks
+    the values; construction does not run it.
     """
 
     n_suppliers: int
@@ -111,14 +133,35 @@ class Instance:
     time_unit: str = "day"
 
     def __post_init__(self) -> None:
-        sizes = dict(zip("SKJIPT", self.dimensions))
-        for name, axes in ARRAY_SHAPES.items():
-            shape = tuple(sizes[axis] for axis in axes)
-            value = np.array(getattr(self, name), dtype=float)
-            if value.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
-            object.__setattr__(self, name, _read_only(value))
-        object.__setattr__(self, "utilization", float(self.utilization))
+        problems, sizes, values = [], {}, {}
+        for axis, name in zip("SKJIPT", _DIMENSION_FIELDS):
+            size = getattr(self, name)
+            if isinstance(size, (int, np.integer)) and not isinstance(size, bool):
+                sizes[axis] = int(size)
+            else:
+                problems.append(f"{name}: {size!r} is not an integer")
+        problems += [f"{name}: {getattr(self, name)!r} is not a string"
+                     for name in ("currency", "time_unit") if not isinstance(getattr(self, name), str)]
+        for name, axes in {"utilization": "", **ARRAY_SHAPES}.items():  # utilization as a 0-d array
+            entries = _non_numbers(getattr(self, name))
+            if entries:
+                problems.append(f"{name}: {entries[0]!r} is not a number")
+                continue
+            try:  # ragged or too deep nesting, or an int beyond the double range
+                values[name] = np.array(getattr(self, name), dtype=float)
+            except (TypeError, ValueError, OverflowError) as err:
+                problems.append(f"{name}: {err}")
+                continue
+            shape = tuple(sizes.get(axis) for axis in axes)
+            if None not in shape and values[name].shape != shape:  # an axis of a bad dimension goes unchecked
+                problems.append(f"{name} must have shape {shape}, got {values[name].shape}")
+        if problems:
+            raise ValidationError("malformed instance fields", problems)
+        for name, size in zip(_DIMENSION_FIELDS, sizes.values()):
+            object.__setattr__(self, name, size)
+        object.__setattr__(self, "utilization", float(values.pop("utilization")))
+        for name, array in values.items():
+            object.__setattr__(self, name, _read_only(array))
 
     def __reduce__(self):
         # Copies and unpickled instances are rebuilt through __init__, so
@@ -166,14 +209,7 @@ class Instance:
 
     @property
     def dimensions(self) -> tuple[int, int, int, int, int, int]:
-        return (
-            self.n_suppliers,
-            self.n_plants,
-            self.n_dcs,
-            self.n_retailers,
-            self.n_products,
-            self.n_periods,
-        )
+        return tuple(getattr(self, name) for name in _DIMENSION_FIELDS)
 
     @property
     def total_demand(self) -> float:
@@ -191,16 +227,14 @@ class Instance:
             problems.append("all dimensions must be >= 1")
         if not (np.isfinite(self.utilization) and self.utilization > 0):
             problems.append(f"utilization must be finite and > 0, got {self.utilization!r}")
-        for f in fields(self):  # every array field holds nonnegative quantities
-            value = getattr(self, f.name)
-            if not isinstance(value, np.ndarray):
-                continue
+        for name in ARRAY_SHAPES:  # every array field holds nonnegative quantities
+            value = getattr(self, name)
             if not np.all(np.isfinite(value)):
-                problems.append(f"{f.name} contains non-finite entries")
+                problems.append(f"{name} contains non-finite entries")
             elif np.any(value < 0):
-                problems.append(f"{f.name} contains negative entries")
+                problems.append(f"{name} contains negative entries")
             elif not np.isfinite(value.sum()):
-                problems.append(f"{f.name} entries sum beyond the double range")
+                problems.append(f"{name} entries sum beyond the double range")
         if not problems:
             # An upper bound on any design's cost: every fixed cost, plus all
             # demand at the dearest rate of each term.  Raw material flows
@@ -240,6 +274,25 @@ class Instance:
                         f"total {name.replace('_', ' ')} is below utilization x total demand ({total:g} < {need:g})"
                     )
         return problems
+
+
+def _non_numbers(value) -> list:
+    """Entries of a nested array that are not numbers (an int or float, not a
+    bool), in order.  Lists and tuples are walked; a numpy array or scalar of
+    integer or float dtype holds numbers, and any other is walked as its
+    ``tolist()``.  A stack instead of recursion: a parsed array can nest
+    deeper than Python's call depth."""
+    found, stack = [], [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(reversed(item))
+        elif isinstance(item, (np.ndarray, np.generic)):
+            if item.dtype.kind not in "iuf":
+                stack.append(item.tolist())
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            found.append(item)
+    return found
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -527,11 +580,14 @@ def _decode_rows(
 
     Also returns the flow totals the constraint scorer reads: product into
     each DC and demand out of it, both ``(N, P, J)``, and each plant's
-    production ``(N, K)``.
+    production ``(N, K)``.  Raises ``ValueError`` for a wrong shape, or a gene
+    outside [0, 1] or NaN: every public entry point checks its genes here.
     """
     layout = instance._layout
     if g.ndim != 2 or g.shape[1] != layout.length:
         raise ValueError(f"genotypes must have shape (N, {layout.length}), got {g.shape}")
+    if g.size and not (g.min() >= 0.0 and g.max() <= 1.0):  # NaN fails both comparisons
+        raise ValueError("genotype coordinates must lie in [0, 1]")
     n = g.shape[0]
     s, k, j, i, p, t = instance.dimensions
     timing_weights = g[:, layout.timing_weights].reshape(n, j, t)

@@ -319,7 +319,7 @@ class TestExitCodes:
         [
             ('"utilization": 1.0', '"utilization": NaN', "utilization must be finite"),
             ('"periods": 2', '"periods": 2.9', "periods: 2.9"),
-            ('"utilization": 1.0', '"utilization": true', "utilization must be a JSON number"),
+            ('"utilization": 1.0', '"utilization": true', "utilization: True is not a number"),
             ('"version": 1', '"version": true', "unsupported version True"),
             ('"dimensions": {', '"dimensions": 5, "unused": {', "dimensions must be a JSON object"),
             ('"demand": [\n    [\n      [\n        5.0', '"demand": [[[true', "demand: True"),
@@ -343,6 +343,18 @@ class TestExitCodes:
                      "--pop-size", "12", "--generations", "2"])
         assert code == EXIT_VALIDATION
         assert reported in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_every_malformed_field_is_reported(self, tiny_path, tmp_path, capsys):
+        raw = json.loads(tiny_path.read_text())
+        raw["dimensions"]["periods"] = 2.5
+        raw.update(utilization="2", currency=5, holding_cost=[True])
+        tiny_path.write_text(json.dumps(raw))
+        code = main(["run", "--instance", str(tiny_path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        for problem in ("n_periods: 2.5", "utilization: '2'", "currency: 5", "holding_cost: True"):
+            assert f"  - {problem} is not" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name", ["plant_capacity", "supplier_capacity"])

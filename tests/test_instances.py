@@ -154,9 +154,9 @@ class TestLoadErrors:
         raw = json.loads(path.read_text())
         raw["dimensions"]["periods"] = value
         path.write_text(json.dumps(raw))
-        with pytest.raises(ValidationError, match="non-integer dimensions") as err:
+        with pytest.raises(ValidationError, match="malformed content") as err:
             load_instance(path)
-        assert err.value.problems == [f"periods: {value!r}"]
+        assert err.value.problems == [f"n_periods: {value!r} is not an integer"]
 
     @pytest.mark.parametrize("value", [5, None, "periods", [1, 1, 1, 1, 1, 2]])
     def test_non_object_dimensions_rejected(self, tmp_path, value):
@@ -171,8 +171,9 @@ class TestLoadErrors:
     def test_non_number_utilization_rejected(self, tmp_path, value):
         path = save_instance(tiny_instance(), tmp_path / "t.json")
         path.write_text(path.read_text().replace('"utilization": 1.0', f'"utilization": {value}'))
-        with pytest.raises(ValidationError, match="utilization must be a JSON number"):
+        with pytest.raises(ValidationError, match="malformed content") as err:
             load_instance(path)
+        assert err.value.problems == [f"utilization: {json.loads(value)!r} is not a number"]
 
     @pytest.mark.parametrize(
         "name, value, entry",
@@ -189,9 +190,36 @@ class TestLoadErrors:
         raw = json.loads(path.read_text())
         raw[name] = value
         path.write_text(json.dumps(raw))
-        with pytest.raises(ValidationError, match="array entries that are not JSON numbers") as err:
+        with pytest.raises(ValidationError, match="malformed content") as err:
             load_instance(path)
-        assert err.value.problems == [f"{name}: {entry!r}"]
+        assert err.value.problems == [f"{name}: {entry!r} is not a number"]
+
+    def test_every_malformed_field_listed(self, tmp_path):
+        path = save_instance(tiny_instance(), tmp_path / "t.json")
+        raw = json.loads(path.read_text())
+        raw["dimensions"]["periods"] = 2.5
+        raw.update(utilization="2", currency=5, holding_cost=[True])
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError, match="malformed content") as err:
+            load_instance(path)
+        assert err.value.problems == [
+            "n_periods: 2.5 is not an integer",
+            "currency: 5 is not a string",
+            "utilization: '2' is not a number",
+            "holding_cost: True is not a number",
+        ]
+
+    def test_wrong_shapes_listed_together(self, tmp_path):
+        path = save_instance(tiny_instance(), tmp_path / "t.json")
+        raw = json.loads(path.read_text())
+        raw.update(dc_capacity=[10.0, 10.0], demand=[[[1.0, 2.0, 3.0]]])
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError, match="malformed content") as err:
+            load_instance(path)
+        assert err.value.problems == [
+            "dc_capacity must have shape (1,), got (2,)",
+            "demand must have shape (1, 1, 2), got (1, 1, 3)",
+        ]
 
     @pytest.mark.parametrize(
         "old, new, reported",
@@ -276,9 +304,9 @@ class TestLoadErrors:
         raw = json.loads(path.read_text())
         raw[key] = [1, {"a": None}]
         path.write_text(json.dumps(raw))
-        with pytest.raises(ValidationError, match="metadata that is not a JSON string") as err:
+        with pytest.raises(ValidationError, match="malformed content") as err:
             load_instance(path)
-        assert err.value.problems == [f"{key}: [1, {{'a': None}}]"]
+        assert err.value.problems == [f"{key}: [1, {{'a': None}}] is not a string"]
 
     def test_missing_metadata_takes_instance_defaults(self, tmp_path):
         path = save_instance(tiny_instance(), tmp_path / "t.json")
@@ -403,6 +431,54 @@ def test_loading_raises_only_validation_errors(tmp_path_factory, data):
     except ValidationError:
         return
     assert isinstance(instance, Instance)
+
+
+DIMENSION_FIELDS = ("n_suppliers", "n_plants", "n_dcs", "n_retailers", "n_products", "n_periods")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_save_load_is_an_identity_for_every_instance_that_constructs(tmp_path_factory, data):
+    # Built from Python as a caller might: numpy or Python integers and
+    # reals, arrays as numpy arrays of several dtypes, lists or tuples, and
+    # at times one entry moved to an edge value.  A sound instance loads back
+    # equal; an unsound one is refused with exactly its invariant problems.
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=6, max_size=6))
+    params = GeneratorParams(*sizes[:4], n_products=sizes[4], n_periods=sizes[5], seed=data.draw(st.integers(0, 99)))
+    base = generate_instance(params)
+    arrays = {name: getattr(base, name) for name in ARRAY_SHAPES}
+    if data.draw(st.booleans()):
+        name = data.draw(st.sampled_from(sorted(ARRAY_SHAPES)))
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[data.draw(st.integers(0, arrays[name].size - 1))] = data.draw(
+            st.sampled_from([-1.0, 0.0, -0.0, 1e308, np.inf, np.nan])
+        )
+    container = data.draw(st.sampled_from(["float64", "float32", "int64", "list", "tuple"]))
+    with np.errstate(all="ignore"):  # edge values cast to float32 or int64 as numpy casts them
+        if container == "list":
+            arrays = {name: values.tolist() for name, values in arrays.items()}
+        elif container == "tuple":
+            arrays = {name: tuple(values.tolist()) for name, values in arrays.items()}
+        else:
+            arrays = {name: values.astype(container) for name, values in arrays.items()}
+    integer = data.draw(st.sampled_from([int, np.int64, np.int32, np.uint8]))
+    instance = replace(
+        base,
+        **{name: integer(getattr(base, name)) for name in DIMENSION_FIELDS},
+        **arrays,
+        utilization=data.draw(st.sampled_from([float, np.float64, int]))(base.utilization),
+        currency=data.draw(st.sampled_from([str, np.str_]))(data.draw(st.text(max_size=4))),
+    )
+    path = save_instance(instance, tmp_path_factory.getbasetemp() / "constructed.json")
+    problems = instance.invariant_problems()
+    if problems:
+        with pytest.raises(ValidationError, match="violates invariants") as err:
+            load_instance(path)
+        assert err.value.problems == problems
+    else:
+        loaded = load_instance(path)
+        assert instances_equal(instance, loaded)
+        assert (loaded.currency, loaded.time_unit) == (instance.currency, instance.time_unit)
 
 
 class TestGenerator:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import copy
 import pickle
-from dataclasses import FrozenInstanceError, replace
+import re
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -14,17 +15,21 @@ from scnopt import (
     EngineConfig,
     GeneratorParams,
     GenotypeLayout,
+    Instance,
     SupplyChainProblem,
     check_constraints,
     decode,
     eval_delay,
     eval_total_cost,
     evaluate,
+    evaluate_batch,
     evolve,
     generate_instance,
     generate_preset,
     tiny_instance,
+    ValidationError,
 )
+import scnopt
 from scnopt.model import _allocate_rows, _any_last, _schedule_recursion, _sum_bins, _sum_last
 
 from conftest import make_duo_instance
@@ -512,6 +517,116 @@ class TestInstanceValidation:
         tiny = tiny_instance()
         with pytest.raises(ValueError, match="demand"):
             replace(tiny, demand=np.zeros((2, 1, 2)))
+
+
+    @staticmethod
+    def construct(instance, **changes):
+        return Instance(**{**{f.name: getattr(instance, f.name) for f in fields(instance)}, **changes})
+
+    @pytest.mark.parametrize(
+        "name, value, problem",
+        [
+            ("n_periods", 2.0, "is not an integer"),
+            ("n_dcs", True, "is not an integer"),
+            ("n_plants", np.float64(1.0), "is not an integer"),
+            ("n_suppliers", np.bool_(True), "is not an integer"),
+            ("n_retailers", "1", "is not an integer"),
+            ("utilization", "2", "is not a number"),
+            ("utilization", True, "is not a number"),
+            ("utilization", 1 + 0j, "is not a number"),
+            ("utilization", None, "is not a number"),
+            ("currency", 7, "is not a string"),
+            ("time_unit", b"day", "is not a string"),
+        ],
+    )
+    @pytest.mark.parametrize("build", ["replace", "constructor"])
+    def test_malformed_scalar_field_raises(self, build, name, value, problem):
+        tiny = tiny_instance()
+        with pytest.raises(ValidationError, match="malformed instance fields") as err:
+            replace(tiny, **{name: value}) if build == "replace" else self.construct(tiny, **{name: value})
+        assert err.value.problems == [f"{name}: {value!r} {problem}"]
+
+    @pytest.mark.parametrize(
+        "name, value, problem",
+        [
+            ("holding_cost", [True], r"holding_cost: True is not a number"),
+            ("holding_cost", np.array([True]), r"holding_cost: True is not a number"),
+            ("holding_cost", np.array([1 + 0j]), r"holding_cost: \(1\+0j\) is not a number"),
+            ("holding_cost", "0", r"holding_cost: '0' is not a number"),
+            ("demand", [[[5.0, None]]], r"demand: None is not a number"),
+            ("demand", [[[5.0], [5.0, 5.0]]], r"demand: setting an array element with a sequence\..*"),
+            ("demand", [[[10**400, 5.0]]], r"demand: int too large to convert to float"),
+            ("demand", np.zeros((1, 1, 3)), r"demand must have shape \(1, 1, 2\), got \(1, 1, 3\)"),
+            ("utilization", 10**400, r"utilization: int too large to convert to float"),
+            ("utilization", np.bool_(True), r"utilization: True is not a number"),
+            ("utilization", [1.0], r"utilization must have shape \(\), got \(1,\)"),
+        ],
+        ids=["bool", "bool-array", "complex-array", "string", "none", "ragged", "huge-int", "shape",
+             "huge-utilization", "bool-utilization", "list-utilization"],
+    )
+    @pytest.mark.parametrize("build", ["replace", "constructor"])
+    def test_malformed_array_field_raises(self, build, name, value, problem):
+        tiny = tiny_instance()
+        with pytest.raises(ValidationError, match="malformed instance fields") as err:
+            replace(tiny, **{name: value}) if build == "replace" else self.construct(tiny, **{name: value})
+        assert len(err.value.problems) == 1 and re.fullmatch(problem, err.value.problems[0])
+
+    def test_too_deep_nesting_is_a_problem(self):
+        deep = [0.0]
+        for _ in range(70):  # beyond numpy's dimension limit
+            deep = [deep]
+        with pytest.raises(ValidationError) as err:
+            replace(tiny_instance(), holding_cost=deep)
+        assert [problem.split(":")[0] for problem in err.value.problems] == ["holding_cost"]
+
+    def test_every_malformed_field_listed_together(self):
+        with pytest.raises(ValidationError) as err:
+            replace(tiny_instance(), n_periods=2.0, utilization="2", currency=7, holding_cost=[True],
+                    dc_capacity=np.zeros(2), plant_capacity=np.zeros(3))
+        assert err.value.problems == [
+            "n_periods: 2.0 is not an integer",
+            "currency: 7 is not a string",
+            "utilization: '2' is not a number",
+            "plant_capacity must have shape (1,), got (3,)",
+            "dc_capacity must have shape (1,), got (2,)",
+            "holding_cost: True is not a number",
+        ]
+
+    def test_numpy_and_python_numbers_are_taken(self):
+        instance = replace(
+            tiny_instance(), n_periods=np.int64(2), n_dcs=np.uint8(1), utilization=np.float32(1.0),
+            holding_cost=(0,), demand=np.array([[[5, 5]]], dtype=np.int32),
+        )
+        assert instance.dimensions == (1, 1, 1, 1, 1, 2)
+        assert all(type(size) is int for size in instance.dimensions)
+        assert type(instance.utilization) is float and instance.utilization == 1.0
+        assert instance.demand.dtype == float and instance.holding_cost.tolist() == [0.0]
+
+    def test_one_validation_error_class(self):
+        assert scnopt.ValidationError is scnopt.model.ValidationError is scnopt.instances.ValidationError
+        assert scnopt.__all__.count("ValidationError") == 1
+
+
+class TestGenesOutsideTheUnitBox:
+    @pytest.mark.parametrize("gene", [np.nan, -0.5, 1.5])
+    def test_public_entry_points_refuse(self, gene):
+        tiny = tiny_instance()
+        g = np.full(tiny.genotype_length, 0.5)
+        g[3] = gene
+        calls = [
+            lambda: decode(g, tiny),
+            lambda: evaluate(g, tiny),
+            lambda: evaluate_batch(np.stack([np.full_like(g, 0.5), g]), tiny),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape("genotype coordinates must lie in [0, 1]")):
+                call()
+
+    def test_box_edges_are_scored(self):
+        tiny = tiny_instance()
+        rows = np.stack([np.zeros(tiny.genotype_length), np.ones(tiny.genotype_length)])
+        objectives, violations = evaluate_batch(rows, tiny)
+        assert objectives.shape == (2, 2) and np.all(np.isfinite(objectives)) and violations.shape == (2,)
 
 
 class TestInstanceImmutable:

@@ -4,8 +4,9 @@
 seed 0, the optimal design of the program in ``tests/optimum.py`` (solved by
 hand with scipy, which the tests do not need).  Each design is encoded as a
 genotype: facility and assignment keys of 1 or 0, flow weights equal to the
-flows, and each DC's timing weights its assigned per-period demand over that
-demand's maximum.  The model must find it feasible, at the recorded cost, with
+flows scaled by one power of two into [0, 1] (exact, so each allocation splits
+as it would on the flows), and each DC's timing weights its assigned
+per-period demand over that demand's maximum.  The model must find it feasible, at the recorded cost, with
 no delay: the design costs what the solver says, so the optimum is an
 attainable cost and the LP bound lies below it.
 """
@@ -34,8 +35,10 @@ def encoded(design, instance):
     g = np.zeros(layout.length)
     g[layout.plant_keys] = design["plant_open"]
     g[layout.dc_keys] = design["dc_open"]
-    g[layout.supplier_weights] = np.ravel(design["raw_flow"])
-    g[layout.plant_dc_weights] = np.ravel(design["product_flow"])
+    flows = np.concatenate([np.ravel(design["raw_flow"]), np.ravel(design["product_flow"])])
+    scale = 2.0 ** -np.ceil(np.log2(flows.max()))
+    g[layout.supplier_weights] = scale * np.ravel(design["raw_flow"])
+    g[layout.plant_dc_weights] = scale * np.ravel(design["product_flow"])
     g[layout.assignment_keys] = assignment.ravel()
     g[layout.timing_weights] = np.divide(demand, peak, out=np.zeros_like(demand), where=peak > 0.0).ravel()
     return g
