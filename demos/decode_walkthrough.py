@@ -14,14 +14,7 @@ Run:  python demos/decode_walkthrough.py
 
 import numpy as np
 
-from scnopt import (
-    GenotypeLayout,
-    check_constraints,
-    decode,
-    eval_delay,
-    eval_total_cost,
-    tiny_instance,
-)
+from scnopt import CONSTRAINT_FAMILIES, GenotypeLayout, decode, evaluate, tiny_instance
 
 instance = tiny_instance()
 layout = GenotypeLayout.for_instance(instance)
@@ -48,10 +41,9 @@ print("  inbound per period:", network.inflow.ravel())
 print("  on-hand stock:  ", network.on_hand.ravel())
 print("  backlog:        ", network.backlog.ravel())
 
-excess, violation = check_constraints(network, instance)
-print("  constraint excess:", excess, "-> violation", violation)
-print(f"  objectives: cost={eval_total_cost(network, instance)}, "
-      f"delay={eval_delay(network)}")
+(cost, delay), violation = evaluate(jit, instance)
+print("  scored constraint families:", ", ".join(CONSTRAINT_FAMILIES))
+print(f"  objectives: cost={cost}, delay={delay}; violation={violation}")
 print()
 
 # --- timing is the whole story for the delay objective on this fixture:
@@ -62,11 +54,12 @@ for early_share in (1.0, 0.75, 0.5, 0.25, 0.0):
     g = jit.copy()
     g[layout.timing_weights] = (early_share, 1.0 - early_share)
     network = decode(g, instance)
+    (cost, delay), _ = evaluate(g, instance)
     print(f"  {early_share:.2f}    {network.inflow.ravel()}"
           f"    {network.on_hand.ravel()}"
           f"   {network.backlog.ravel()}"
-          f"   {eval_total_cost(network, instance):.0f}"
-          f"    {eval_delay(network):.1f}")
+          f"   {cost:.0f}"
+          f"    {delay:.1f}")
 
 print()
 print("shipping everything in period 1 (or period 2) moves 5 units of")

@@ -67,6 +67,8 @@ def _read_instance(path: str | Path) -> tuple[bytes, Instance]:
             f"instance file {path} is not valid JSON "
             f"(line {err.lineno}, column {err.colno}: {err.msg})"
         ) from err
+    except ValueError as err:  # an integer literal beyond Python's digit limit for int()
+        raise ValidationError(f"instance file {path} is not valid JSON ({err})") from err
     except RecursionError as err:
         raise ValidationError(f"instance file {path} nests JSON too deeply to parse") from err
     if not isinstance(raw, dict):

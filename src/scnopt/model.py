@@ -29,9 +29,6 @@ __all__ = [
     "GenotypeLayout",
     "DecodedNetwork",
     "decode",
-    "eval_total_cost",
-    "eval_delay",
-    "check_constraints",
     "evaluate",
     "evaluate_batch",
     "SupplyChainProblem",
@@ -39,15 +36,18 @@ __all__ = [
     "ARRAY_SHAPES",
 ]
 
-# Names of the constraint families scored by check_constraints, in order.
+# Names of the constraint families a genotype's violation scores, in the
+# column order of _excess_rows.  Three more hold on every decoded network by
+# construction, so nothing scores them: the allocations are capped at the
+# supplier and plant budgets (supplier capacity, plant capacity), and each
+# retailer goes to its one argmax DC (single assignment).  Their excess is
+# exactly zero, so leaving it out keeps every bit of the violation; the property
+# test tests/test_decode_properties.py::test_unscored_families_are_zero checks them.
 CONSTRAINT_FAMILIES = (
     "dc_holding_capacity",      # on-hand stock within DC holding capacity
     "backorder_limit",          # backlog within the permitted backorder level
     "dc_flow_balance",          # product into each DC covers product out to retailers
-    "supplier_capacity",        # raw material drawn from a supplier within its capacity
     "plant_raw_balance",        # raw material into each plant covers its production
-    "plant_capacity",           # production within plant capacity
-    "single_assignment",        # every retailer served by exactly one DC
 )
 
 # Array fields of an Instance, in file order, with their shapes in the letters
@@ -73,6 +73,8 @@ ARRAY_SHAPES = {
 _EXCESS_RTOL = 1e-9
 
 _SMALLEST_NORMAL = np.finfo(float).tiny
+
+_LARGEST_SIZE = np.iinfo(np.intp).max
 
 _DIMENSION_FIELDS = ("n_suppliers", "n_plants", "n_dcs", "n_retailers", "n_products", "n_periods")
 
@@ -136,10 +138,12 @@ class Instance:
         problems, sizes, values = [], {}, {}
         for axis, name in zip("SKJIPT", _DIMENSION_FIELDS):
             size = getattr(self, name)
-            if isinstance(size, (int, np.integer)) and not isinstance(size, bool):
-                sizes[axis] = int(size)
-            else:
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
                 problems.append(f"{name}: {size!r} is not an integer")
+            elif size > _LARGEST_SIZE:  # no array has such an axis, and its repr may be refused
+                problems.append(f"{name}: an integer above {_LARGEST_SIZE} is not an array size")
+            else:
+                sizes[axis] = int(size)
         problems += [f"{name}: {getattr(self, name)!r} is not a string"
                      for name in ("currency", "time_unit") if not isinstance(getattr(self, name), str)]
         for name, axes in {"utilization": "", **ARRAY_SHAPES}.items():  # utilization as a 0-d array
@@ -193,17 +197,14 @@ class Instance:
 
     @cached_property
     def _scales(self) -> np.ndarray:
-        """Positive scales that normalize :func:`check_constraints` excess, one
-        per family in :data:`CONSTRAINT_FAMILIES` order: the capacity each
+        """Positive scales that normalize the constraint excess, one per
+        family in :data:`CONSTRAINT_FAMILIES` order: the capacity each
         family's excess is measured in, or 1 where that capacity is 0."""
         scales = np.array([
             self.dc_capacity.mean(),
             self.backorder_limit.mean(),
             self.total_demand / self.n_dcs,
-            self.supplier_capacity.mean(),
             self.plant_capacity.mean(),
-            self.plant_capacity.mean(),
-            1.0,
         ])
         return _read_only(np.where(scales > 0.0, scales, 1.0))
 
@@ -348,11 +349,6 @@ def _genotype_row(genotype: np.ndarray, instance: Instance) -> np.ndarray:
     return g[None]
 
 
-def _network_row(network: DecodedNetwork, row: int | None) -> DecodedNetwork:
-    """Row ``row`` of a row-stacked network, or with ``row=None`` the network stacked as one row."""
-    return DecodedNetwork(**{f.name: getattr(network, f.name)[row] for f in fields(DecodedNetwork)})
-
-
 def decode(genotype: np.ndarray, instance: Instance) -> DecodedNetwork:
     """Decode a genotype into a concrete network design.
 
@@ -366,7 +362,8 @@ def decode(genotype: np.ndarray, instance: Instance) -> DecodedNetwork:
     is scheduled across periods by its normalized timing weights and the
     stock/backlog recursion is simulated against assigned per-period demand.
     """
-    return _network_row(_decode_rows(_genotype_row(genotype, instance), instance)[0], 0)
+    network = _decode_rows(_genotype_row(genotype, instance), instance)[0]
+    return DecodedNetwork(**{f.name: getattr(network, f.name)[0] for f in fields(DecodedNetwork)})
 
 
 def _schedule_recursion(inflow: np.ndarray, demand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -382,7 +379,7 @@ def _schedule_recursion(inflow: np.ndarray, demand: np.ndarray) -> tuple[np.ndar
         b_t         = b_{t-1} + demand_t - shipped_t
 
     The recursion never clips against the cell's holding or backorder bounds;
-    excess is scored by :func:`check_constraints`, not here.
+    excess is scored by :func:`_excess_rows`, not here.
     """
     periods = inflow.shape[-1]
     on_hand = np.zeros_like(inflow)
@@ -399,68 +396,27 @@ def _schedule_recursion(inflow: np.ndarray, demand: np.ndarray) -> tuple[np.ndar
     return on_hand, backlog
 
 
-def eval_total_cost(
-    network: DecodedNetwork,
-    instance: Instance,
-    holding_on_backorder: bool = False,
-) -> float:
-    """Total network cost: fixed facility costs plus every flow-proportional term.
-
-    Holding cost is charged on on-hand stock; ``holding_on_backorder=True``
-    charges it on the backlog instead (alternate accounting mode).
-    """
-    return float(_objective_rows(_network_row(network, None), instance, holding_on_backorder)[0, 0])
-
-
-def eval_delay(network: DecodedNetwork) -> float:
-    """Total delivery-delay quantity: backlog plus early stock over all cells."""
-    return float(_delay_rows(_network_row(network, None))[0])
-
-
-def check_constraints(
-    network: DecodedNetwork,
-    instance: Instance,
-) -> tuple[np.ndarray, float]:
-    """Score the seven constraint families of a decoded network.
-
-    Returns ``(excess, total)``: ``excess[f]`` is the summed magnitude of
-    violation in family ``f`` (see :data:`CONSTRAINT_FAMILIES`), and ``total``
-    is the scalar violation used for constraint-domination — each family
-    divided by its capacity scale so no family dominates purely by units.
-    Excess below float-repair resolution is treated as zero.
-
-    The four families a decoded network can break come from the batch
-    scorer's :func:`_excess_rows`; the other three are scored here, because
-    a hand-built network can overdraw suppliers, overload plants or split a
-    retailer.
-    """
-    stacked = _network_row(network, None)
-    production = stacked.product_flow.sum(axis=(1, 3))
-    dc_in = stacked.product_flow.sum(axis=2)
-    dc_out = stacked.retail_flow.sum(axis=3)
-    excess = np.zeros(len(CONSTRAINT_FAMILIES))
-    excess[_ROW_FAMILIES] = _excess_rows(stacked, instance, dc_in, dc_out, production)[0]
-    excess[3] = np.maximum(network.raw_flow.sum(axis=1) - instance.supplier_capacity, 0.0).sum()
-    excess[5] = np.maximum(instance.utilization * production[0] - instance.plant_capacity, 0.0).sum()
-    excess[6] = np.abs(network.assignment.sum(axis=0) - 1).sum()
-    excess, total = _scored(excess, instance._scales)
-    return excess, float(total)
-
-
 def evaluate(
     genotype: np.ndarray,
     instance: Instance,
     holding_on_backorder: bool = False,
 ) -> tuple[np.ndarray, float]:
-    """Decode and score one genotype: ``([total_cost, delay], violation)``."""
+    """Decode and score one genotype: ``([total_cost, delay], violation)``.
+
+    Total cost is the fixed cost of the open facilities plus every
+    flow-proportional term, with holding cost charged on on-hand stock, or
+    on the backlog with ``holding_on_backorder=True``.  Delay is backlog plus
+    early stock over all cells.  The violation sums each family's excess in
+    :data:`CONSTRAINT_FAMILIES` over its capacity scale; excess below
+    float-repair resolution counts as zero.
+    """
     objectives, violations = evaluate_batch(_genotype_row(genotype, instance), instance, holding_on_backorder)
     return objectives[0], float(violations[0])
 
 
-# Batched evaluation: the only statement of each model formula a run uses.
-# Each function works over a leading row axis (the capped allocation over a
-# trailing one); the one-genotype functions above are views of one row, and
-# check_constraints takes four of its seven families from _excess_rows.
+# Batched evaluation: the only statement of each model formula.  Each
+# function works over a leading row axis (the capped allocation over a
+# trailing one); decode and evaluate above are views of one row.
 # tests/oracles.py keeps the decoder and the constraint scorer as they ran one
 # genotype at a time; every row matches them bit for bit, because each
 # function here takes the same operations and reduces the same axes of the
@@ -660,18 +616,13 @@ def _row_sums(values: np.ndarray) -> np.ndarray:
     return values.reshape(values.shape[0], math.prod(values.shape[1:])).sum(axis=1)  # also for 0 rows
 
 
-def _delay_rows(network: DecodedNetwork) -> np.ndarray:
-    """:func:`eval_delay` of every row of a row-stacked network."""
-    return _row_sums(network.backlog + network.on_hand)
-
-
 def _objective_rows(
     network: DecodedNetwork,
     instance: Instance,
     holding_on_backorder: bool,
 ) -> np.ndarray:
-    """``(N, 2)`` :func:`eval_total_cost` and :func:`eval_delay` of every row of a
-    row-stacked network."""
+    """``(N, 2)`` total cost and delay, as :func:`evaluate` states them, of
+    every row of a row-stacked network."""
     fixed = _sum_last(instance.plant_fixed_cost * network.plant_open) + _sum_last(
         instance.dc_fixed_cost * network.dc_open
     )
@@ -683,11 +634,7 @@ def _objective_rows(
         instance.product_transport_dc_retailer[None, :, :] * network.retail_flow
     )
     total_cost = fixed + raw + plant_to_dc + holding + dc_to_retail
-    return np.stack([total_cost, _delay_rows(network)], axis=1)
-
-
-# The families _excess_rows scores, as indices into CONSTRAINT_FAMILIES.
-_ROW_FAMILIES = [0, 1, 2, 4]
+    return np.stack([total_cost, _row_sums(network.backlog + network.on_hand)], axis=1)
 
 
 def _excess_rows(
@@ -697,16 +644,9 @@ def _excess_rows(
     dc_out: np.ndarray,
     production: np.ndarray,
 ) -> np.ndarray:
-    """``(N, 4)`` excess of dc_holding_capacity, backorder_limit,
-    dc_flow_balance and plant_raw_balance for every row of a row-stacked network,
-    given its flow totals as :func:`_decode_rows` returns them.
-
-    supplier_capacity, plant_capacity and single_assignment are zero on every
-    decoded network: allocation is capped at the supplier and plant budgets,
-    and each retailer goes to its argmax DC, a one-hot assignment
-    (tests/test_decode_properties.py::test_unscored_families_are_zero).
-    Dropping exact zeros from the family sum leaves the total's bits unchanged.
-    """
+    """``(N, 4)`` excess of each family in :data:`CONSTRAINT_FAMILIES` for
+    every row of a row-stacked network, given its flow totals as
+    :func:`_decode_rows` returns them."""
     raw_in = network.raw_flow.sum(axis=1)
     return np.stack(
         [
@@ -717,13 +657,6 @@ def _excess_rows(
         ],
         axis=1,
     )
-
-
-def _scored(excess: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``excess`` with entries below float-repair resolution set to zero, and
-    its sum over the last axis in units of ``scales``: the violation total."""
-    excess = np.where(excess > _EXCESS_RTOL * scales, excess, 0.0)
-    return excess, _sum_last(excess / scales)
 
 
 def evaluate_batch(
@@ -740,8 +673,8 @@ def evaluate_batch(
     at 1290 rows).  An empty ``(0, L)`` matrix gives ``(0, 2)`` and ``(0,)``.
     """
     network, flow_totals = _decode_rows(np.asarray(genotypes, dtype=float), instance)
-    excess = _excess_rows(network, instance, *flow_totals)
-    violations = _scored(excess, instance._scales[_ROW_FAMILIES])[1]
+    excess, scales = _excess_rows(network, instance, *flow_totals), instance._scales
+    violations = _sum_last(np.where(excess > _EXCESS_RTOL * scales, excess, 0.0) / scales)
     return _objective_rows(network, instance, holding_on_backorder), violations
 
 

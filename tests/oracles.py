@@ -9,10 +9,11 @@ shared bug between library and test is unlikely.
 Two references keep code the package ran before it worked on whole blocks.
 The reference decoder decodes and scores one genotype at a time, one
 capped allocation per (product, DC) pair and per plant, its own
-per-period stock/backlog recursion, and every constraint family written
-out for one network; the package's only decoder,
+per-period stock/backlog recursion, and all seven constraint families
+written out for one network; the package's only decoder,
 ``scnopt.model._decode_rows``, and its constraint scorer must match it bit
-for bit.  The
+for bit.  It states the genotype layout, the family names and their scales
+itself, so a fault in the package's cannot hide in both.  The
 reference engine is the generational loop as it ran one mating pair and one
 evaluated row at a time, with per-pair tournaments, crossover and mutation;
 it ranks, crowds, selects and keeps its archive with the oracles above, not
@@ -28,12 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from scnopt import (
-    CONSTRAINT_FAMILIES,
     DecodedNetwork,
     EvaluationError,
     EvolutionResult,
     GenerationRecord,
-    GenotypeLayout,
     PM_ETA,
     SBX_ETA,
     ParetoArchive,
@@ -229,6 +228,40 @@ def enumerate_reference_front(instance, build_network, eval_cost, eval_delay, ch
 # ---------------------------------------------------------------------------
 # Reference decoder: one genotype at a time
 
+# The constraint families reference_check_constraints scores, in its order.
+# The package scores four of them; the other three hold on every decoded
+# network by construction.
+REFERENCE_FAMILIES = (
+    "dc_holding_capacity",      # on-hand stock within DC holding capacity
+    "backorder_limit",          # backlog within the permitted backorder level
+    "dc_flow_balance",          # product into each DC covers product out to retailers
+    "supplier_capacity",        # raw material drawn from a supplier within its capacity
+    "plant_raw_balance",        # raw material into each plant covers its production
+    "plant_capacity",           # production within plant capacity
+    "single_assignment",        # every retailer served by exactly one DC
+)
+
+
+def reference_segments(instance) -> dict[str, slice]:
+    """The genotype's segments in order, each of the length the model's
+    layout gives it: plant keys (K), DC keys (J), supplier->plant weights
+    (S*K), plant->DC weights (K*J), retailer assignment keys (J*I) and DC
+    inbound timing weights (J*T)."""
+    s, k, j, i, _, t = instance.dimensions
+    sizes = {
+        "plant_keys": k,
+        "dc_keys": j,
+        "supplier_weights": s * k,
+        "plant_dc_weights": k * j,
+        "assignment_keys": j * i,
+        "timing_weights": j * t,
+    }
+    segments, start = {}, 0
+    for name, size in sizes.items():
+        segments[name] = slice(start, start + size)
+        start += size
+    return segments
+
 
 def reference_allocate_with_caps(
     total: float,
@@ -293,17 +326,18 @@ def reference_decode(genotype: np.ndarray, instance) -> DecodedNetwork:
     stock/backlog recursion is simulated against assigned per-period demand.
     """
     g = np.asarray(genotype, dtype=float)
-    layout = GenotypeLayout.for_instance(instance)
-    if g.shape != (layout.length,):
-        raise ValueError(f"genotype must have shape ({layout.length},), got {g.shape}")
+    segments = reference_segments(instance)
+    length = segments["timing_weights"].stop
+    if g.shape != (length,):
+        raise ValueError(f"genotype must have shape ({length},), got {g.shape}")
     s, k, j, i, p, t = instance.dimensions
 
-    plant_keys = g[layout.plant_keys]
-    dc_keys = g[layout.dc_keys]
-    supplier_weights = g[layout.supplier_weights].reshape(s, k)
-    plant_dc_weights = g[layout.plant_dc_weights].reshape(k, j)
-    assignment_keys = g[layout.assignment_keys].reshape(j, i)
-    timing_weights = g[layout.timing_weights].reshape(j, t)
+    plant_keys = g[segments["plant_keys"]]
+    dc_keys = g[segments["dc_keys"]]
+    supplier_weights = g[segments["supplier_weights"]].reshape(s, k)
+    plant_dc_weights = g[segments["plant_dc_weights"]].reshape(k, j)
+    assignment_keys = g[segments["assignment_keys"]].reshape(j, i)
+    timing_weights = g[segments["timing_weights"]].reshape(j, t)
 
     plant_open = plant_keys >= 0.5
     if not plant_open.any():
@@ -431,13 +465,13 @@ def reference_check_constraints(
     """Score the seven constraint families of a decoded network.
 
     Returns ``(excess, total)``: ``excess[f]`` is the summed magnitude of
-    violation in family ``f`` (see :data:`CONSTRAINT_FAMILIES`), and ``total``
+    violation in family ``f`` (see :data:`REFERENCE_FAMILIES`), and ``total``
     is the scalar violation used for constraint-domination — each family
     divided by its capacity scale so no family dominates purely by units.
     Excess below float-repair resolution is treated as zero.
     """
     u = instance.utilization
-    excess = np.zeros(len(CONSTRAINT_FAMILIES))
+    excess = np.zeros(len(REFERENCE_FAMILIES))
 
     excess[0] = np.maximum(network.on_hand - instance.dc_capacity[None, :, None], 0.0).sum()
     excess[1] = np.maximum(network.backlog - instance.backorder_limit, 0.0).sum()

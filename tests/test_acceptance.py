@@ -15,10 +15,7 @@ import numpy as np
 from scnopt import (
     EngineConfig,
     SupplyChainProblem,
-    check_constraints,
     crowding_distance,
-    eval_delay,
-    eval_total_cost,
     evaluate,
     evolve,
     fast_nondominated_sort,
@@ -32,7 +29,15 @@ from conftest import (
     make_duo_instance,
     random_population,
 )
-from oracles import ReferenceSupplyChainProblem, enumerate_reference_front, oracle_crowding, oracle_sort
+from oracles import (
+    ReferenceSupplyChainProblem,
+    enumerate_reference_front,
+    oracle_crowding,
+    oracle_sort,
+    reference_check_constraints,
+    reference_eval_delay,
+    reference_eval_total_cost,
+)
 
 
 def verdict(capsys, number, name, ok, detail="", elapsed=None, budget=None):
@@ -168,9 +173,9 @@ def test_criterion_5_quantized_enumeration_coverage(capsys):
         lambda plants, dcs, assignment, splits, timings: build_duo_network(
             duo, plants, dcs, assignment, splits, timings
         ),
-        eval_total_cost,
-        eval_delay,
-        check_constraints,
+        reference_eval_total_cost,
+        reference_eval_delay,
+        reference_check_constraints,
         grid,
     )
     assert len(reference) >= 3, "enumeration produced a degenerate reference front"

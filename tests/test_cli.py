@@ -330,6 +330,8 @@ class TestExitCodes:
                          "int too large", id="huge-demand-entry"),
             pytest.param('"utilization": 1.0', '"utilization": ' + str(10**400), "int too large",
                          id="huge-utilization"),
+            pytest.param('"utilization": 1.0', '"utilization": 1' + "0" * 5000, "not valid JSON",
+                         id="beyond-the-int-digit-limit"),
             pytest.param('"currency": "TZS/week"', '"currency": [1, {"a": null}]', "currency: [1, {'a': None}]",
                          id="non-string-currency"),
         ],

@@ -2,11 +2,11 @@
 
 Decoding caps every allocation at the plant and supplier budgets and assigns
 each retailer to one DC, so three constraint families can never fire on a
-decoded network and the batch evaluator does not score them.  These tests
-prove that, check that the batch decoder's rows and the one-genotype views
-equal the reference decoder in ``oracles.py`` bit for bit, check that
-``check_constraints`` equals the reference constraint scorer on decoded and
-hand-edited networks, and check mass balance at each echelon and the cost's
+decoded network and the model does not score them.  These tests prove that
+with the reference constraint scorer in ``oracles.py``, check that the batch
+decoder's rows and the one-genotype views equal the reference decoder bit
+for bit, check that each scored family's excess and the violation equal the
+reference scorer's, and check mass balance at each echelon and the cost's
 sum of terms.
 
 The reference decoder keeps an old underflow: weights near the smallest
@@ -31,29 +31,27 @@ from scnopt import (
     DecodedNetwork,
     GeneratorParams,
     GenotypeLayout,
-    check_constraints,
     decode,
-    eval_delay,
-    eval_total_cost,
     evaluate,
     evaluate_batch,
     generate_instance,
 )
-from scnopt.model import _EXCESS_RTOL, _allocate_rows, _decode_rows, _network_row
+from scnopt.model import _EXCESS_RTOL, _allocate_rows, _decode_rows, _excess_rows
 
 from oracles import (
+    REFERENCE_FAMILIES,
     reference_allocate_with_caps,
     reference_check_constraints,
     reference_decode,
-    reference_eval_delay,
-    reference_eval_total_cost,
     reference_evaluate_genotype,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
+# Where the reference scorer keeps the package's four families, and the other three.
+SCORED = [REFERENCE_FAMILIES.index(name) for name in CONSTRAINT_FAMILIES]
 UNSCORED = [
-    CONSTRAINT_FAMILIES.index(name)
+    REFERENCE_FAMILIES.index(name)
     for name in ("supplier_capacity", "plant_capacity", "single_assignment")
 ]
 
@@ -127,7 +125,7 @@ def decoded_rows(instance, genotypes):
     """The batch decoder's network for every genotype row."""
     stacked, _ = _decode_rows(genotypes, instance)
     for n in range(len(genotypes)):
-        yield _network_row(stacked, n)
+        yield DecodedNetwork(**{f.name: getattr(stacked, f.name)[n] for f in fields(DecodedNetwork)})
 
 
 def assert_same_network(a, b):
@@ -141,14 +139,10 @@ def test_unscored_families_are_zero(case):
     instance, genotypes, holding_on_backorder = case
     for g, row in zip(genotypes, decoded_rows(instance, genotypes)):
         reference = reference_decode(g, instance)
-        excess, _ = check_constraints(row, instance)
+        excess, _ = reference_check_constraints(row, instance)
         assert [excess[f] for f in UNSCORED] == [0.0, 0.0, 0.0]
         assert_same_network(row, reference)
         assert_same_network(decode(g, instance), reference)
-        assert eval_total_cost(row, instance, holding_on_backorder) == reference_eval_total_cost(
-            reference, instance, holding_on_backorder
-        )
-        assert eval_delay(row) == reference_eval_delay(reference)
 
     objectives, violations = evaluate_batch(genotypes, instance, holding_on_backorder)
     for n, g in enumerate(genotypes):
@@ -261,47 +255,20 @@ def test_allocation_matches_reference(rows):
         assert np.array_equal(allocation[n], expected)
 
 
-# Hand edits of a decoded network that break the constraint families decoding
-# keeps clean, and raise the ones it can break.
-NETWORK_EDITS = (
-    "raise stock", "raise backlog", "scale product flows", "add raw flow", "split or empty assignment"
-)
-
-
-def edit_network(network, instance, edits, rng, factor):
-    def raised(values, top):
-        return values + top * rng.random(values.shape)
-
-    if "raise stock" in edits:
-        network = replace(network, on_hand=raised(network.on_hand, 2 * instance.dc_capacity.max()))
-    if "raise backlog" in edits:
-        network = replace(network, backlog=raised(network.backlog, 2 * instance.backorder_limit.max()))
-    if "scale product flows" in edits:
-        network = replace(network, product_flow=factor * network.product_flow)
-    if "add raw flow" in edits:
-        network = replace(network, raw_flow=raised(network.raw_flow, instance.supplier_capacity.max()))
-    if "split or empty assignment" in edits:
-        assignment = network.assignment.copy()
-        # one retailer goes to a random subset of DCs: several, one, or none
-        assignment[:, rng.integers(instance.n_retailers)] = rng.random(instance.n_dcs) < 0.5
-        network = replace(network, assignment=assignment)
-    return network
-
-
 @PROPERTY
-@given(cases(), st.sets(st.sampled_from(NETWORK_EDITS)), st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
-def test_constraint_scores_match_reference(case, edits, factor, seed):
-    # check_constraints takes four families from the batch scorer and scores
-    # three itself; all seven must equal the scalar reference exactly, on
-    # decoded rows and on hand-edited networks that break any family.
-    instance, genotypes, _ = case
-    rng = np.random.default_rng(seed)
-    for row in decoded_rows(instance, genotypes):
-        for network in (row, edit_network(row, instance, edits, rng, factor)):
-            excess, total = check_constraints(network, instance)
-            expected_excess, expected_total = reference_check_constraints(network, instance)
-            assert np.array_equal(excess, expected_excess)
-            assert total == expected_total
+@given(cases())
+def test_constraint_scores_match_reference(case):
+    # Each scored family's excess, below float-repair resolution set to zero,
+    # and the violation equal the scalar reference's exactly on every row.
+    instance, genotypes, holding_on_backorder = case
+    network, flow_totals = _decode_rows(genotypes, instance)
+    excess = _excess_rows(network, instance, *flow_totals)
+    excess = np.where(excess > _EXCESS_RTOL * instance._scales, excess, 0.0)
+    _, violations = evaluate_batch(genotypes, instance, holding_on_backorder)
+    for n, row in enumerate(decoded_rows(instance, genotypes)):
+        expected_excess, expected_total = reference_check_constraints(row, instance)
+        assert np.array_equal(excess[n], expected_excess[SCORED])
+        assert violations[n] == expected_total
 
 
 def test_oracles_import_no_private_callable_from_the_package():
@@ -331,7 +298,7 @@ def cost_terms(network, instance, holding_on_backorder):
     )
 
 
-def assert_balanced(network, instance, holding_on_backorder):
+def assert_balanced(network, instance, total_cost, holding_on_backorder):
     u = instance.utilization
     # Absolute tolerances for cells that may hold tiny leftovers of allocation.
     product_tol = 1e-9 * instance.total_demand
@@ -355,7 +322,6 @@ def assert_balanced(network, instance, holding_on_backorder):
 
     np.testing.assert_allclose(network.inflow.sum(axis=2), dc_in, rtol=1e-9, atol=product_tol)
 
-    total_cost = eval_total_cost(network, instance, holding_on_backorder)
     assert total_cost == pytest.approx(sum(cost_terms(network, instance, holding_on_backorder)), rel=1e-9)
 
 
@@ -365,10 +331,7 @@ def test_flows_balance_and_cost_adds_up(case):
     instance, genotypes, holding_on_backorder = case
     objectives, _ = evaluate_batch(genotypes, instance, holding_on_backorder)
     for n, row in enumerate(decoded_rows(instance, genotypes)):
-        assert_balanced(row, instance, holding_on_backorder)
-        assert objectives[n, 0] == pytest.approx(
-            sum(cost_terms(row, instance, holding_on_backorder)), rel=1e-9
-        )
+        assert_balanced(row, instance, objectives[n, 0], holding_on_backorder)
 
 
 @PROPERTY
@@ -379,5 +342,6 @@ def test_flows_balance_with_subnormal_genes(case):
     # each DC's inflow equals its assigned demand whenever the open plants
     # can carry it.
     instance, genotypes, holding_on_backorder = case
-    for row in decoded_rows(instance, genotypes):
-        assert_balanced(row, instance, holding_on_backorder)
+    objectives, _ = evaluate_batch(genotypes, instance, holding_on_backorder)
+    for n, row in enumerate(decoded_rows(instance, genotypes)):
+        assert_balanced(row, instance, objectives[n, 0], holding_on_backorder)

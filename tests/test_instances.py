@@ -74,6 +74,14 @@ class TestLoadErrors:
         with pytest.raises(ValidationError, match=r"not valid JSON \(line 2"):
             load_instance(path)
 
+    def test_integer_beyond_the_digit_limit_is_invalid_json(self, tmp_path):
+        # Python's json refuses an integer literal of more than 4300 digits
+        # with a plain ValueError, not a JSONDecodeError
+        path = save_instance(tiny_instance(), tmp_path / "t.json")
+        path.write_text(path.read_text().replace('"utilization": 1.0', '"utilization": 1' + "0" * 5000))
+        with pytest.raises(ValidationError, match="not valid JSON"):
+            load_instance(path)
+
     def test_non_object_document(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]\n")

@@ -17,10 +17,7 @@ from scnopt import (
     GenotypeLayout,
     Instance,
     SupplyChainProblem,
-    check_constraints,
     decode,
-    eval_delay,
-    eval_total_cost,
     evaluate,
     evaluate_batch,
     evolve,
@@ -30,9 +27,19 @@ from scnopt import (
     ValidationError,
 )
 import scnopt
-from scnopt.model import _allocate_rows, _any_last, _schedule_recursion, _sum_bins, _sum_last
+from scnopt.model import (
+    _EXCESS_RTOL,
+    _allocate_rows,
+    _any_last,
+    _decode_rows,
+    _excess_rows,
+    _schedule_recursion,
+    _sum_bins,
+    _sum_last,
+)
 
 from conftest import make_duo_instance
+from oracles import REFERENCE_FAMILIES, reference_check_constraints, reference_decode, reference_segments
 
 
 def duo_genotype(
@@ -75,6 +82,7 @@ class TestGenotypeLength:
         assert stops[0][0] == 0 and stops[-1][1] == layout.length
         for (_, stop), (start, _) in zip(stops[:-1], stops[1:]):
             assert stop == start
+        assert {name: getattr(layout, name) for name in reference_segments(instance)} == reference_segments(instance)
 
 
 def signed_rows(width):
@@ -199,20 +207,18 @@ class TestDecode:
         # one DC carries all 180 units of demand; weights ask plant 0 for 162
         # but its budget is 120, so the overflow of 60 reroutes to plant 1
         instance = make_duo_instance()
-        network = decode(
-            duo_genotype(
-                dc_keys=(1.0, 0.0),
-                plant_dc_weights=(0.9, 0.5, 0.1, 0.5),
-                timing_weights=(0.7, 0.3, 0.5, 0.5),
-            ),
-            instance,
+        g = duo_genotype(
+            dc_keys=(1.0, 0.0),
+            plant_dc_weights=(0.9, 0.5, 0.1, 0.5),
+            timing_weights=(0.7, 0.3, 0.5, 0.5),
         )
+        network = decode(g, instance)
         assert network.product_flow[0, 0, 0] == 120.0  # pinned exactly at the cap
         assert network.product_flow[0, 1, 0] == pytest.approx(60.0, abs=1e-9)
         assert network.product_flow[0, :, 1].tolist() == [0.0, 0.0]
         # raw material covers each plant's production exactly (single supplier)
         assert np.array_equal(network.raw_flow[0], network.product_flow[0, :, 0])
-        _, violation = check_constraints(network, instance)
+        _, violation = evaluate(g, instance)
         assert violation == 0.0
 
     def test_timing_weights_normalize_to_inflow_distribution(self):
@@ -241,22 +247,23 @@ class TestDecode:
         assert np.array_equal(a.inflow, b.inflow)
 
     def test_repair_covers_flow_families(self):
-        # repair keeps capacity-style families clean no matter the genotype;
-        # DC inflow balance additionally holds whenever the open plants can
-        # carry total demand (a lone small plant may legitimately starve it)
+        # repair keeps capacity-style families clean no matter the genotype,
+        # by the reference scorer of all seven families; DC inflow balance
+        # additionally holds whenever the open plants can carry total demand
+        # (a lone small plant may legitimately starve it)
         instance = make_duo_instance()
         rng = np.random.default_rng(101)
-        always_zero = [CONSTRAINT_FAMILIES.index(name) for name in (
+        always_zero = [REFERENCE_FAMILIES.index(name) for name in (
             "supplier_capacity",
             "plant_raw_balance",
             "plant_capacity",
             "single_assignment",
         )]
-        balance = CONSTRAINT_FAMILIES.index("dc_flow_balance")
+        balance = REFERENCE_FAMILIES.index("dc_flow_balance")
         starved = 0
         for _ in range(10_000):
             network = decode(rng.random(20), instance)
-            excess, _total = check_constraints(network, instance)
+            excess, _total = reference_check_constraints(network, instance)
             assert all(excess[f] == 0.0 for f in always_zero)
             budget = (
                 instance.plant_capacity[network.plant_open] / instance.utilization
@@ -356,10 +363,8 @@ class TestSimulateSchedule:
 
 class TestObjectives:
     def test_tiny_hand_cost_is_220(self):
-        tiny = tiny_instance()
-        network = decode(np.ones(7), tiny)
-        assert eval_total_cost(network, tiny) == 220.0
-        assert eval_delay(network) == 0.0
+        objectives, _ = evaluate(np.ones(7), tiny_instance())
+        assert objectives.tolist() == [220.0, 0.0]
 
     def test_tiny_cost_term_by_term(self):
         # 100 fixed plant + 50 fixed DC + (2+1)*10 raw + 3*10 plant->DC
@@ -381,32 +386,29 @@ class TestObjectives:
         assert early[0][0] == 220.0 and late[0][0] == 220.0
 
     def test_flow_terms_scale_linearly_with_flows(self):
+        # twice the demand and every capacity doubles each flow of a design
         instance = make_duo_instance()
+        doubled = replace(instance, **{name: 2 * getattr(instance, name) for name in (
+            "demand", "supplier_capacity", "plant_capacity", "dc_capacity", "backorder_limit"
+        )})
         network = decode(duo_genotype(), instance)
-        doubled = replace(
-            network,
-            raw_flow=2 * network.raw_flow,
-            product_flow=2 * network.product_flow,
-            retail_flow=2 * network.retail_flow,
-            inflow=2 * network.inflow,
-            on_hand=2 * network.on_hand,
-            backlog=2 * network.backlog,
-        )
+        np.testing.assert_array_equal(decode(duo_genotype(), doubled).product_flow, 2 * network.product_flow)
         fixed = (instance.plant_fixed_cost * network.plant_open).sum() + (
             instance.dc_fixed_cost * network.dc_open
         ).sum()
-        base = eval_total_cost(network, instance)
-        twice = eval_total_cost(doubled, instance)
+        base = evaluate(duo_genotype(), instance)[0][0]
+        twice = evaluate(duo_genotype(), doubled)[0][0]
         assert twice - fixed == pytest.approx(2 * (base - fixed), rel=1e-12)
 
     def test_holding_mode_switch_moves_cost_from_stock_to_backlog(self):
         instance = make_duo_instance()
-        early = decode(duo_genotype(timing_weights=(1.0, 0.0, 1.0, 0.0)), instance)
+        g = duo_genotype(timing_weights=(1.0, 0.0, 1.0, 0.0))
+        early = decode(g, instance)
         holding = (instance.holding_cost[None, :, None] * early.on_hand).sum()
         backorder_holding = (instance.holding_cost[None, :, None] * early.backlog).sum()
-        assert eval_total_cost(early, instance) - eval_total_cost(
-            early, instance, holding_on_backorder=True
-        ) == pytest.approx(holding - backorder_holding, rel=1e-9, abs=1e-9)
+        assert evaluate(g, instance)[0][0] - evaluate(g, instance, True)[0][0] == pytest.approx(
+            holding - backorder_holding, rel=1e-9, abs=1e-9
+        )
 
     def test_timing_segment_only_moves_cost_through_holding(self):
         instance = make_duo_instance()
@@ -419,8 +421,8 @@ class TestObjectives:
             n1, n2 = decode(g1, instance), decode(g2, instance)
             h1 = (instance.holding_cost[None, :, None] * n1.on_hand).sum()
             h2 = (instance.holding_cost[None, :, None] * n2.on_hand).sum()
-            c1 = eval_total_cost(n1, instance)
-            c2 = eval_total_cost(n2, instance)
+            c1 = evaluate(g1, instance)[0][0]
+            c2 = evaluate(g2, instance)[0][0]
             assert c1 - h1 == pytest.approx(c2 - h2, rel=1e-9)
 
     def test_timing_segment_never_moves_cost_on_zero_holding_fixture(self):
@@ -434,61 +436,98 @@ class TestObjectives:
             assert violation == 0.0
 
 
+def scored(genotype, instance):
+    """The excess of each family in CONSTRAINT_FAMILIES for one genotype, below
+    float-repair resolution set to zero, checked against the reference scorer
+    of all seven families together with the violation; the three unscored
+    families must be zero there."""
+    network, flow_totals = _decode_rows(np.array([genotype], dtype=float), instance)
+    excess = _excess_rows(network, instance, *flow_totals)[0]
+    excess = np.where(excess > _EXCESS_RTOL * instance._scales, excess, 0.0)
+    expected, total = reference_check_constraints(reference_decode(genotype, instance), instance)
+    order = [REFERENCE_FAMILIES.index(name) for name in CONSTRAINT_FAMILIES]
+    assert np.array_equal(excess, expected[order])
+    assert np.delete(expected, order).tolist() == [0.0, 0.0, 0.0]
+    assert evaluate(genotype, instance)[1] == total
+    return dict(zip(CONSTRAINT_FAMILIES, excess.tolist())), total
+
+
+# tiny's all-ones design with all its inbound units in period 1 (early) or period 2 (late)
+EARLY = np.array([1, 1, 1, 1, 1, 1.0, 0.0])
+LATE = np.array([1, 1, 1, 1, 1, 0.0, 1.0])
+
+
 class TestCheckConstraints:
+    """Each scored family on a decoded genotype of a tiny instance with one
+    bound tightened, against the reference scorer."""
+
     def test_feasible_network_scores_zero_everywhere(self):
-        tiny = tiny_instance()
-        excess, total = check_constraints(decode(np.ones(7), tiny), tiny)
-        assert np.all(excess == 0.0)
+        excess, total = scored(np.ones(7), tiny_instance())
+        assert list(excess.values()) == [0.0] * 4
         assert total == 0.0
 
     def test_holding_capacity_excess_reported_raw(self):
-        tiny = tiny_instance()
-        network = decode(np.ones(7), tiny)
-        bloated = replace(network, on_hand=network.on_hand + np.array([[[14.0, 0.0]]]))
-        excess, total = check_constraints(bloated, tiny)
-        # one cell sits 4 above the capacity of 10
-        assert excess[CONSTRAINT_FAMILIES.index("dc_holding_capacity")] == 4.0
-        assert total > 0.0
+        # period 1 leaves 5 units of stock against a capacity of 1
+        excess, total = scored(EARLY, replace(tiny_instance(), dc_capacity=[1.0]))
+        assert excess == {"dc_holding_capacity": 4.0, "backorder_limit": 0.0,
+                          "dc_flow_balance": 0.0, "plant_raw_balance": 0.0}
+        assert total == 4.0
 
     def test_backorder_excess_scored(self):
-        tiny = tiny_instance()
-        network = decode(np.ones(7), tiny)
-        swamped = replace(network, backlog=network.backlog + np.array([[[12.0, 0.0]]]))
-        excess, total = check_constraints(swamped, tiny)
-        assert excess[CONSTRAINT_FAMILIES.index("backorder_limit")] == 2.0
-        assert total > 0.0
+        # period 1 leaves 5 units owed against a limit of 3
+        excess, total = scored(LATE, replace(tiny_instance(), backorder_limit=np.full((1, 1, 2), 3.0)))
+        assert excess["backorder_limit"] == 2.0 and sum(excess.values()) == 2.0
+        assert total == 2.0 / 3.0
 
     def test_flow_shortfall_scored(self):
-        tiny = tiny_instance()
-        network = decode(np.ones(7), tiny)
-        starved = replace(network, product_flow=network.product_flow * 0.5)
-        excess, _ = check_constraints(starved, tiny)
-        assert excess[CONSTRAINT_FAMILIES.index("dc_flow_balance")] == 5.0
+        # a plant of capacity 5 ships 5 of the DC's 10 units
+        excess, total = scored(np.ones(7), replace(tiny_instance(), plant_capacity=[5.0]))
+        assert excess["dc_flow_balance"] == 5.0 and sum(excess.values()) == 5.0
+        assert total == 0.5
 
-    def test_plant_overload_scored(self):
-        tiny = tiny_instance()
-        network = decode(np.ones(7), tiny)
-        overloaded = replace(network, product_flow=network.product_flow * 3.0)
-        excess, _ = check_constraints(overloaded, tiny)
-        # production 30 against capacity 20 and raw inflow 10
-        assert excess[CONSTRAINT_FAMILIES.index("plant_capacity")] == 10.0
-        assert excess[CONSTRAINT_FAMILIES.index("plant_raw_balance")] == 20.0
+    def test_plant_overload_is_capped(self):
+        # the DC asks the plant for 10 units; it has capacity for 6 and ships
+        # 6, so the plant is never overloaded and the DC falls 4 short
+        instance = replace(tiny_instance(), plant_capacity=[6.0])
+        network = decode(np.ones(7), instance)
+        assert network.product_flow.sum() == 6.0 and network.raw_flow.sum() == 6.0
+        excess, total = scored(np.ones(7), instance)
+        assert excess["dc_flow_balance"] == 4.0 and sum(excess.values()) == 4.0
+        assert total == 0.4
 
-    def test_supplier_overdraw_scored(self):
-        tiny = tiny_instance()
-        network = decode(np.ones(7), tiny)
-        greedy = replace(network, raw_flow=network.raw_flow + 15.0)
-        excess, _ = check_constraints(greedy, tiny)
-        assert excess[CONSTRAINT_FAMILIES.index("supplier_capacity")] == 5.0
+    def test_supplier_overdraw_is_capped(self):
+        # the plant asks the supplier for 10 units of raw material; it draws
+        # its whole capacity of 4, so production goes 6 units short of raw
+        # material instead
+        instance = replace(tiny_instance(), supplier_capacity=[4.0])
+        network = decode(np.ones(7), instance)
+        assert network.raw_flow.sum() == 4.0 and network.product_flow.sum() == 10.0
+        excess, total = scored(np.ones(7), instance)
+        assert excess["plant_raw_balance"] == 6.0 and sum(excess.values()) == 6.0
+        assert total == 6.0 / 20.0
+
+    def test_every_scored_family_binds_at_once(self):
+        # Three periods of demand 5, 0, 5 and a plant of capacity 7 shipping
+        # all 7 units in period 1: stock of 2 held through periods 1 and 2
+        # against a capacity of 1, a backlog of 3 in period 3 against a limit
+        # of 1, 3 units short at the DC, and 3 units of raw material short
+        # against a supplier of capacity 4.
+        instance = replace(
+            tiny_instance(), n_periods=3, demand=[[[5.0, 0.0, 5.0]]], plant_capacity=[7.0],
+            supplier_capacity=[4.0], dc_capacity=[1.0], backorder_limit=np.ones((1, 1, 3)),
+        )
+        excess, total = scored(np.array([1, 1, 1, 1, 1, 1.0, 0.0, 0.0]), instance)
+        assert excess == {"dc_holding_capacity": 2.0, "backorder_limit": 2.0,
+                          "dc_flow_balance": 3.0, "plant_raw_balance": 3.0}
+        assert total == 2.0 / 1.0 + 2.0 / 1.0 + 3.0 / 10.0 + 3.0 / 7.0
 
     def test_feasible_iff_zero_total(self):
         instance = make_duo_instance()
         rng = np.random.default_rng(31)
         saw_feasible = saw_infeasible = False
         for _ in range(500):
-            network = decode(rng.random(20), instance)
-            excess, total = check_constraints(network, instance)
-            assert (total == 0.0) == bool(np.all(excess == 0.0))
+            excess, total = scored(rng.random(20), instance)
+            assert (total == 0.0) == all(value == 0.0 for value in excess.values())
             saw_feasible |= total == 0.0
             saw_infeasible |= total > 0.0
         assert saw_feasible  # both outcomes occur on this instance,
@@ -591,6 +630,13 @@ class TestInstanceValidation:
             "dc_capacity must have shape (1,), got (2,)",
             "holding_cost: True is not a number",
         ]
+
+    @pytest.mark.parametrize("size", [10**5000, 2**63, np.uint64(2**64 - 1)], ids=["5001-digits", "2**63", "uint64"])
+    def test_dimension_beyond_any_array_size_is_a_problem(self, size):
+        # a 5001-digit int has no repr: Python refuses ints beyond 4300 digits
+        with pytest.raises(ValidationError) as err:
+            replace(tiny_instance(), n_periods=size)
+        assert err.value.problems == [f"n_periods: an integer above {np.iinfo(np.intp).max} is not an array size"]
 
     def test_numpy_and_python_numbers_are_taken(self):
         instance = replace(
